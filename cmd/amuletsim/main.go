@@ -163,8 +163,9 @@ func runApp(name string, mode cc.Mode, ms uint64, tracePath string) {
 
 // runAppPowered runs the kernel form on harvested power: charge integrates at
 // fixed 50 ms boundaries against the same supercapacitor model amuletfleet
-// devices use, brownouts take a FRAM persistent cut and reboot through the
-// boot template once the supply recovers.
+// devices use; a brownout drops the kernel's volatile state in place and
+// parks it, and once the supply recovers the same kernel reboots from its
+// FRAM state.
 func runAppPowered(name string, mode cc.Mode, ms uint64, spec string) {
 	app, ok := amuletiso.AppByName(name)
 	if !ok {
@@ -188,18 +189,15 @@ func runAppPowered(name string, mode cc.Mode, ms uint64, spec string) {
 	var (
 		events, brownouts, reboots int
 		lastCycles                 uint64
-		cut                        *kernel.Checkpoint
+		dark                       bool
 	)
 	for t := uint64(stepMS); t <= ms; t += stepMS {
 		harvest := trace.HarvestRangePJ(t-stepMS, t)
-		if k == nil { // dark: harvest-only until the restart threshold
+		if dark { // harvest-only until the restart threshold
 			charge = min(charge+harvest, cap.CapacityPJ)
 			if charge >= cap.RestartPJ {
-				k, err = tmpl.RebootFromCut(cut, t, nil)
-				if err != nil {
-					fail(err)
-				}
-				cut = nil
+				tmpl.Reboot(k, t)
+				dark = false
 				lastCycles = k.CPU.Cycles
 				reboots++
 				fmt.Printf("  reboot at %dms (charge %.1fmJ)\n", t, float64(charge)/1e9)
@@ -216,9 +214,8 @@ func runAppPowered(name string, mode cc.Mode, ms uint64, spec string) {
 			charge = 0
 		}
 		if charge <= cap.BrownoutPJ {
-			cut = tmpl.PersistentCut(tmpl.Checkpoint(k), t)
-			k.Bus.ReleasePages()
-			k = nil
+			tmpl.Brownout(k, t)
+			dark = true
 			brownouts++
 			fmt.Printf("  brownout at %dms\n", t)
 		}
@@ -228,25 +225,15 @@ func runAppPowered(name string, mode cc.Mode, ms uint64, spec string) {
 		app.Title, mode, profile.Kind, events, ms)
 	fmt.Printf("  brownouts=%d reboots=%d final-charge=%.1fmJ\n",
 		brownouts, reboots, float64(charge)/1e9)
-	var st kernel.AppCheckpoint
-	if k != nil {
-		live := tmpl.Checkpoint(k)
-		st = live.Apps[0]
-	} else {
-		st = cut.Apps[0]
-	}
+	// A dark kernel holds exactly its FRAM state, so the same reads serve
+	// both outcomes.
+	st := k.Apps[0]
 	fmt.Printf("  dispatches=%d syscalls=%d active-cycles=%d alive=%v\n",
 		st.Dispatches, st.Syscalls, st.Cycles, st.Alive)
 	for _, v := range st.LogValues {
 		fmt.Printf("  log tag=%d value=%d at %dms\n", v.Tag, v.Value, v.AtMS)
 	}
-	var faults []kernel.FaultRecord
-	if k != nil {
-		faults = k.Faults
-	} else {
-		faults = cut.Faults
-	}
-	for _, f := range faults {
+	for _, f := range k.Faults {
 		fmt.Printf("  FAULT app=%d at=%dms [%v]: %s\n", f.App, f.AtMS, f.Class, f.Reason)
 	}
 	fmt.Println(" ", buildCounters())

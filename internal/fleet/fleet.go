@@ -276,7 +276,6 @@ type deviceSim struct {
 	sc     *Scenario
 	tmpl   *kernel.BootTemplate
 	k      *kernel.Kernel
-	arena  *mem.PageArena
 	device int
 	seed   uint32
 
@@ -287,10 +286,13 @@ type deviceSim struct {
 	buttonRNG  uint64
 
 	// power is the device's supercapacitor state; nil on a stable bench
-	// supply. While the device is dark after a brownout, k is nil and
-	// power.cut holds the FRAM state the reboot will restore.
+	// supply. While the device is dark after a brownout, k stays parked
+	// holding only its FRAM state until the reboot.
 	power *powerState
 }
+
+// dark reports whether the device is browned out, its kernel parked.
+func (d *deviceSim) dark() bool { return d.power != nil && d.power.off }
 
 // newDeviceSim boots a fresh device at the start of its wear window.
 func newDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena, device int) *deviceSim {
@@ -313,7 +315,7 @@ func newDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena,
 		k.PostPeriodic(ev.App, ev.Code, ev.Arg, ev.AtMS, ev.PeriodMS)
 	}
 	d := &deviceSim{
-		sc: sc, tmpl: tmpl, k: k, arena: arena, device: device, seed: seed,
+		sc: sc, tmpl: tmpl, k: k, device: device, seed: seed,
 		nextButton: injectStart(sc.ButtonEveryMS),
 		nextFault:  injectStart(sc.FaultEveryMS),
 		buttonRNG:  uint64(seed),
@@ -350,8 +352,8 @@ func (d *deviceSim) advance(ctx context.Context, until uint64) error {
 			next = d.power.next
 		}
 		// A dark device delivers nothing: injection and power cursors still
-		// advance through the outage, but the kernel is gone until reboot.
-		if d.k != nil {
+		// advance through the outage, but the kernel is parked until reboot.
+		if !d.dark() {
 			if batch {
 				for {
 					n, more := d.k.RunBatch(next, EventBatch)
@@ -372,21 +374,19 @@ func (d *deviceSim) advance(ctx context.Context, until uint64) error {
 			// The press sequence advances whether or not the device is up —
 			// the user keeps pressing; a dark device just misses the press.
 			d.buttonRNG = splitmix64(d.buttonRNG)
-			if d.k != nil {
+			if !d.dark() {
 				d.k.InjectButton(uint16(d.buttonRNG%3) + 1)
 			}
 			d.nextButton += d.sc.ButtonEveryMS
 		}
 		if d.now == d.nextFault {
-			if d.k != nil {
+			if !d.dark() {
 				d.k.InjectFault(d.sc.FaultApp, "fleet: injected fault")
 			}
 			d.nextFault += d.sc.FaultEveryMS
 		}
 		if d.power != nil && d.now == d.power.next {
-			if err := d.powerStep(); err != nil {
-				return err
-			}
+			d.powerStep()
 		}
 	}
 	return nil
@@ -396,66 +396,36 @@ func (d *deviceSim) advance(ctx context.Context, until uint64) error {
 func (d *deviceSim) finished() bool { return d.now >= d.sc.DurationMS }
 
 // result assembles the DeviceResult of a finished device. A device that
-// wore out its window dark (browned out, never recovered) reports from its
-// FRAM-persistent cut instead of a live kernel.
+// wore out its window dark (browned out, never recovered) reports its parked
+// kernel's FRAM-resident counters, without a fault trace — the recorder ring
+// died with the power.
 func (d *deviceSim) result() DeviceResult {
-	var res DeviceResult
-	if d.k != nil {
-		k := d.k
-		dispatches, syscalls, cycles := k.Totals()
-		res = DeviceResult{
-			Dispatches: dispatches,
-			Syscalls:   syscalls,
-			Cycles:     cycles,
-			Insns:      k.CPU.Insns,
-			OSCycles:   k.OSCycles,
-			Faults:     len(k.Faults),
-			Latency:    k.Latency,
-		}
-		for _, a := range k.Apps {
-			if a.Alive {
-				res.AppsAlive++
-			}
-		}
-		for _, f := range k.Faults {
-			res.FaultReasons = append(res.FaultReasons, f.Reason)
-			res.FaultClasses = append(res.FaultClasses, f.Class.String())
-		}
-		if d.sc.FaultTrace && len(k.Faults) > 0 {
-			res.FaultTrace = k.Recorder().Dump(faultTraceWindow)
-		}
-	} else {
-		// Dark at window end: the cut carries every FRAM-resident counter.
-		// No fault trace — the recorder ring died with the power.
-		ck := d.power.cut
-		var dispatches, syscalls, cycles uint64
-		for _, a := range ck.Apps {
-			dispatches += a.Dispatches
-			syscalls += a.Syscalls
-			cycles += a.Cycles
-		}
-		res = DeviceResult{
-			Dispatches: dispatches,
-			Syscalls:   syscalls,
-			Cycles:     cycles,
-			Insns:      ck.CPU.Insns,
-			OSCycles:   ck.OSCycles,
-			Faults:     len(ck.Faults),
-			Latency:    ck.Latency,
-		}
-		for _, a := range ck.Apps {
-			if a.Alive {
-				res.AppsAlive++
-			}
-		}
-		for _, f := range ck.Faults {
-			res.FaultReasons = append(res.FaultReasons, f.Reason)
-			res.FaultClasses = append(res.FaultClasses, f.Class.String())
+	k := d.k
+	dispatches, syscalls, cycles := k.Totals()
+	res := DeviceResult{
+		Device:     d.device,
+		Seed:       d.seed,
+		Events:     d.events,
+		Dispatches: dispatches,
+		Syscalls:   syscalls,
+		Cycles:     cycles,
+		Insns:      k.CPU.Insns,
+		OSCycles:   k.OSCycles,
+		Faults:     len(k.Faults),
+		Latency:    k.Latency,
+	}
+	for _, a := range k.Apps {
+		if a.Alive {
+			res.AppsAlive++
 		}
 	}
-	res.Device = d.device
-	res.Seed = d.seed
-	res.Events = d.events
+	for _, f := range k.Faults {
+		res.FaultReasons = append(res.FaultReasons, f.Reason)
+		res.FaultClasses = append(res.FaultClasses, f.Class.String())
+	}
+	if d.sc.FaultTrace && len(k.Faults) > 0 && !d.dark() {
+		res.FaultTrace = k.Recorder().Dump(faultTraceWindow)
+	}
 	res.WeeklyBatteryPct = batteryPct(res.Cycles, d.sc.DurationMS)
 	res.ProjectedLifetimeHours = projectedLifetimeHours(res.Cycles, d.sc.DurationMS)
 	if d.power != nil {
@@ -469,13 +439,8 @@ func (d *deviceSim) result() DeviceResult {
 }
 
 // close hands the device's dirty COW pages back to the arena (no-op on a
-// flat oracle bus, or on a dark device whose brownout already released
-// them). Idempotent, so callers defer it unconditionally.
-func (d *deviceSim) close() {
-	if d.k != nil {
-		d.k.Bus.ReleasePages()
-	}
-}
+// flat oracle bus). Idempotent, so callers defer it unconditionally.
+func (d *deviceSim) close() { d.k.Bus.ReleasePages() }
 
 // faultTraceWindow is how many trailing flight-recorder events a faulting
 // device's DeviceResult carries when Scenario.FaultTrace is set.

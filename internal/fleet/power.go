@@ -13,10 +13,15 @@ import (
 // fixed PowerCheckMS boundaries of virtual time: harvest from the device's
 // seeded trace, drain from executed cycles (power.EnergyPerCyclePJ) plus the
 // platform's idle draw. When charge falls to the brownout threshold the
-// device takes a power-loss fault: its volatile state is dropped through
-// kernel.PersistentCut, its COW pages go back to the arena, and it sits dark
-// — harvesting, drawing nothing — until the capacitor recovers to the
-// restart threshold, when it reboots from the FRAM cut.
+// device takes a power-loss fault in place (kernel.BootTemplate.Brownout):
+// its volatile state is dropped, its volatile COW pages go back to the
+// arena, and the kernel sits parked and dark — harvesting, drawing nothing —
+// until the capacitor recovers to the restart threshold, when the same
+// kernel reboots in place (BootTemplate.Reboot). Neither step builds a
+// kernel or copies more than the pages power loss touches. A campaign cut of
+// a dark device still carries the FRAM state as a kernel.Checkpoint
+// (PowerCheckpoint.Cut) — the parked kernel's own checkpoint, which is the
+// PersistentCut oracle's bytes.
 //
 // All charge arithmetic is integer picojoules and happens only at the fixed
 // boundaries, so a device browns out at exactly the same virtual millisecond
@@ -62,12 +67,11 @@ type powerState struct {
 	next       uint64 // next power event: integration boundary, forced brownout, or forced restart
 	offMS      uint64 // forced-mode dark interval
 
+	// off marks the device dark: its kernel is parked after a brownout and
+	// delivers nothing until the reboot.
 	off             bool
 	brownouts       int
 	firstBrownoutMS uint64
-	// cut is the FRAM-persistent remainder the device reboots from; non-nil
-	// exactly while the device is off.
-	cut *kernel.Checkpoint
 }
 
 // newPowerState builds the boot-time power state for a device. The scenario
@@ -95,16 +99,17 @@ func newPowerState(sc *Scenario, seed uint32) *powerState {
 // integration and brownout in trace mode, the scripted fault/restart pair in
 // forced mode. The kernel is parked between events when this runs — the
 // checkpoint boundary brownouts require.
-func (d *deviceSim) powerStep() error {
+func (d *deviceSim) powerStep() {
 	p := d.power
 	t := d.now
 	if !p.traced {
 		if p.off {
-			return d.powerReboot(t)
+			d.powerReboot(t)
+			return
 		}
 		d.powerBrownout(t)
 		p.next = t + p.offMS
-		return nil
+		return
 	}
 
 	if p.off {
@@ -117,9 +122,9 @@ func (d *deviceSim) powerStep() error {
 		p.lastMS = t
 		p.next = t + PowerCheckMS
 		if p.chargePJ >= p.cap.RestartPJ {
-			return d.powerReboot(t)
+			d.powerReboot(t)
 		}
-		return nil
+		return
 	}
 
 	cycles := d.k.CPU.Cycles
@@ -139,17 +144,14 @@ func (d *deviceSim) powerStep() error {
 	if p.chargePJ <= p.cap.BrownoutPJ {
 		d.powerBrownout(t)
 	}
-	return nil
 }
 
-// powerBrownout kills the device's power at time t: volatile state is lost,
-// the FRAM-persistent cut is kept for the eventual reboot, and the dead
-// kernel's COW pages go back to the arena immediately.
+// powerBrownout kills the device's power at time t, in place: the kernel
+// drops its volatile state (volatile COW pages go straight back to the
+// arena) and stays parked with its FRAM state for the eventual reboot.
 func (d *deviceSim) powerBrownout(t uint64) {
 	p := d.power
-	p.cut = d.tmpl.PersistentCut(d.tmpl.Checkpoint(d.k), t)
-	d.k.Bus.ReleasePages()
-	d.k = nil
+	d.tmpl.Brownout(d.k, t)
 	p.off = true
 	p.brownouts++
 	if p.brownouts == 1 {
@@ -159,23 +161,19 @@ func (d *deviceSim) powerBrownout(t uint64) {
 	mBrownouts.Inc()
 }
 
-// powerReboot brings the device back at time t from its persistent cut: the
-// OS boot path re-initializes volatile state, surviving apps re-init, and
-// the scenario's event schedule is re-installed relative to the reboot.
-func (d *deviceSim) powerReboot(t uint64) error {
+// powerReboot brings the parked device back at time t: the OS boot path
+// re-initializes volatile state in place, surviving apps re-init, and the
+// scenario's event schedule is re-installed relative to the reboot.
+func (d *deviceSim) powerReboot(t uint64) {
 	p := d.power
-	k, err := d.tmpl.RebootFromCut(p.cut, t, d.arena)
-	if err != nil {
-		return err
-	}
+	k := d.k
+	d.tmpl.Reboot(k, t)
 	if d.sc.FaultTrace {
 		k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
 	}
 	for _, ev := range d.sc.Events {
 		k.PostPeriodic(ev.App, ev.Code, ev.Arg, ev.AtMS, ev.PeriodMS)
 	}
-	d.k = k
-	p.cut = nil
 	p.off = false
 	p.lastMS, p.lastCycles = t, k.CPU.Cycles
 	if p.traced {
@@ -184,7 +182,6 @@ func (d *deviceSim) powerReboot(t uint64) error {
 		p.next = t + d.sc.BrownoutEveryMS
 	}
 	mReboots.Inc()
-	return nil
 }
 
 // PowerCheckpoint serializes a device's powerState for resumable campaigns.
@@ -201,8 +198,9 @@ type PowerCheckpoint struct {
 	Cut             *kernel.Checkpoint `json:"cut,omitempty"`
 }
 
-// checkpoint serializes the power state.
-func (p *powerState) checkpoint() *PowerCheckpoint {
+// checkpoint serializes the power state; cut is the parked kernel's
+// checkpoint while the device is dark, nil otherwise.
+func (p *powerState) checkpoint(cut *kernel.Checkpoint) *PowerCheckpoint {
 	return &PowerCheckpoint{
 		ChargePJ:        p.chargePJ,
 		LastMS:          p.lastMS,
@@ -211,7 +209,7 @@ func (p *powerState) checkpoint() *PowerCheckpoint {
 		Off:             p.off,
 		Brownouts:       p.brownouts,
 		FirstBrownoutMS: p.firstBrownoutMS,
-		Cut:             p.cut,
+		Cut:             cut,
 	}
 }
 
@@ -226,6 +224,5 @@ func resumePowerState(sc *Scenario, seed uint32, pc *PowerCheckpoint) *powerStat
 	p.off = pc.Off
 	p.brownouts = pc.Brownouts
 	p.firstBrownoutMS = pc.FirstBrownoutMS
-	p.cut = pc.Cut
 	return p
 }

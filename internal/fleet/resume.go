@@ -85,30 +85,36 @@ func (d *deviceSim) checkpoint() *DeviceCheckpoint {
 		NextFault:  d.nextFault,
 		ButtonRNG:  d.buttonRNG,
 	}
-	if d.k != nil {
-		dc.Kernel = d.tmpl.Checkpoint(d.k)
-	}
+	ck := d.tmpl.Checkpoint(d.k)
 	if d.power != nil {
-		dc.Power = d.power.checkpoint()
+		var cut *kernel.Checkpoint
+		if d.dark() {
+			cut, ck = ck, nil
+		}
+		dc.Power = d.power.checkpoint(cut)
 	}
+	dc.Kernel = ck
 	return dc
 }
 
 // resumeDeviceSim continues a parked device from its checkpoint.
 func resumeDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena, dc *DeviceCheckpoint) (*deviceSim, error) {
 	seed := DeviceSeed(sc.Seed, dc.Device)
-	var k *kernel.Kernel
-	if dc.Kernel != nil {
-		var err error
-		if k, err = tmpl.Resume(dc.Kernel, arena); err != nil {
-			return nil, fmt.Errorf("fleet: device %d: %w", dc.Device, err)
+	// A dark device resumes its parked kernel from the persistent cut.
+	ck := dc.Kernel
+	if ck == nil {
+		if dc.Power == nil || !dc.Power.Off || dc.Power.Cut == nil {
+			return nil, fmt.Errorf("fleet: device %d checkpoint has no kernel and is not parked dark", dc.Device)
 		}
-	} else if dc.Power == nil || !dc.Power.Off || dc.Power.Cut == nil {
-		return nil, fmt.Errorf("fleet: device %d checkpoint has no kernel and is not parked dark", dc.Device)
+		ck = dc.Power.Cut
+	}
+	k, err := tmpl.Resume(ck, arena)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: device %d: %w", dc.Device, err)
 	}
 	mDevicesStarted.Inc()
 	d := &deviceSim{
-		sc: sc, tmpl: tmpl, k: k, arena: arena,
+		sc: sc, tmpl: tmpl, k: k,
 		device:     dc.Device,
 		seed:       seed,
 		events:     dc.Events,

@@ -59,6 +59,13 @@ func (s *Server) persist(j *Job, progress *jobProgress) {
 		return
 	}
 	j.mu.Lock()
+	f := j.fileLocked(progress)
+	j.mu.Unlock()
+	s.writeJobFile(j, &f)
+}
+
+// fileLocked assembles the job's on-disk form. Callers hold j.mu.
+func (j *Job) fileLocked(progress *jobProgress) jobFile {
 	f := jobFile{
 		ID:       j.ID,
 		Spec:     j.Spec,
@@ -73,9 +80,12 @@ func (s *Server) persist(j *Job, progress *jobProgress) {
 	if f.State == StateRunning {
 		f.State = StateQueued
 	}
-	j.mu.Unlock()
+	return f
+}
 
-	data, err := json.Marshal(&f)
+// writeJobFile replaces the job's state file atomically (tmp + rename).
+func (s *Server) writeJobFile(j *Job, f *jobFile) {
+	data, err := json.Marshal(f)
 	if err != nil {
 		return
 	}
@@ -87,6 +97,28 @@ func (s *Server) persist(j *Job, progress *jobProgress) {
 		return
 	}
 	_ = os.Rename(tmp, path)
+}
+
+// settle moves a job to state — a terminal one, or back to queued on
+// shutdown. The state file is written first; only then do the new state and
+// its stream line become visible, together. A status reader or stream
+// follower that sees the state therefore finds the final file on disk and
+// the final line in the stream.
+func (s *Server) settle(j *Job, state, errMsg string, progress *jobProgress) {
+	j.mu.Lock()
+	f := j.fileLocked(progress)
+	f.State, f.Error = state, errMsg
+	ev := streamEvent{Job: j.ID, State: state, Done: j.done, Total: j.total,
+		Report: j.report, Torture: j.torture, Error: errMsg}
+	j.mu.Unlock()
+	if s.StateDir != "" {
+		s.writeJobFile(j, &f)
+	}
+	line, err := json.Marshal(&ev)
+	if err != nil {
+		line = nil
+	}
+	j.publish(state, errMsg, line)
 }
 
 // LoadState re-registers every job found in the state directory. Terminal

@@ -533,3 +533,106 @@ func TestPersistedFilesAreAtomic(t *testing.T) {
 		t.Fatalf("unexpected state file %s", entries[0].Name())
 	}
 }
+
+// followStream reads a job's NDJSON stream from the start until the server
+// ends it and returns the decoded lines.
+func followStream(ts *httptest.Server, id string) ([]streamEvent, error) {
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/stream")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	var events []streamEvent
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	for sc.Scan() {
+		var ev streamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return nil, fmt.Errorf("bad stream line %q: %v", sc.Text(), err)
+		}
+		events = append(events, ev)
+	}
+	return events, sc.Err()
+}
+
+// TestStreamsEndWithTerminalLine: every job's stream, followed from submit,
+// ends with a line carrying the job's terminal state — done, failed,
+// cancelled while running, and cancelled while queued — and the moment a
+// status read shows that state, the state file on disk already holds it.
+func TestStreamsEndWithTerminalLine(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, dir)
+	s.Start()
+	defer s.Stop()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	bad := testSpec()
+	bad.FaultApp = 7 // passes submit-time validation, fails when the fleet runs
+	long := testSpec()
+	long.Devices = 20
+	long.DurationMS = 600_000
+	specs := []JobSpec{
+		testSpec(),
+		{Type: TypeTorture, Programs: 4, ShardPrograms: 2},
+		bad,
+		long,
+		testSpec(),
+	}
+	want := []string{StateDone, StateDone, StateFailed, StateCancelled, StateCancelled}
+
+	type result struct {
+		events []streamEvent
+		err    error
+	}
+	ids := make([]string, len(specs))
+	streams := make([]chan result, len(specs))
+	for i, spec := range specs {
+		ids[i] = postJob(t, ts, spec)
+		streams[i] = make(chan result, 1)
+		go func(id string, out chan<- result) {
+			ev, err := followStream(ts, id)
+			out <- result{ev, err}
+		}(ids[i], streams[i])
+	}
+
+	// The long job is cancelled once running, the job behind it while still
+	// queued.
+	waitFor(t, "long job to start", func() bool {
+		j, _ := s.Job(ids[3])
+		return j.view().State == StateRunning
+	})
+	if err := s.Cancel(ids[4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Cancel(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, id := range ids {
+		var state string
+		waitFor(t, id+" to settle", func() bool {
+			j, _ := s.Job(id)
+			state = j.view().State
+			return state != StateQueued && state != StateRunning
+		})
+		data, err := os.ReadFile(filepath.Join(dir, id+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f jobFile
+		if err := json.Unmarshal(data, &f); err != nil {
+			t.Fatal(err)
+		}
+		if state != want[i] || f.State != state {
+			t.Fatalf("%s: status %s, state file %s, want %s in both", id, state, f.State, want[i])
+		}
+		res := <-streams[i]
+		if res.err != nil {
+			t.Fatalf("%s: stream: %v", id, res.err)
+		}
+		if n := len(res.events); n == 0 || res.events[n-1].State != want[i] {
+			t.Fatalf("%s: stream of %d lines does not end with a %s line", id, n, want[i])
+		}
+	}
+}

@@ -271,12 +271,17 @@ func (j *Job) appendLine(line []byte) {
 	j.mu.Unlock()
 }
 
-// setState transitions the job and wakes stream readers (terminal states end
-// streams).
-func (j *Job) setState(state, errMsg string) {
+// publish transitions the job and appends the stream line announcing the
+// new state in one critical section, waking readers once: whoever observes
+// the state also finds its line, so a stream that ends on a terminal state
+// always ends with that state's line. A nil line publishes the state alone.
+func (j *Job) publish(state, errMsg string, line []byte) {
 	j.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
+	if line != nil {
+		j.lines = append(j.lines, line)
+	}
 	close(j.changed)
 	j.changed = make(chan struct{})
 	j.mu.Unlock()

@@ -168,14 +168,16 @@ func (s *Server) Cancel(id string) error {
 	case j.terminalLocked():
 		j.mu.Unlock()
 		return fmt.Errorf("fleetd: job %s already %s", id, j.view().State)
-	case j.state == StateQueued:
-		j.cancelled = true
-		j.state = StateCancelled
-		close(j.changed)
-		j.changed = make(chan struct{})
+	case j.cancelled:
 		j.mu.Unlock()
+		return nil // a cancel is already under way
+	case j.state == StateQueued:
+		// The cancelled mark keeps the scheduler off the job while settle
+		// persists the terminal state.
+		j.cancelled = true
+		j.mu.Unlock()
+		s.settle(j, StateCancelled, "", nil)
 		mJobsFinished.With(StateCancelled).Inc()
-		s.persist(j, nil)
 		return nil
 	default: // running
 		j.cancelled = true
@@ -203,7 +205,7 @@ func (s *Server) nextQueued() *Job {
 	for _, id := range s.order {
 		j := s.jobs[id]
 		j.mu.Lock()
-		queued := j.state == StateQueued
+		queued := j.state == StateQueued && !j.cancelled
 		j.mu.Unlock()
 		if queued {
 			return j
@@ -283,23 +285,22 @@ func (s *Server) runJob(j *Job) {
 	j.mu.Lock()
 	cancelled := j.cancelled
 	j.mu.Unlock()
+	state, errMsg := StateDone, ""
 	switch {
 	case err == nil:
-		j.setState(StateDone, "")
-		mJobsFinished.With(StateDone).Inc()
 	case cancelled:
-		j.setState(StateCancelled, err.Error())
-		mJobsFinished.With(StateCancelled).Inc()
+		state, errMsg = StateCancelled, err.Error()
 	case s.ctx.Err() != nil:
 		// Daemon shutdown: the job goes back to the queue; its progress was
 		// already persisted by the run loop below.
-		j.setState(StateQueued, "")
+		state = StateQueued
 	default:
-		j.setState(StateFailed, err.Error())
-		mJobsFinished.With(StateFailed).Inc()
+		state, errMsg = StateFailed, err.Error()
 	}
-	s.persist(j, s.progressOf(j))
-	s.emit(j)
+	s.settle(j, state, errMsg, s.progressOf(j))
+	if state != StateQueued {
+		mJobsFinished.With(state).Inc()
+	}
 }
 
 // progressOf snapshots a job's resumable position for persistence.

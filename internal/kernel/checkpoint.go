@@ -17,13 +17,17 @@ import (
 // the same events, faults the same way, and reaches the same memory and
 // accounting state as one that never stopped, byte for byte.
 //
-// Memory is stored template-relative: a full mem.SnapshotData image is diffed
-// against the boot template page by page and only differing pages are kept.
-// An idle device touches a few dozen of the 256 pages, so checkpoints stay
-// small and a resumed COW device faults in exactly the pages the original
-// had dirtied. Checkpoints must be taken between events (after RunUntil or a
-// drained RunBatch window), when the CPU is parked and no delivery is in
-// flight — the same boundary fleet workers already use for cancellation.
+// Memory is stored template-relative: the bus's private pages (mem.Bus
+// PrivatePages) are compared with the boot template and only differing pages
+// are kept. A COW device shares every other page with the template, so the
+// walk costs O(dirty pages) — an idle device touches about ten of the 256 —
+// while the flat oracle walks all 256 and yields the same patches. A page
+// written back to its template bytes yields no patch either way, so
+// checkpoints stay small and a resumed COW device faults in exactly the
+// pages that differ. Checkpoints must be taken between events (after
+// RunUntil or a drained RunBatch window), when the CPU is parked and no
+// delivery is in flight — the same boundary fleet workers already use for
+// cancellation.
 //
 // The flight-recorder ring is deliberately not captured: tracing observes the
 // simulation without affecting it, so a resumed device recreates identical
@@ -164,21 +168,19 @@ func (t *BootTemplate) Checkpoint(k *Kernel) *Checkpoint {
 	ck.Display.Draws = k.Display.Draws
 	ck.Display.Texts = k.Display.Texts
 
-	// Template-relative memory: snapshot the live bus and keep only pages
-	// that differ from the boot image. Device registers never back onto bus
-	// pages (they are captured in CPU/MPU state above), so device-covered
-	// pages always match the template and never produce a patch.
-	var img mem.BusImage
-	k.Bus.SnapshotData(&img)
-	const pages = len(img) / mem.PageSize
-	for p := 0; p < pages; p++ {
-		lo, hi := p*mem.PageSize, (p+1)*mem.PageSize
-		if string(img[lo:hi]) == string(t.img[lo:hi]) {
+	// Template-relative memory: keep only private pages that differ from
+	// the boot image (shared COW pages are the template's own bytes). Device
+	// registers never back onto bus pages (they are captured in CPU/MPU
+	// state above), so device-covered pages always match the template and
+	// never produce a patch.
+	for p, data := range k.Bus.PrivatePages {
+		lo := p * mem.PageSize
+		if string(data) == string(t.img[lo:lo+mem.PageSize]) {
 			continue
 		}
 		ck.Pages = append(ck.Pages, PagePatch{
 			Page: p,
-			Data: append([]byte(nil), img[lo:hi]...),
+			Data: append([]byte(nil), data...),
 		})
 	}
 	return ck

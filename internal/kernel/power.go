@@ -5,22 +5,33 @@ import (
 	"amuletiso/internal/cpu"
 	"amuletiso/internal/mem"
 	"amuletiso/internal/mpu"
+	"amuletiso/internal/obs"
 )
 
-// This file models what power loss does to a checkpointed device. On the
-// MSP430FR5969 the register file, SRAM, peripheral registers (MPU plan,
-// timers, the MPY32 unit), and anything in flight are gone the instant the
-// supply dips below the brownout threshold; information FRAM, main FRAM, and
-// the vector table are ferroelectric and retain their last committed write.
-// PersistentCut projects a Checkpoint onto exactly that surviving surface,
-// and RebootImage extends a cut into the checkpoint of the device as it looks
-// the moment the OS boot path finishes re-initializing volatile state — so a
-// brownout/reboot is two pure, inspectable transforms on plain data, and the
-// crash-consistency oracle can byte-compare either stage against a live
-// rebooted kernel.
+// This file models what power loss does to a device. On the MSP430FR5969 the
+// register file, SRAM, peripheral registers (MPU plan, timers, the MPY32
+// unit), and anything in flight are gone the instant the supply dips below
+// the brownout threshold; information FRAM, main FRAM, and the vector table
+// are ferroelectric and retain their last committed write.
 //
-// Both transforms are pure functions: they never touch metrics or the live
-// simulation. RebootFromCut is the effectful composition fleets use.
+// Fleets and CLIs power-cycle a live kernel in place: Brownout drops its
+// volatile state and parks it, Reboot re-runs the OS boot path on the parked
+// kernel. Both touch only what power loss touches — the volatile private
+// pages and a handful of fields — so a cycle costs O(dirty pages), with no
+// fresh kernel, no page re-faults and no full-image copy.
+//
+// PersistentCut and RebootImage are the same two steps as pure transforms on
+// plain Checkpoints: PersistentCut projects a checkpoint onto the surviving
+// FRAM surface, RebootImage extends a cut into the checkpoint the OS boot
+// path leaves behind. They never touch metrics or the live simulation, and
+// they are the oracle the in-place path is held to byte for byte:
+//
+//	Checkpoint(Brownout(k, t))   == PersistentCut(Checkpoint(k), t)
+//	Checkpoint(Reboot(k, r))     == RebootImage(Checkpoint(k), r)
+//
+// RebootFromCut serves callers that hold only a serialized cut (a device
+// parked dark in a campaign checkpoint): it resumes the cut and reboots it in
+// place.
 
 // brownoutReason is the fault-log entry text for a power-loss fault.
 const brownoutReason = "brownout: supply fell below threshold"
@@ -59,21 +70,8 @@ func (t *BootTemplate) PersistentCut(ck *Checkpoint, brownoutMS uint64) *Checkpo
 		Seq:            ck.Seq,
 		OSCycles:       ck.OSCycles,
 		Latency:        ck.Latency,
-		CPU: cpu.State{
-			// Cycle and instruction odometers are OS-maintained FRAM
-			// counters; everything else in the CPU is volatile.
-			Cycles: ck.CPU.Cycles,
-			Insns:  ck.CPU.Insns,
-		},
-		// The MPU comes back in reset state: the capability is a hardware
-		// trait and survives, the plan registers and latched flags do not.
-		MPU: mpu.State{Cap: ck.MPU.Cap, SAM: 0x7777},
-	}
-	// Self-modified text survives only where the write landed in FRAM.
-	for _, a := range ck.CPU.DirtyCode {
-		if mem.PagePersistent(int(a) / mem.PageSize) {
-			cut.CPU.DirtyCode = append(cut.CPU.DirtyCode, a)
-		}
+		CPU:            persistentCPU(ck.CPU),
+		MPU:            persistentMPU(ck.MPU),
 	}
 	for _, p := range ck.Pages {
 		if !mem.PagePersistent(p.Page) {
@@ -102,6 +100,27 @@ func (t *BootTemplate) PersistentCut(ck *Checkpoint, brownoutMS uint64) *Checkpo
 		App: -1, AtMS: brownoutMS, Reason: brownoutReason, Class: FaultBrownout,
 	})
 	return cut
+}
+
+// persistentCPU is what survives of a CPU across power loss. The cycle and
+// instruction odometers are OS-maintained FRAM counters; everything else in
+// the CPU is volatile, and self-modified text survives only where the write
+// landed in FRAM.
+func persistentCPU(s cpu.State) cpu.State {
+	out := cpu.State{Cycles: s.Cycles, Insns: s.Insns}
+	for _, a := range s.DirtyCode {
+		if mem.PagePersistent(int(a) / mem.PageSize) {
+			out.DirtyCode = append(out.DirtyCode, a)
+		}
+	}
+	return out
+}
+
+// persistentMPU is the MPU as it comes back from power loss, in reset state:
+// the capability is a hardware trait and survives, the plan registers and
+// latched flags do not.
+func persistentMPU(s mpu.State) mpu.State {
+	return mpu.State{Cap: s.Cap, SAM: 0x7777}
 }
 
 // RebootImage extends a persistent cut into the checkpoint of the device as
@@ -136,9 +155,76 @@ func (t *BootTemplate) RebootImage(cut *Checkpoint, restartMS uint64) *Checkpoin
 	return img
 }
 
-// RebootFromCut boots a live kernel from a persistent cut at restartMS — the
-// effectful composition Resume(RebootImage(cut, restartMS)). COW pages
-// recycle through arena when one is supplied, as in NewKernelArena.
+// Brownout cuts power to k at brownoutMS, in place: afterwards k holds
+// exactly the FRAM-persistent remainder PersistentCut computes — its
+// Checkpoint encodes to the same bytes as PersistentCut of its pre-brownout
+// Checkpoint. Volatile private pages
+// revert to the boot image (COW pages go back to the arena), the CPU, MPU,
+// event queue, sensor subscriptions, display and RNG reset, and the brownout
+// FaultRecord is appended. The flight recorder dies with the power. k stays
+// parked until Reboot; like Checkpoint, call it only between events.
+func (t *BootTemplate) Brownout(k *Kernel, brownoutMS uint64) {
+	k.AttachRecorder(nil)
+	k.Bus.RevertVolatile(&t.img)
+	// The CPU restore replaces any dirty marks the revert just added with
+	// the surviving set, as Resume does after loading pages.
+	k.CPU.SetState(persistentCPU(k.CPU.State()))
+	k.MPU.SetState(persistentMPU(k.MPU.State()))
+
+	k.NowMS = brownoutMS
+	k.queue = k.queue[:0]
+	k.timerSeq = 0
+	k.rng = 0
+	k.nowCycles = 0
+	k.dispatchC0 = 0
+	k.curApp, k.yielded, k.faultMsg, k.faultPort = 0, false, "", 0
+	for _, app := range k.Apps {
+		// Apps that exhausted the restart policy stay dead; a pending
+		// restart's wake-up was in the (lost) queue.
+		app.Alive = app.Faults <= k.Policy.MaxFaults
+		app.restartAt = 0
+		clear(app.Subs)
+	}
+	clear(k.Display.Rows)
+	k.Display.Clears, k.Display.Draws, k.Display.Texts = 0, 0, 0
+	k.Faults = append(k.Faults, FaultRecord{
+		App: -1, AtMS: brownoutMS, Reason: brownoutReason, Class: FaultBrownout,
+	})
+}
+
+// Reboot runs the OS boot path on a kernel parked by Brownout (or resumed
+// from a persistent cut), in place: the boot RNG is re-seeded, the time base
+// is re-anchored at the surviving cycle odometer, and an EvInit is queued at
+// restartMS for every app the restart policy still allows. A fresh flight
+// recorder replaces the dead one when tracing is on, as at boot. Afterwards
+// its Checkpoint encodes to the same bytes as RebootImage of its parked
+// Checkpoint at restartMS.
+func (t *BootTemplate) Reboot(k *Kernel, restartMS uint64) {
+	k.NowMS = restartMS
+	k.rng = bootRNG(k.Sensors.Seed())
+	k.nowCycles = k.CPU.Cycles
+	k.dispatchC0 = k.CPU.Cycles
+	if obs.TracingEnabled() {
+		k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
+	} else {
+		k.AttachRecorder(nil)
+	}
+	for i, app := range k.Apps {
+		if app.Alive {
+			k.post(Event{Due: restartMS, App: i, Code: abi.EvInit})
+		}
+	}
+}
+
+// RebootFromCut boots a live kernel from a serialized persistent cut at
+// restartMS: Resume(cut) followed by an in-place Reboot, so the kernel
+// re-checkpoints to RebootImage(cut, restartMS). COW pages recycle through
+// arena when one is supplied, as in NewKernelArena.
 func (t *BootTemplate) RebootFromCut(cut *Checkpoint, restartMS uint64, arena *mem.PageArena) (*Kernel, error) {
-	return t.Resume(t.RebootImage(cut, restartMS), arena)
+	k, err := t.Resume(cut, arena)
+	if err != nil {
+		return nil, err
+	}
+	t.Reboot(k, restartMS)
+	return k, nil
 }

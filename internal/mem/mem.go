@@ -438,6 +438,56 @@ func (b *Bus) ReleasePages() {
 	b.dirtied = 0
 }
 
+// PrivatePages visits the bus's private pages in ascending page order: the
+// pages a COW bus has faulted in, or all 256 for a flat bus. Every other
+// page of a COW bus aliases its template, so a template-relative diff only
+// needs these. data aliases the live page and must not be retained or
+// written. Use it as a range-over-func iterator.
+func (b *Bus) PrivatePages(yield func(page int, data []byte) bool) {
+	for w, bw := range b.priv {
+		for bw != 0 {
+			p := w*64 + bits.TrailingZeros64(bw)
+			bw &= bw - 1
+			if !yield(p, b.mem[p][:]) {
+				return
+			}
+		}
+	}
+}
+
+// RevertVolatile models power loss on the bus: every private page that does
+// not survive it (PagePersistent false) goes back to img, the image the bus
+// was booted from. A COW bus hands those pages to its arena and aliases its
+// template again; a flat bus copies img's bytes in. The code watch fires for
+// every reverted page whose bytes change, exactly as a reload of img would.
+func (b *Bus) RevertVolatile(img *BusImage) {
+	for w, bw := range b.priv {
+		for bw != 0 {
+			p := uint16(w*64 + bits.TrailingZeros64(bw))
+			bw &= bw - 1
+			if PagePersistent(int(p)) {
+				continue
+			}
+			lo := p << pageShift
+			orig := (*dataPage)(img[lo : lo+PageSize])
+			pg := b.mem[p]
+			if *pg != *orig {
+				b.touchCode(lo, lo+pageMask)
+			}
+			if b.tmpl == nil {
+				*pg = *orig
+				continue
+			}
+			b.mem[p] = b.tmpl.table[p]
+			b.priv[w] &^= 1 << (p & 63)
+			b.dirtied--
+			if b.arena != nil {
+				b.arena.put(pg)
+			}
+		}
+	}
+}
+
 // Map registers a peripheral device over [lo, hi]. Later registrations take
 // priority over earlier ones, allowing tests to interpose. The page table is
 // maintained incrementally, so Map stays cheap enough for per-test buses.

@@ -11,10 +11,11 @@ import (
 // Brownout cases are differential crash-consistency campaigns: a hosted
 // adversarial app runs under the full kernel, power is cut at a
 // seed-determined virtual time, and the persistent state machine is asserted
-// two ways. First, the pure pipeline — Checkpoint → PersistentCut →
-// RebootImage — must be byte-identical (as canonical JSON) to a checkpoint
-// of the live kernel actually rebooted through Resume; any divergence is
-// attributed to the state section that leaked (pages, cpu, queue, ...).
+// two ways. First, the live kernel is browned out and rebooted in place, and
+// its checkpoint after each step must be byte-identical (as canonical JSON)
+// to the pure pipeline — Checkpoint → PersistentCut → RebootImage; any
+// divergence is attributed to the state section that leaked (pages, cpu,
+// queue, ...).
 // Second, the kernel's own fault log must attribute the power loss to the
 // brownout class, feeding the same Expected/Observed layer oracle the
 // adversarial campaigns use. Two rounds run per mode, so the second brownout
@@ -53,13 +54,15 @@ func executeBrownout(c *Case, out *Outcome) {
 			cut := tmpl.PersistentCut(tmpl.Checkpoint(k), at)
 			restart := at + brownoutOffMS
 			img := tmpl.RebootImage(cut, restart)
-			k, err = tmpl.RebootFromCut(cut, restart, nil)
-			if err != nil {
-				out.fail("reboot-error", fmt.Sprintf("%v round %d: %v", mode, round, err))
+			tmpl.Brownout(k, at)
+			if section, diff := diverges(cut, tmpl.Checkpoint(k)); section != "" {
+				out.fail("crash-divergence/"+section,
+					fmt.Sprintf("%v round %d: browned-out kernel diverges from the persistent cut in %s: %s",
+						mode, round, section, diff))
 				return
 			}
-			got := tmpl.Checkpoint(k)
-			if section, diff := diverges(img, got); section != "" {
+			tmpl.Reboot(k, restart)
+			if section, diff := diverges(img, tmpl.Checkpoint(k)); section != "" {
 				out.fail("crash-divergence/"+section,
 					fmt.Sprintf("%v round %d: rebooted kernel diverges from the persistent state machine in %s: %s",
 						mode, round, section, diff))
@@ -99,9 +102,16 @@ func executeBrownout(c *Case, out *Outcome) {
 	}
 }
 
-// diverges compares two checkpoints section by section (as canonical JSON)
-// and names the first state section that differs, or "" when identical.
+// diverges compares two checkpoints as canonical JSON and, when they differ,
+// names the first state section that does, or "" when identical. Sections
+// only attribute a difference: an empty and a nil queue encode identically
+// inside a checkpoint, so they are not one.
 func diverges(want, got *kernel.Checkpoint) (section, diff string) {
+	wj, _ := json.Marshal(want)
+	gj, _ := json.Marshal(got)
+	if string(wj) == string(gj) {
+		return "", ""
+	}
 	check := func(name string, a, b any) bool {
 		if section != "" {
 			return false

@@ -82,7 +82,8 @@ func generate(seed uint64, restricted, hosted bool) *program {
 // Generation is grammar-bounded but the compiler enforces limits the grammar
 // cannot see exactly (the eight-register expression budget), so the builder
 // probe-compiles each candidate and walks to the next derived seed on
-// rejection — a pure function of its arguments, like everything else here.
+// rejection until one compiles — a pure function of its arguments, like
+// everything else here.
 func BuildCase(kind string, seed uint64, restricted bool) *Case {
 	c, _ := buildCaseProg(kind, seed, restricted)
 	return c
@@ -91,7 +92,7 @@ func BuildCase(kind string, seed uint64, restricted bool) *Case {
 // buildCaseProg is BuildCase plus the underlying AST (the shrinker's input).
 func buildCaseProg(kind string, seed uint64, restricted bool) (*Case, *program) {
 	s := seed
-	for attempt := 0; ; attempt++ {
+	for attempt := 1; ; attempt++ {
 		var p *program
 		switch kind {
 		case KindDifferential:
@@ -110,12 +111,18 @@ func buildCaseProg(kind string, seed uint64, restricted bool) (*Case, *program) 
 			Source:     p.render(),
 			Attack:     p.attack,
 		}
-		if attempt >= 9 || probeCompile(c) == nil {
+		// The walk is bounded only as a guard against a grammar that can no
+		// longer produce compilable programs; a rejection streak is rare and
+		// short (the longest known is 13 candidates).
+		if probeCompile(c) == nil || attempt == maxCandidates {
 			return c, p
 		}
 		s = newRNG(s).next() // deterministic walk to the next candidate
 	}
 }
+
+// maxCandidates bounds buildCaseProg's walk over derived seeds.
+const maxCandidates = 1000
 
 // probeCompile type-checks and code-generates a candidate in its cheapest
 // applicable mode.

@@ -213,6 +213,19 @@ func TestCaseSeedStability(t *testing.T) {
 	}
 }
 
+// TestLongRejectionStreaksStillCompile: the seeds below start more than ten
+// candidates the compiler rejects (the eight-register budget). The builder
+// must walk past them to a compilable program rather than hand the campaign
+// a compile-error case.
+func TestLongRejectionStreaksStillCompile(t *testing.T) {
+	for _, seed := range []uint64{7041778764733911822, 17688776090978996234} {
+		out := Execute(BuildCase(KindDifferential, seed, false))
+		if !out.Pass {
+			t.Errorf("seed %d: %s: %s", seed, out.Category, out.Reason)
+		}
+	}
+}
+
 // TestRestrictedCasesCompileRestricted asserts restricted-dialect cases
 // really stay inside original Amulet C.
 func TestRestrictedCasesCompileRestricted(t *testing.T) {
