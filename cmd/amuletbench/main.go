@@ -78,7 +78,7 @@ func main() {
 	toStdout := flag.Bool("stdout", false, "print JSON to stdout instead of writing a file")
 	noCache := flag.Bool("nodecodecache", false, "disable the predecoded instruction cache")
 	noFuse := flag.Bool("nofuse", false, "disable superinstruction fusion")
-	noCert := flag.Bool("nocert", false, "disable execute certificates (per-word fetch checks)")
+	noCert := flag.Bool("nocert", false, "disable execute and data-access certificates (per-word fetch and access checks)")
 	noThread := flag.Bool("nothread", false, "disable threaded dispatch (switch-executor engine)")
 	noJIT := flag.Bool("nojit", false, "disable the superblock JIT (interpreter-only engine)")
 	noBatch := flag.Bool("nobatch", false, "disable fleet wear-window batching")

@@ -56,7 +56,7 @@ func main() {
 	name := flag.String("name", "fleet", "scenario name recorded in the report")
 	noCache := flag.Bool("nodecodecache", false, "disable the predecoded instruction cache (slow, for differential checks)")
 	noFuse := flag.Bool("nofuse", false, "disable superinstruction fusion (for differential checks)")
-	noCert := flag.Bool("nocert", false, "disable execute certificates (for differential checks)")
+	noCert := flag.Bool("nocert", false, "disable execute and data-access certificates (for differential checks)")
 	noThread := flag.Bool("nothread", false, "disable threaded dispatch (switch-executor engine, for differential checks)")
 	noJIT := flag.Bool("nojit", false, "disable the superblock JIT (interpreter-only engine, for differential checks)")
 	noBatch := flag.Bool("nobatch", false, "disable wear-window event batching (reports must be byte-identical either way)")

@@ -34,7 +34,7 @@ func main() {
 	budget := flag.Uint64("budget", 100_000_000, "cycle budget (standalone form)")
 	noCache := flag.Bool("nodecodecache", false, "disable the predecoded instruction cache (slow, for differential checks)")
 	noFuse := flag.Bool("nofuse", false, "disable superinstruction fusion (for differential checks)")
-	noCert := flag.Bool("nocert", false, "disable execute certificates (for differential checks)")
+	noCert := flag.Bool("nocert", false, "disable execute and data-access certificates (for differential checks)")
 	noThread := flag.Bool("nothread", false, "disable threaded dispatch (switch-executor engine, for differential checks)")
 	noJIT := flag.Bool("nojit", false, "disable the superblock JIT (interpreter-only engine, for differential checks)")
 	noObs := flag.Bool("noobs", false, "disable observability (metrics and tracing)")

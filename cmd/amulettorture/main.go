@@ -55,7 +55,7 @@ func main() {
 	noFuse := flag.Bool("nofuse", false,
 		"disable superinstruction fusion; campaigns must report identical bytes either way")
 	noCert := flag.Bool("nocert", false,
-		"disable execute certificates (per-word fetch checks); campaigns must report identical bytes either way")
+		"disable execute and data-access certificates (per-word fetch and access checks); campaigns must report identical bytes either way")
 	noThread := flag.Bool("nothread", false,
 		"disable threaded dispatch (switch-executor engine); campaigns must report identical bytes either way")
 	noJIT := flag.Bool("nojit", false,

@@ -133,12 +133,19 @@ func (c *CPU) runBlock(b *compiledBlock) (f *Fault, done bool) {
 	if !c.Bus.ExecCertifiedSpan(b.addr, b.size) || c.spanDirty(b.addr, b.size) {
 		return nil, false
 	}
+	// A segment that may write re-probes the rest of the block — unless no
+	// write since the last probe bypassed the bus's data fast path. Fast-path
+	// stores cannot reach watched text, a device or the MPU, so the probe
+	// could only pass again.
+	probed := c.Bus.SlowWrites()
 	for si := range b.segs {
 		seg := &b.segs[si]
-		if seg.reprobe &&
-			(c.spanDirty(seg.addr, seg.restSize) || !c.Bus.ExecCertifiedSpan(seg.addr, seg.restSize)) {
-			mDeoptText.Inc()
-			return c.deopt(seg, si)
+		if seg.reprobe && c.Bus.SlowWrites() != probed {
+			probed = c.Bus.SlowWrites()
+			if c.spanDirty(seg.addr, seg.restSize) || !c.Bus.ExecCertifiedSpan(seg.addr, seg.restSize) {
+				mDeoptText.Inc()
+				return c.deopt(seg, si)
+			}
 		}
 		if c.Halted {
 			mDeoptHalt.Inc()

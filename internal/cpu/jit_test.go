@@ -6,6 +6,7 @@ import (
 
 	"amuletiso/internal/isa"
 	"amuletiso/internal/mem"
+	"amuletiso/internal/mpu"
 )
 
 // runJIT assembles instrs at 0x4400 and runs them under Run(budget) with the
@@ -193,6 +194,36 @@ func TestJITSelfModifyMidBlock(t *testing.T) {
 	res := runJIT(t, true, 1_000_000, false, prep, prog...)
 	if !res.halted || res.exit != patch[0] {
 		t.Fatalf("overwritten instruction did not execute: %+v", res)
+	}
+}
+
+// TestJITPlanChangeMidBlock has a block revoke its own execute right: a
+// store into the MPU's SAM register takes segment 1's execute bit away, so
+// the interpreter faults fetching the very next instruction. The store is a
+// checked device write, never a data fast-path store, so the re-probe before
+// the next segment must run and deopt. Stack pushes between the plan writes
+// take the fast path and must not suppress that re-probe.
+func TestJITPlanChangeMidBlock(t *testing.T) {
+	prog := []isa.Instr{
+		{Op: isa.ADD, Src: isa.Imm(1), Dst: isa.RegOp(isa.R6)},
+		{Op: isa.PUSH, Src: isa.RegOp(isa.R6)},                        // fast-path store (SRAM)
+		{Op: isa.ADD, Src: isa.Imm(1), Dst: isa.RegOp(isa.R6)},        // segment after a skipped re-probe
+		{Op: isa.MOV, Src: isa.Imm(0x7773), Dst: isa.Abs(mpu.RegSAM)}, // segment 1 loses X
+		{Op: isa.ADD, Src: isa.Imm(1), Dst: isa.RegOp(isa.R6)},        // fetch denied here
+		{Op: isa.MOV, Src: isa.RegOp(isa.R6), Dst: isa.Abs(PortHalt)},
+	}
+	prep := func(c *CPU) {
+		u := mpu.New()
+		c.Bus.Map(mpu.RegLo, mpu.RegHi, u)
+		c.Bus.SetChecker(u)
+		u.Configure(0x4800, 0x4C00, 0x7777, true)
+	}
+	for budget := uint64(0); budget <= 40; budget++ {
+		compareJIT(t, budget, prep, prog...)
+	}
+	res := runJIT(t, true, 1_000_000, false, prep, prog...)
+	if res.halted || res.fault == "" || res.regs[isa.R6] != 2 {
+		t.Fatalf("revoked execute right did not stop the block: %+v", res)
 	}
 }
 

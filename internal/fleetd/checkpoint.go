@@ -61,7 +61,10 @@ func (s *Server) persist(j *Job, progress *jobProgress) {
 	j.mu.Lock()
 	f := j.fileLocked(progress)
 	j.mu.Unlock()
-	s.writeJobFile(j, &f)
+	// A failed write is counted on /metrics and leaves the previous state
+	// file in place; the job keeps running in memory and the next persist
+	// writes the state again.
+	_ = s.writeJobFile(j, &f)
 }
 
 // fileLocked assembles the job's on-disk form. Callers hold j.mu.
@@ -83,20 +86,29 @@ func (j *Job) fileLocked(progress *jobProgress) jobFile {
 	return f
 }
 
-// writeJobFile replaces the job's state file atomically (tmp + rename).
-func (s *Server) writeJobFile(j *Job, f *jobFile) {
+// writeJobFile replaces the job's state file atomically (tmp + rename). On
+// failure the temporary file is removed, the failure counted, and the error
+// returned; the previous state file, if any, is untouched.
+func (s *Server) writeJobFile(j *Job, f *jobFile) error {
 	data, err := json.Marshal(f)
 	if err != nil {
-		return
+		mPersistFailures.Inc()
+		return err
 	}
 	j.persistMu.Lock()
 	defer j.persistMu.Unlock()
 	path := s.jobPath(j.ID)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
+	err = os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	_ = os.Rename(tmp, path)
+	if err != nil {
+		_ = os.Remove(tmp)
+		mPersistFailures.Inc()
+		return fmt.Errorf("fleetd: persisting %s: %w", j.ID, err)
+	}
+	return nil
 }
 
 // settle moves a job to state — a terminal one, or back to queued on
@@ -112,7 +124,7 @@ func (s *Server) settle(j *Job, state, errMsg string, progress *jobProgress) {
 		Report: j.report, Torture: j.torture, Error: errMsg}
 	j.mu.Unlock()
 	if s.StateDir != "" {
-		s.writeJobFile(j, &f)
+		_ = s.writeJobFile(j, &f) // counted on /metrics; the state below still publishes
 	}
 	line, err := json.Marshal(&ev)
 	if err != nil {
@@ -123,7 +135,9 @@ func (s *Server) settle(j *Job, state, errMsg string, progress *jobProgress) {
 
 // LoadState re-registers every job found in the state directory. Terminal
 // jobs come back served-only; queued/interrupted jobs re-enter the queue
-// with their persisted progress. Call before Start.
+// with their persisted progress. A truncated or corrupt job file is renamed
+// to <name>.corrupt, counted on /metrics, and skipped, so one bad file never
+// stops the other jobs from resuming. Call before Start.
 func (s *Server) LoadState() error {
 	if s.StateDir == "" {
 		return nil
@@ -142,16 +156,24 @@ func (s *Server) LoadState() error {
 		if !strings.HasPrefix(name, "job-") || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(s.StateDir, name))
+		path := filepath.Join(s.StateDir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		var f jobFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return fmt.Errorf("fleetd: corrupt state file %s: %w", name, err)
-		}
-		if n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(f.ID, "job-"), "")); err == nil && n > maxID {
+		// The file's own number keeps IDs monotonic even when the file is
+		// quarantined, so a new job never reuses a corrupt job's name.
+		id := strings.TrimSuffix(name, ".json")
+		if n := jobNum(id); n > maxID {
 			maxID = n
+		}
+		var f jobFile
+		if err := json.Unmarshal(data, &f); err != nil || f.ID != id {
+			mCorruptStateFiles.Inc()
+			if err := os.Rename(path, path+".corrupt"); err != nil {
+				return err
+			}
+			continue
 		}
 		files = append(files, f)
 	}

@@ -492,6 +492,8 @@ func TestMetricsOnSameMux(t *testing.T) {
 	for _, metric := range []string{
 		"amulet_fleetd_jobs_submitted_total",
 		"amulet_fleetd_shards_merged_total",
+		"amulet_fleetd_persist_failures_total",
+		"amulet_fleetd_state_files_corrupt_total",
 	} {
 		if !strings.Contains(buf.String(), metric) {
 			t.Errorf("metrics page missing %s", metric)
@@ -634,5 +636,101 @@ func TestStreamsEndWithTerminalLine(t *testing.T) {
 		if n := len(res.events); n == 0 || res.events[n-1].State != want[i] {
 			t.Fatalf("%s: stream of %d lines does not end with a %s line", id, n, want[i])
 		}
+	}
+}
+
+// TestLoadStateQuarantinesCorruptFile: a truncated job file next to a good
+// queued one is renamed to *.corrupt and counted, and the good job resumes.
+func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, dir)
+	for i := 0; i < 2; i++ {
+		if _, err := s.Submit(testSpec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := filepath.Join(dir, "job-2.json")
+	data, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := mCorruptStateFiles.Value()
+	r := newTestServer(t, dir)
+	if err := r.LoadState(); err != nil {
+		t.Fatalf("one corrupt file failed the whole resume: %v", err)
+	}
+	if got := mCorruptStateFiles.Value() - before; got != 1 {
+		t.Fatalf("corrupt-file counter moved by %d, want 1", got)
+	}
+	if _, err := os.Stat(bad + ".corrupt"); err != nil {
+		t.Fatalf("corrupt file not quarantined: %v", err)
+	}
+	if _, ok := r.Job("job-2"); ok {
+		t.Fatal("corrupt job registered")
+	}
+	j, ok := r.Job("job-1")
+	if !ok || j.view().State != StateQueued {
+		t.Fatal("good queued job did not resume")
+	}
+	// IDs stay monotonic past the quarantined file.
+	if id, err := r.Submit(testSpec()); err != nil || id != "job-3" {
+		t.Fatalf("next submit got %q (%v), want job-3", id, err)
+	}
+}
+
+// TestPersistFailures: a state dir that cannot take the file (a path under a
+// regular file; root ignores read-only modes) and a rename that fails (the
+// target is a non-empty directory) both return the error from
+// writeJobFile, count it on /metrics, and leave no .tmp behind.
+func TestPersistFailures(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "job-1.json", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, stateDir := range map[string]string{
+		"unwritable dir": filepath.Join(file, "state"),
+		"rename fails":   blocked,
+	} {
+		s := newTestServer(t, stateDir)
+		j := newJob("job-1", testSpec())
+		before := mPersistFailures.Value()
+		if err := s.writeJobFile(j, &jobFile{ID: j.ID, Spec: j.Spec}); err == nil {
+			t.Errorf("%s: writeJobFile reported success", name)
+		}
+		if got := mPersistFailures.Value() - before; got != 1 {
+			t.Errorf("%s: persist-failure counter moved by %d, want 1", name, got)
+		}
+		if _, err := os.Stat(s.jobPath(j.ID) + ".tmp"); err == nil {
+			t.Errorf("%s: .tmp left behind", name)
+		}
+	}
+}
+
+// TestSubmitBodyBounded: a POST /jobs body past the 1 MiB bound is refused
+// with 413 before it is decoded.
+func TestSubmitBodyBounded(t *testing.T) {
+	s := newTestServer(t, "")
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"name":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if len(s.Jobs()) != 0 {
+		t.Fatal("oversized body registered a job")
 	}
 }

@@ -3,6 +3,7 @@ package fleetd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -23,7 +24,14 @@ var (
 		"Fleet shards completed and merged into job reports.")
 	mResumes = obs.Default.Counter("amulet_fleetd_jobs_resumed_total",
 		"Jobs continued from persisted checkpoint state.")
+	mPersistFailures = obs.Default.Counter("amulet_fleetd_persist_failures_total",
+		"Job state file writes that failed (the previous file stays in place).")
+	mCorruptStateFiles = obs.Default.Counter("amulet_fleetd_state_files_corrupt_total",
+		"Job state files LoadState could not decode and renamed to *.corrupt.")
 )
+
+// maxSpecBytes bounds a POST /jobs body.
+const maxSpecBytes = 1 << 20
 
 // Server is the fleetd scheduler plus its HTTP surface. Configure the
 // exported fields, then LoadState (optional) and Start; Handler serves the
@@ -493,8 +501,13 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("fleetd: bad job spec: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("fleetd: bad job spec: %w", err))
 		return
 	}
 	id, err := s.Submit(spec)

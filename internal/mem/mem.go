@@ -16,18 +16,20 @@ import (
 	"sync/atomic"
 )
 
-// execCertsOff globally disables the execute-certificate fast path when set:
-// every FetchWords takes the per-word oracle. The equivalence test battery
-// toggles it to assert the certified and per-word engines are observably
-// identical.
+// execCertsOff globally disables the certificate fast paths when set: every
+// FetchWords takes the per-word execute oracle and every Read16/Write16 the
+// checked path. The equivalence test battery toggles it to assert the
+// certified and per-word engines are observably identical.
 var execCertsOff atomic.Bool
 
-// SetExecCerts enables or disables the execute-certificate fast path
-// process-wide. Unlike the fusion and decode-cache switches it is consulted
-// on every fetch, so it may be toggled between runs without rebuilding.
+// SetExecCerts enables or disables the execute and data-access certificate
+// fast paths process-wide. Unlike the fusion and decode-cache switches it is
+// consulted on every access, so it may be toggled between runs without
+// rebuilding.
 func SetExecCerts(on bool) { execCertsOff.Store(!on) }
 
-// ExecCertsEnabled reports whether FetchWords may use execute certificates.
+// ExecCertsEnabled reports whether the bus may use execute and data-access
+// certificates.
 func ExecCertsEnabled() bool { return !execCertsOff.Load() }
 
 // cowOff globally disables copy-on-write device memory when set: template
@@ -138,6 +140,27 @@ const (
 	pageMask = PageSize - 1
 )
 
+// PageSet is a bitmap over the bus's 256 pages.
+type PageSet [numPages / 64]uint64
+
+// Has reports whether page p is in the set.
+func (s *PageSet) Has(p int) bool { return s[p>>6]&(1<<(p&63)) != 0 }
+
+// Add puts page p in the set.
+func (s *PageSet) Add(p int) { s[p>>6] |= 1 << (p & 63) }
+
+// Clear removes page p from the set.
+func (s *PageSet) Clear(p int) { s[p>>6] &^= 1 << (p & 63) }
+
+// bslPages holds the pages of the bootstrap-loader ROM, which every write
+// must reach the checked path to be refused.
+var bslPages = func() (s PageSet) {
+	for p := int(BSLLo >> pageShift); p <= int(BSLHi>>pageShift); p++ {
+		s.Add(p)
+	}
+	return s
+}()
+
 // dataPage is one 256-byte unit of bus memory. Aligned word accesses never
 // cross a page (an even address' low byte is at offset <= 0xFE), so the word
 // paths touch exactly one page.
@@ -159,9 +182,11 @@ type Checker interface {
 // ExecCertifier is a Checker that can prove execute permission over whole
 // spans, letting FetchWords hoist the per-word execute check out of the
 // fetch path (the "fast execute-only memory" trick: enforcement moves to
-// plan-change time without weakening the guarantee). Implementations must
-// keep both methods pure — in particular, CertifyExecute-style queries must
-// not latch violation state the way CheckAccess does.
+// plan-change time without weakening the guarantee). Its data-access
+// extension (dataCertifier) does the same for Read16 and Write16, page by
+// page. Implementations must keep every certificate query pure: none may
+// latch violation state the way CheckAccess does, which stays the
+// enforcement oracle.
 type ExecCertifier interface {
 	Checker
 	// ExecSpan returns the maximal span [lo, hi) containing addr for which
@@ -181,6 +206,19 @@ type ExecCertifier interface {
 // single memory load. The pointee must be exactly the value ExecGen returns.
 type execGenRef interface {
 	ExecGenRef() *uint64
+}
+
+// dataCertifier is the data-access extension of an ExecCertifier: it proves
+// read and write permission page by page, letting Read16 and Write16 skip the
+// per-access check on plain memory the way FetchWords skips it inside an
+// execute span. DataPages must be pure (no violation latching) and valid
+// for as long as ExecGen is unchanged.
+type dataCertifier interface {
+	ExecCertifier
+	execGenRef
+	// DataPages returns the pages on which every read (read) and every
+	// write (write) is allowed under the current configuration.
+	DataPages() (read, write PageSet)
 }
 
 // Bus is the CPU-visible memory system.
@@ -231,8 +269,10 @@ type Bus struct {
 	// is a bitmap marking pages overlapping any watched text range so the
 	// per-write cost off the watched ranges is a couple of bit tests.
 	codeRanges  []CodeRange
-	codePages   [numPages / 64]uint64
+	codePages   PageSet
 	onCodeWrite func(lo, hi uint16)
+	// devSet marks the pages overlapped by any device.
+	devSet PageSet
 
 	// Execute-certificate state (see FetchWords). certLo/certHi is the span
 	// the checker last certified execute-allowed end to end, certGen the
@@ -248,6 +288,21 @@ type Bus struct {
 	// certifier's generation counter: the steady-state validity probe reads
 	// it directly instead of calling ExecGen through the interface.
 	certGenRef *uint64
+
+	// Data-access certificate state (see Read16 and Write16). dataEC is the
+	// checker's data-certifier view, derived in SetChecker. fastR and fastW
+	// are the pages on which a word read or write may skip the checker: the
+	// certifier's DataPages minus device pages, and for writes also minus
+	// watched text and the BSL ROM. They hold for checker generation
+	// dataGen and are refreshed lazily when it moves; Map, WatchCode and
+	// SetChecker invalidate them.
+	dataEC       dataCertifier
+	dataGen      uint64
+	fastR, fastW PageSet
+	// slowWrites counts every write that did not take the data fast path —
+	// the only writes that can reach watched text, a device or the MPU. The
+	// block JIT skips its post-store re-probe while it is unchanged.
+	slowWrites uint64
 
 	// checker, if non-nil, vets every data access and instruction fetch.
 	// It is set through SetChecker, which derives the certificate view.
@@ -461,6 +516,7 @@ func (b *Bus) PrivatePages(yield func(page int, data []byte) bool) {
 // template again; a flat bus copies img's bytes in. The code watch fires for
 // every reverted page whose bytes change, exactly as a reload of img would.
 func (b *Bus) RevertVolatile(img *BusImage) {
+	b.slowWrites++
 	for w, bw := range b.priv {
 		for bw != 0 {
 			p := uint16(w*64 + bits.TrailingZeros64(bw))
@@ -494,7 +550,9 @@ func (b *Bus) RevertVolatile(img *BusImage) {
 func (b *Bus) Map(lo, hi uint16, d Device) {
 	e := devEntry{lo, hi, d}
 	b.devs = append(b.devs, e)
+	b.dataGen = ^uint64(0)
 	for p := int(lo >> pageShift); p <= int(hi>>pageShift); p++ {
+		b.devSet.Add(p)
 		idx := b.devPages[p]
 		if idx == 0 {
 			b.devLists = append(b.devLists, nil)
@@ -539,11 +597,12 @@ func (b *Bus) deviceAtLinear(addr uint16) Device {
 // [lo, hi] (inclusive), clamped per range. Passing a nil fn clears the watch.
 // At most one watch is active; the CPU owns it (see cpu.UseProgram).
 func (b *Bus) WatchCode(ranges []CodeRange, fn func(lo, hi uint16)) {
-	b.codePages = [numPages / 64]uint64{}
+	b.codePages = PageSet{}
 	// A new watch means a new (or detached) predecode cache: restart
-	// certification from scratch so the next certified fetch re-validates.
+	// certification from scratch so the next certified access re-validates.
 	b.DropExecCert()
 	b.certGen = ^uint64(0)
+	b.dataGen = ^uint64(0)
 	if fn == nil {
 		b.codeRanges, b.onCodeWrite = nil, nil
 		return
@@ -555,7 +614,7 @@ func (b *Bus) WatchCode(ranges []CodeRange, fn func(lo, hi uint16)) {
 			continue
 		}
 		for p := int(r.Lo >> pageShift); p <= int((r.Hi-1)>>pageShift); p++ {
-			b.codePages[p>>6] |= 1 << (p & 63)
+			b.codePages.Add(p)
 		}
 	}
 }
@@ -572,7 +631,7 @@ func (b *Bus) touchCode(lo, hi uint16) {
 	}
 	watched := false
 	for p := int(lo >> pageShift); p <= int(hi>>pageShift); p++ {
-		if b.codePages[p>>6]&(1<<(p&63)) != 0 {
+		if b.codePages.Has(p) {
 			watched = true
 			break
 		}
@@ -623,6 +682,7 @@ func (b *Bus) rawRead16(addr uint16) uint16 {
 // code watch: predecoded text must never go stale, whoever writes it).
 func (b *Bus) rawWrite16(addr, v uint16) {
 	addr = align(addr)
+	b.slowWrites++
 	b.touchCode(addr, addr+1)
 	if d := b.deviceAt(addr); d != nil {
 		d.WriteWord(addr, v)
@@ -635,17 +695,21 @@ func (b *Bus) rawWrite16(addr, v uint16) {
 }
 
 // SetChecker installs (or clears, with nil) the access checker. The
-// certifier view — ExecCertifier interface, generation-counter address — is
-// derived here, once per install, so the fetch fast path never pays an
-// interface identity probe. Any previously certified span is dropped.
+// certifier views — ExecCertifier and data-certifier interfaces,
+// generation-counter address — are derived here, once per install, so the
+// fast paths never pay an interface identity probe. Any previously
+// certified span or page set is dropped.
 func (b *Bus) SetChecker(c Checker) {
 	b.checker = c
 	b.certEC, _ = c.(ExecCertifier)
+	b.dataEC, _ = c.(dataCertifier)
 	b.certGenRef = nil
 	if gr, ok := c.(execGenRef); ok {
 		b.certGenRef = gr.ExecGenRef()
 	}
 	b.certGen = ^uint64(0)
+	b.dataGen = ^uint64(0)
+	b.fastR, b.fastW = PageSet{}, PageSet{}
 	b.DropExecCert()
 }
 
@@ -675,8 +739,55 @@ func (b *Bus) observe(a Access) {
 	}
 }
 
-// Read16 performs a checked word read.
+// dataFast reports whether a word access to addr may skip the checker:
+// addr's page is on mask (fastR or fastW), the mask is current for the
+// checker's generation, no profiling hook observes accesses, and
+// certificates are enabled. It is small enough to inline into the access
+// paths; recertify handles every miss.
+func (b *Bus) dataFast(mask *PageSet, addr uint16) bool {
+	return mask.Has(int(addr>>pageShift)) && *b.certGenRef == b.dataGen &&
+		b.OnAccess == nil && !execCertsOff.Load()
+}
+
+// recertify is dataFast's miss path: after a generation change it re-derives
+// fastR and fastW and tests addr's page again. Device pages are never
+// certified, so device traffic — gate code's MPU register writes above all —
+// goes straight to the checked path instead of refreshing for the
+// mid-switch configuration each register write leaves behind. The masks
+// stay empty while no data certifier is installed (see SetChecker), so
+// dataFast never reads a missing generation counter.
+func (b *Bus) recertify(mask *PageSet, addr uint16) bool {
+	p := int(addr >> pageShift)
+	if b.dataEC == nil || b.OnAccess != nil || execCertsOff.Load() ||
+		*b.certGenRef == b.dataGen || b.devSet.Has(p) {
+		return false
+	}
+	r, w := b.dataEC.DataPages()
+	for i := range r {
+		b.fastR[i] = r[i] &^ b.devSet[i]
+		b.fastW[i] = w[i] &^ b.devSet[i] &^ b.codePages[i] &^ bslPages[i]
+	}
+	b.dataGen = *b.certGenRef
+	return mask.Has(p)
+}
+
+// Read16 performs a checked word read. On a page the checker has certified
+// readable (see dataFast) the read is a direct page load plus the read
+// counter — observably identical to read16Oracle, which serves every other
+// read and is the enforcement oracle the fast path is tested against.
 func (b *Bus) Read16(addr uint16) (uint16, *Violation) {
+	addr = align(addr)
+	if b.dataFast(&b.fastR, addr) || b.recertify(&b.fastR, addr) {
+		b.reads++
+		pg := b.mem[addr>>pageShift]
+		off := addr & pageMask
+		return uint16(pg[off]) | uint16(pg[off+1])<<8, nil
+	}
+	return b.read16Oracle(addr)
+}
+
+// read16Oracle is the per-access checked word read.
+func (b *Bus) read16Oracle(addr uint16) (uint16, *Violation) {
 	a := Access{Addr: align(addr), Kind: Read}
 	if v := b.check(a); v != nil {
 		return 0, v
@@ -708,8 +819,25 @@ func (b *Bus) Read8(addr uint16) (uint8, *Violation) {
 	return v, nil
 }
 
-// Write16 performs a checked word write.
+// Write16 performs a checked word write. On a page the checker has
+// certified writable, with no device, watched text or ROM on it, the write
+// is a direct page store (faulting a COW page in as usual) plus the write
+// counter; every other write takes write16Oracle, the enforcement oracle.
 func (b *Bus) Write16(addr, val uint16) *Violation {
+	addr = align(addr)
+	if b.dataFast(&b.fastW, addr) || b.recertify(&b.fastW, addr) {
+		b.writes++
+		pg := b.writablePage(addr)
+		off := addr & pageMask
+		pg[off] = byte(val)
+		pg[off+1] = byte(val >> 8)
+		return nil
+	}
+	return b.write16Oracle(addr, val)
+}
+
+// write16Oracle is the per-access checked word write.
+func (b *Bus) write16Oracle(addr, val uint16) *Violation {
 	a := Access{Addr: align(addr), Kind: Write, Value: val}
 	if v := b.check(a); v != nil {
 		return v
@@ -731,6 +859,7 @@ func (b *Bus) Write8(addr uint16, val uint8) *Violation {
 	if iv := b.immutable(addr); iv != nil {
 		return iv
 	}
+	b.slowWrites++
 	b.touchCode(addr, addr)
 	if d := b.deviceAt(align(addr)); d != nil {
 		w := d.ReadWord(align(addr))
@@ -809,11 +938,20 @@ func (b *Bus) ExecCertifiedSpan(addr, size uint16) bool {
 // the per-instruction FetchWords fast path.
 func (b *Bus) AddFetchWords(n uint64) { b.fetches += n }
 
+// SlowWrites counts the writes that bypassed the data fast path (checked
+// writes the certificate did not cover, byte writes, pokes, loads, power
+// reverts) plus execute-certificate drops. Only such an event can touch
+// watched text, a device or the checker's configuration, so while the count
+// is unchanged an execute certificate and the code watch's dirty set are
+// exactly as they were.
+func (b *Bus) SlowWrites() uint64 { return b.slowWrites }
+
 // DropExecCert empties the certified execute span without touching the
 // generation, forcing per-word checks until the next plan change
 // re-certifies. The code watch calls it on any write into watched text;
 // exported for tests and tooling.
 func (b *Bus) DropExecCert() {
+	b.slowWrites++
 	if b.certHi > b.certLo {
 		mCertDrops.Inc()
 	}
@@ -897,6 +1035,7 @@ func (b *Bus) Poke16(addr, v uint16) { b.rawWrite16(addr, v) }
 
 // Poke8 writes a byte without checks or profiling (loader use).
 func (b *Bus) Poke8(addr uint16, v uint8) {
+	b.slowWrites++
 	b.touchCode(addr, addr)
 	if d := b.deviceAt(align(addr)); d != nil {
 		w := d.ReadWord(align(addr))
@@ -918,6 +1057,7 @@ func (b *Bus) LoadBytes(addr uint16, p []byte) {
 	if len(p) == 0 {
 		return
 	}
+	b.slowWrites++
 	last := addr + uint16(len(p)-1)
 	if last < addr { // wrapped past 0xFFFF
 		b.touchCode(addr, 0xFFFF)

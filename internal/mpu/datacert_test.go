@@ -1,0 +1,186 @@
+package mpu
+
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+
+	"amuletiso/internal/mem"
+)
+
+// checkOnly hides every certifier method of the unit: a bus whose checker it
+// is must take the per-access path for every read, write and fetch — the
+// oracle the data-access certificate is compared against.
+type checkOnly struct{ u *Unit }
+
+func (c checkOnly) CheckAccess(a mem.Access) *mem.Violation { return c.u.CheckAccess(a) }
+
+// regDevice is a plain word register file standing in for a peripheral.
+type regDevice struct{ regs map[uint16]uint16 }
+
+func (d *regDevice) DeviceName() string              { return "regs" }
+func (d *regDevice) ReadWord(addr uint16) uint16     { return d.regs[addr] }
+func (d *regDevice) WriteWord(addr uint16, v uint16) { d.regs[addr] = v }
+
+// certRig is one side of the data-certificate differential: a COW bus over
+// a shared template with the MPU mapped and installed, a second device in
+// MPU-covered FRAM, and a code watch that logs its callbacks.
+type certRig struct {
+	bus   *mem.Bus
+	u     *Unit
+	watch []string
+}
+
+// certTemplate is the image both sides boot from.
+var certTemplate = func() *mem.Template {
+	img := new(mem.BusImage)
+	for i := range img {
+		img[i] = byte(i*7 + i>>8)
+	}
+	return mem.NewTemplate(img)
+}()
+
+func newCertRig(certify bool) *certRig {
+	r := &certRig{bus: mem.NewBusCOW(certTemplate, nil), u: New()}
+	r.bus.Map(RegLo, RegHi, r.u)
+	r.bus.Map(0x6000, 0x6003, &regDevice{regs: map[uint16]uint16{}})
+	if certify {
+		r.bus.SetChecker(r.u)
+	} else {
+		r.bus.SetChecker(checkOnly{r.u})
+	}
+	r.bus.WatchCode([]mem.CodeRange{{Lo: 0x4400, Hi: 0x4480}, {Lo: 0x9000, Hi: 0x9300}},
+		func(lo, hi uint16) { r.watch = append(r.watch, fmt.Sprintf("%04x-%04x", lo, hi)) })
+	return r
+}
+
+// certAddrs are the addresses the op decoder favours: region edges, the
+// configurable boundaries of the grid, device, watched and BSL pages.
+var certAddrs = []uint16{
+	0x0000, 0x01DE, 0x01E0, 0x0200, 0x05A4, 0x0FFE, 0x1000, 0x17FE, 0x1800, 0x19FE,
+	0x1A00, 0x1C00, 0x23FE, 0x4400, 0x447E, 0x4480, 0x47FE, 0x4800, 0x4FFE, 0x5000,
+	0x53FE, 0x5400, 0x5FFE, 0x6000, 0x6002, 0x6004, 0x8FFE, 0x9000, 0x9100, 0xBFFE,
+	0xC000, 0xFBFE, 0xFC00, 0xFF7E, 0xFF80, 0xFFFE,
+}
+
+// runCertOps decodes ops from data and applies each to both rigs, failing on
+// the first observable difference.
+func runCertOps(t *testing.T, data []byte) {
+	t.Helper()
+	fast, slow := newCertRig(true), newCertRig(false)
+	if len(data) > 0 {
+		cfg := certConfigs[int(data[0])%len(certConfigs)]
+		cfg.configure(fast.u)
+		cfg.configure(slow.u)
+		data = data[1:]
+	}
+	for i := 0; len(data) >= 4; i, data = i+1, data[4:] {
+		op := data[0]
+		addr := binary.LittleEndian.Uint16(data[1:3])
+		if op&0x80 != 0 {
+			addr = certAddrs[int(addr)%len(certAddrs)] + uint16(op>>4&1)
+		}
+		val := uint16(data[3])<<8 | uint16(data[3]^op)
+		var got, want string
+		switch op & 0xF {
+		case 0, 1, 2:
+			v1, e1 := fast.bus.Read16(addr)
+			v2, e2 := slow.bus.Read16(addr)
+			got, want = fmt.Sprint(v1, e1), fmt.Sprint(v2, e2)
+		case 3, 4, 5:
+			got, want = fmt.Sprint(fast.bus.Write16(addr, val)), fmt.Sprint(slow.bus.Write16(addr, val))
+		case 6:
+			v1, e1 := fast.bus.Read8(addr)
+			v2, e2 := slow.bus.Read8(addr)
+			got, want = fmt.Sprint(v1, e1), fmt.Sprint(v2, e2)
+		case 7:
+			got, want = fmt.Sprint(fast.bus.Write8(addr, uint8(val))), fmt.Sprint(slow.bus.Write8(addr, uint8(val)))
+		case 8:
+			fast.bus.Poke16(addr, val)
+			slow.bus.Poke16(addr, val)
+		case 9:
+			fast.bus.Poke8(addr, uint8(val))
+			slow.bus.Poke8(addr, uint8(val))
+		case 10, 11, 12:
+			// Gate-style register write through the checked bus path.
+			reg := []uint16{RegSEGB1, RegSEGB2, RegSAM, RegCTL0, RegCTL1}[int(addr)%5]
+			if reg == RegCTL0 && op&0x40 == 0 {
+				val = Password | val&(CtlEnable|CtlLock)
+			}
+			got, want = fmt.Sprint(fast.bus.Write16(reg, val)), fmt.Sprint(slow.bus.Write16(reg, val))
+		case 13:
+			cfg := certConfigs[int(addr)%len(certConfigs)]
+			cfg.configure(fast.u)
+			cfg.configure(slow.u)
+		case 14:
+			got, want = fmt.Sprint(fast.bus.FetchWords(addr&^1, 2+uint16(op>>5&3)*2)),
+				fmt.Sprint(slow.bus.FetchWords(addr&^1, 2+uint16(op>>5&3)*2))
+		case 15:
+			fast.bus.LoadBytes(addr, data[1:4])
+			slow.bus.LoadBytes(addr, data[1:4])
+		}
+		if got != want {
+			t.Fatalf("op %d (%#02x @ %#04x): certified bus %s, oracle bus %s", i, op, addr, got, want)
+		}
+		if fast.u.Flags() != slow.u.Flags() || fast.u.Violations() != slow.u.Violations() {
+			t.Fatalf("op %d (%#02x @ %#04x): MPU flags %#x/%d, oracle %#x/%d", i, op, addr,
+				fast.u.Flags(), fast.u.Violations(), slow.u.Flags(), slow.u.Violations())
+		}
+	}
+	r1, w1, f1 := fast.bus.Stats()
+	r2, w2, f2 := slow.bus.Stats()
+	if r1 != r2 || w1 != w2 || f1 != f2 {
+		t.Fatalf("stats %d/%d/%d, oracle %d/%d/%d", r1, w1, f1, r2, w2, f2)
+	}
+	if fast.bus.DirtyPages() != slow.bus.DirtyPages() {
+		t.Fatalf("dirty pages %d, oracle %d", fast.bus.DirtyPages(), slow.bus.DirtyPages())
+	}
+	if fmt.Sprint(fast.watch) != fmt.Sprint(slow.watch) {
+		t.Fatalf("code-watch callbacks %v, oracle %v", fast.watch, slow.watch)
+	}
+	var m1, m2 mem.BusImage
+	fast.bus.SnapshotData(&m1)
+	slow.bus.SnapshotData(&m2)
+	if m1 != m2 {
+		t.Fatal("memory contents differ from the oracle bus")
+	}
+}
+
+// TestDataCertificatesMatchOracle runs random op sequences from every grid
+// configuration on a bus certified by the unit and on one whose checker can
+// only check: values, violations, latched MPU flags, stats, dirty pages,
+// code-watch callbacks and memory must all agree.
+func TestDataCertificatesMatchOracle(t *testing.T) {
+	rng := uint64(0x2545F4914F6CDD1D)
+	for seq := 0; seq < 200; seq++ {
+		data := make([]byte, 1+4*1500)
+		for i := range data {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			data[i] = byte(rng >> 24)
+		}
+		data[0] = byte(seq)
+		runCertOps(t, data)
+	}
+}
+
+// FuzzDataCertificates drives the certified-vs-oracle bus differential from
+// fuzz bytes: the first byte picks a grid configuration, every following
+// four bytes one operation.
+func FuzzDataCertificates(f *testing.F) {
+	for i := range certConfigs {
+		// Per grid configuration: a stack-style write/read pair on every
+		// favoured address, a gate-style plan switch, and a byte store into
+		// watched text.
+		seed := []byte{byte(i)}
+		for a := range certAddrs {
+			seed = append(seed, 0x83, byte(a), 0, 0x5A, 0x80, byte(a), 0, 0)
+		}
+		seed = append(seed, 0x0A, 0, 0, 0x50, 0x0B, 1, 0, 0x60, 0x0C, 2, 0, 0x03, 0x87, 13, 0, 0x99)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runCertOps(t, data)
+	})
+}

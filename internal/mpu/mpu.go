@@ -124,6 +124,9 @@ const (
 // Unit is the MPU. It implements mem.Device (register file) and mem.Checker
 // (access filter).
 type Unit struct {
+	// Cap is part of the configuration: set it before programming the unit
+	// (Configure, SetState or the register protocol), since certificates
+	// are re-derived only when the configuration generation advances.
 	Cap Capability
 
 	ctl0  uint16
@@ -133,24 +136,21 @@ type Unit struct {
 	sam   uint16
 
 	// gen counts configuration changes (boundaries, rights, enable state) —
-	// the generation the bus's execute certificate is pinned to. Violation
-	// latching does not bump it: latched flags never change what an access
-	// is allowed to do.
+	// the generation the bus's execute and data certificates are pinned to.
+	// Violation latching does not bump it: latched flags never change what
+	// an access is allowed to do.
 	gen uint64
 
-	// spanCache memoizes the execute-allowed run list per configuration.
-	// Gate-heavy workloads alternate between two plans (the OS plan and the
-	// running app's plan), and every register write of a plan switch
-	// triggers a certificate re-span — including the intermediate
-	// configurations mid-switch (boundary 1 written, boundary 2 still old),
-	// which recur on every switch. Recomputing runs each time showed up at
-	// ~16% of fleet wall time; eight memo slots hold both stable plans plus
-	// every recurring intermediate, making the steady state pure compares.
-	// spanLast remembers the last slot served so the common repeat probe is
-	// one compare instead of a table scan.
-	spanCache [8]execRuns
-	spanNext  int
-	spanLast  int
+	// cur is the plan record for configuration generation curGen — the
+	// steady-state answer to every certificate query is one compare and a
+	// load. memo is a small direct-mapped cache of records this unit has
+	// used, in front of the process-wide plan store: gate-heavy workloads
+	// rotate through a few dozen configurations (every app plan, the OS
+	// plan, and the intermediate states mid-switch), so a plan change costs
+	// a hash and a compare rather than a trip to the shared store.
+	cur    *plan
+	curGen uint64
+	memo   [unitMemoSlots]*plan
 
 	// OnViolation, if set, is invoked after a violation flag latches.
 	OnViolation func(v *mem.Violation)
@@ -258,7 +258,7 @@ func (u *Unit) Configure(b1, b2, sam uint16, enable bool) {
 // State is a serializable snapshot of the unit's architectural state: the
 // register file (including the password-protected control bits an app may
 // have latched, like CtlLock), capability, and the cumulative violation
-// count. The configuration generation and span memos are deliberately
+// count. The configuration generation and plan-record caches are deliberately
 // excluded — they are caches, rebuilt on demand, and restoring them would
 // couple checkpoints to an implementation detail.
 type State struct {
@@ -389,12 +389,12 @@ func (u *Unit) CheckAccess(a mem.Access) *mem.Violation {
 	return v
 }
 
-// execAllowed reports whether an instruction fetch from addr would be
-// permitted under the current configuration, WITHOUT latching violation
-// flags — the pure query behind execute certification. It must agree with
-// CheckAccess on every address (mpu tests assert this); CheckAccess stays
-// the enforcement oracle.
-func (u *Unit) execAllowed(addr uint16) bool {
+// allows reports whether an access needing the rights bits `need` (1 read,
+// 2 write, 4 execute) at addr would be permitted under the current
+// configuration, WITHOUT latching violation flags — the pure query behind
+// execute and data certificates. It must agree with CheckAccess on every
+// address (mpu tests assert this); CheckAccess stays the enforcement oracle.
+func (u *Unit) allows(addr, need uint16) bool {
 	if !u.Enabled() {
 		return true
 	}
@@ -402,116 +402,73 @@ func (u *Unit) execAllowed(addr uint16) bool {
 	if seg < 0 {
 		return true // outside coverage: the modeled hardware hole
 	}
-	return u.segBits(seg)&4 != 0
+	return u.segBits(seg)&need != 0
 }
 
 // ExecGen implements mem.ExecCertifier: the configuration generation an
-// execute certificate is valid for. Every boundary, rights or enable change
-// — register-protocol writes from gate code and Go-side Configure calls
-// alike — advances it, which is what forces the bus to re-validate its
-// certified span at plan changes.
+// execute or data-access certificate is valid for. Every boundary, rights
+// or enable change — register-protocol writes from gate code and Go-side
+// Configure calls alike — advances it, which is what forces the bus to
+// re-validate its certificates at plan changes.
 func (u *Unit) ExecGen() uint64 { return u.gen }
 
 // ExecGenRef exposes the generation counter's address, letting the bus read
 // certificate validity with a load instead of an interface call on every
-// certified fetch (the probe was ~5% of interpreter time). The pointee is
-// exactly the ExecGen value; only the bus (single-threaded with the unit)
-// reads it.
+// certified fetch or data access (the probe was ~5% of interpreter time).
+// The pointee is exactly the ExecGen value; only the bus (single-threaded
+// with the unit) reads it.
 func (u *Unit) ExecGenRef() *uint64 { return &u.gen }
-
-// execRuns is one memoized span computation: the configuration it was built
-// under and the maximal execute-allowed runs it yields (at most 5 denied
-// regions exist, so at most 6 runs).
-type execRuns struct {
-	b1, b2, sam uint16
-	ctl0        uint16
-	cap         Capability
-	valid       bool
-	n           int
-	lo, hi      [8]uint32 // runs [lo, hi), ascending
-}
 
 // ExecSpan implements mem.ExecCertifier: the maximal span [lo, hi)
 // containing addr for which every instruction fetch is allowed under the
 // current configuration, or the empty span when addr itself is not
 // executable. hi is a uint32 so the span may extend through 0xFFFF
-// (hi = 0x10000). Run lists are memoized per configuration (see spanCache).
+// (hi = 0x10000). The runs come from the configuration's shared plan record.
 func (u *Unit) ExecSpan(addr uint16) (uint16, uint32) {
-	if !u.Enabled() {
-		return 0, 0x10000
-	}
-	runs := u.runsForConfig()
+	p := u.plan()
 	a := uint32(addr)
-	for i := 0; i < runs.n; i++ {
-		if a >= runs.lo[i] && a < runs.hi[i] {
-			return uint16(runs.lo[i]), runs.hi[i]
+	for i := 0; i < p.n; i++ {
+		if a >= p.lo[i] && a < p.hi[i] {
+			return uint16(p.lo[i]), p.hi[i]
 		}
 	}
 	return addr, uint32(addr)
 }
 
-// matches reports whether the memo slot was built under the current
-// configuration.
-func (r *execRuns) matches(u *Unit) bool {
-	return r.valid && r.b1 == u.segB1 && r.b2 == u.segB2 && r.sam == u.sam &&
-		r.ctl0 == u.ctl0 && r.cap == u.Cap
+// DataPages is the data-access certificate behind the bus's Read16/Write16
+// fast path: the pages on which every read (read) and every write (write) is
+// allowed under the current configuration. Pages split by a fixed region cut
+// — the FRAM/vector boundary at 0xFF80, the debug window — are on neither
+// map while the unit is enabled. Like ExecSpan it comes from the
+// configuration's shared plan record, holds for the current ExecGen, and
+// never latches violation state.
+func (u *Unit) DataPages() (read, write mem.PageSet) {
+	p := u.plan()
+	return p.read, p.write
 }
 
-// runsForConfig returns the memoized run list for the current
-// configuration, computing and caching it on miss. The last-served slot is
-// probed first: repeated queries under one configuration dominate.
-func (u *Unit) runsForConfig() *execRuns {
-	if r := &u.spanCache[u.spanLast]; r.matches(u) {
-		return r
+// plan returns the record for the current configuration: the cached one
+// while the generation is unchanged, else the unit's memo, else the shared
+// store.
+func (u *Unit) plan() *plan {
+	if p := u.cur; p != nil && u.curGen == u.gen {
+		return p
 	}
-	for i := range u.spanCache {
-		r := &u.spanCache[i]
-		if r.matches(u) {
-			u.spanLast = i
-			return r
+	p := openPlan
+	if u.Enabled() {
+		k := planKey{
+			regs: uint64(u.segB1) | uint64(u.segB2)<<16 | uint64(u.sam)<<32 | uint64(u.ctl0)<<48,
+			cap:  u.Cap,
+		}
+		h := k.hash()
+		slot := &u.memo[h%unitMemoSlots]
+		if p = *slot; p == nil || p.key != k {
+			p = lookupPlan(k, h, u)
+			*slot = p
 		}
 	}
-	r := &u.spanCache[u.spanNext]
-	u.spanLast = u.spanNext
-	u.spanNext = (u.spanNext + 1) % len(u.spanCache)
-	*r = execRuns{b1: u.segB1, b2: u.segB2, sam: u.sam, ctl0: u.ctl0, cap: u.Cap, valid: true}
-
-	// Permission is piecewise-constant between these cut points: the fixed
-	// region map plus the two configurable boundaries. Extra cut points
-	// inside a uniform region are harmless (both halves evaluate the same),
-	// so the boundaries need no clamping.
-	cuts := [16]uint32{
-		0,
-		uint32(mem.InfoLo), uint32(mem.InfoHi) + 1,
-		uint32(mem.FRAMLo), uint32(mem.FRAMHi) + 1,
-		uint32(mem.VectLo),
-		uint32(mem.DebugLo), uint32(mem.DebugHi) + 1,
-		uint32(u.segB1), uint32(u.segB2),
-		0x10000,
-	}
-	n := 11
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
-			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
-		}
-	}
-	// Merge consecutive allowed intervals into maximal runs.
-	for i := 0; i+1 < n; i++ {
-		ilo, ihi := cuts[i], cuts[i+1]
-		if ihi <= ilo || ilo >= 0x10000 {
-			continue
-		}
-		if !u.execAllowed(uint16(ilo)) {
-			continue
-		}
-		if r.n > 0 && r.hi[r.n-1] == ilo {
-			r.hi[r.n-1] = ihi // extends the previous run
-			continue
-		}
-		r.lo[r.n], r.hi[r.n] = ilo, ihi
-		r.n++
-	}
-	return r
+	u.cur, u.curGen = p, u.gen
+	return p
 }
 
 func (u *Unit) segmentName(seg int) string {
