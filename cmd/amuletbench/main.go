@@ -59,11 +59,9 @@ type Snapshot struct {
 	Date        string   `json:"date"`
 	GoMaxProcs  int      `json:"gomaxprocs"`
 	DecodeCache bool     `json:"decodeCache"`
-	Fusion      bool     `json:"fusion"`
 	ExecCerts   bool     `json:"execCerts"`
 	Threading   bool     `json:"threading"`
 	JIT         bool     `json:"jit"`
-	Batching    bool     `json:"batching"`
 	Metrics     bool     `json:"metrics"`
 	Tracing     bool     `json:"tracing"`
 	COW         bool     `json:"cow"`
@@ -77,11 +75,9 @@ func main() {
 	outDir := flag.String("out", ".", "directory for the snapshot file")
 	toStdout := flag.Bool("stdout", false, "print JSON to stdout instead of writing a file")
 	noCache := flag.Bool("nodecodecache", false, "disable the predecoded instruction cache")
-	noFuse := flag.Bool("nofuse", false, "disable superinstruction fusion")
 	noCert := flag.Bool("nocert", false, "disable execute and data-access certificates (per-word fetch and access checks)")
 	noThread := flag.Bool("nothread", false, "disable threaded dispatch (switch-executor engine)")
 	noJIT := flag.Bool("nojit", false, "disable the superblock JIT (interpreter-only engine)")
-	noBatch := flag.Bool("nobatch", false, "disable fleet wear-window batching")
 	noObs := flag.Bool("noobs", false, "disable observability (metrics; tracing stays per-benchmark)")
 	noCOW := flag.Bool("nocow", false, "disable copy-on-write device memory (flat 64KiB clones, the memory oracle)")
 	noPower := flag.Bool("nopower", false, "disable the fleet intermittent-power model")
@@ -94,11 +90,9 @@ func main() {
 	flag.Parse()
 
 	cpu.SetDecodeCache(!*noCache)
-	isa.SetFusion(!*noFuse)
 	mem.SetExecCerts(!*noCert)
 	isa.SetThreading(!*noThread)
 	isa.SetJIT(!*noJIT)
-	fleet.SetBatching(!*noBatch)
 	mem.SetCOW(!*noCOW)
 	fleet.SetPower(!*noPower)
 	if *noObs {
@@ -115,9 +109,6 @@ func main() {
 		if *noCache {
 			parts = append(parts, "nodecodecache")
 		}
-		if *noFuse {
-			parts = append(parts, "nofuse")
-		}
 		if *noCert {
 			parts = append(parts, "nocert")
 		}
@@ -126,9 +117,6 @@ func main() {
 		}
 		if *noJIT {
 			parts = append(parts, "nojit")
-		}
-		if *noBatch {
-			parts = append(parts, "nobatch")
 		}
 		if *noObs {
 			parts = append(parts, "noobs")
@@ -146,11 +134,9 @@ func main() {
 		Date:        time.Now().Format("2006-01-02"),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		DecodeCache: cpu.DecodeCacheEnabled(),
-		Fusion:      isa.FusionEnabled(),
 		ExecCerts:   mem.ExecCertsEnabled(),
 		Threading:   isa.ThreadingEnabled(),
 		JIT:         isa.JITEnabled(),
-		Batching:    fleet.BatchingEnabled(),
 		Metrics:     obs.MetricsEnabled(),
 		Tracing:     obs.TracingEnabled(),
 		COW:         mem.COWEnabled(),

@@ -55,11 +55,9 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the report(s) as JSON on stdout")
 	name := flag.String("name", "fleet", "scenario name recorded in the report")
 	noCache := flag.Bool("nodecodecache", false, "disable the predecoded instruction cache (slow, for differential checks)")
-	noFuse := flag.Bool("nofuse", false, "disable superinstruction fusion (for differential checks)")
 	noCert := flag.Bool("nocert", false, "disable execute and data-access certificates (for differential checks)")
 	noThread := flag.Bool("nothread", false, "disable threaded dispatch (switch-executor engine, for differential checks)")
 	noJIT := flag.Bool("nojit", false, "disable the superblock JIT (interpreter-only engine, for differential checks)")
-	noBatch := flag.Bool("nobatch", false, "disable wear-window event batching (reports must be byte-identical either way)")
 	noObs := flag.Bool("noobs", false, "disable observability (metrics and tracing)")
 	noCOW := flag.Bool("nocow", false, "disable copy-on-write device memory (flat 64KiB clones, the memory oracle; reports must be byte-identical either way)")
 	noPower := flag.Bool("nopower", false, "disable the intermittent-power model (ignore -power-trace/-brownout-every; reports must match a run without those flags byte-for-byte)")
@@ -69,11 +67,9 @@ func main() {
 	flag.Parse()
 
 	cpu.SetDecodeCache(!*noCache)
-	isa.SetFusion(!*noFuse)
 	mem.SetExecCerts(!*noCert)
 	isa.SetThreading(!*noThread)
 	isa.SetJIT(!*noJIT)
-	fleet.SetBatching(!*noBatch)
 	mem.SetCOW(!*noCOW)
 	fleet.SetPower(!*noPower)
 	if *repeat < 1 {

@@ -33,7 +33,6 @@ func main() {
 	ms := flag.Uint64("ms", 10_000, "virtual milliseconds to run (kernel form)")
 	budget := flag.Uint64("budget", 100_000_000, "cycle budget (standalone form)")
 	noCache := flag.Bool("nodecodecache", false, "disable the predecoded instruction cache (slow, for differential checks)")
-	noFuse := flag.Bool("nofuse", false, "disable superinstruction fusion (for differential checks)")
 	noCert := flag.Bool("nocert", false, "disable execute and data-access certificates (for differential checks)")
 	noThread := flag.Bool("nothread", false, "disable threaded dispatch (switch-executor engine, for differential checks)")
 	noJIT := flag.Bool("nojit", false, "disable the superblock JIT (interpreter-only engine, for differential checks)")
@@ -45,7 +44,6 @@ func main() {
 	flag.Parse()
 
 	cpu.SetDecodeCache(!*noCache)
-	isa.SetFusion(!*noFuse)
 	mem.SetExecCerts(!*noCert)
 	isa.SetThreading(!*noThread)
 	isa.SetJIT(!*noJIT)

@@ -52,8 +52,6 @@ func main() {
 	writeCorpus := flag.String("write-corpus", "", "regenerate the committed regression corpus into this directory and exit")
 	noCache := flag.Bool("nodecodecache", false,
 		"disable the predecoded instruction cache; campaigns must report identical bytes either way")
-	noFuse := flag.Bool("nofuse", false,
-		"disable superinstruction fusion; campaigns must report identical bytes either way")
 	noCert := flag.Bool("nocert", false,
 		"disable execute and data-access certificates (per-word fetch and access checks); campaigns must report identical bytes either way")
 	noThread := flag.Bool("nothread", false,
@@ -71,7 +69,6 @@ func main() {
 	flag.Parse()
 
 	cpu.SetDecodeCache(!*noCache)
-	isa.SetFusion(!*noFuse)
 	mem.SetExecCerts(!*noCert)
 	isa.SetThreading(!*noThread)
 	isa.SetJIT(!*noJIT)

@@ -93,9 +93,6 @@ type Firmware struct {
 	// image it is immutable after Build and shared by every kernel booted
 	// from this firmware, so a fleet of devices pays the decode cost once
 	// per (app set, mode) build rather than once per executed instruction.
-	// Predecode also runs the superinstruction fusion pass (unless
-	// isa.SetFusion disabled it at build time): in particular every gate
-	// prologue's PUSH R4..R11 run becomes one 8-part superinstruction.
 	Text *isa.Program
 }
 

@@ -49,9 +49,6 @@ type Program struct {
 	// executable text (OS/runtime code through the end of the app's code
 	// segment), built at compile time and shared by every machine Load
 	// returns. Load attaches it unless cpu.SetDecodeCache(false) is active.
-	// Predecode includes the superinstruction fusion pass (CMP+Jcc,
-	// MOV#imm+ALU, PUSH runs) unless isa.SetFusion disabled it at compile
-	// time — the -nofuse escape hatch.
 	Text *isa.Program
 
 	// bootTmpl is the post-load memory snapshot prepared for COW sharing,

@@ -107,17 +107,15 @@ type CPU struct {
 	// tracked per device, not by mutating the shared cache.
 	prog  *isa.Program
 	dirty map[uint16]struct{}
-	// fuseLimit is Run's cycle limit, mirrored here so the fused fast path
-	// can stop at a component boundary exactly where the unfused engine's
-	// Run loop would stop between two instructions. Outside Run it stays 0,
-	// which disables fusion entirely: a bare Step always retires exactly one
+	// runLimit is Run's cycle limit, mirrored here so a superblock can stop
+	// at a segment boundary exactly where the interpreter's Run loop would
+	// stop between two instructions. Outside Run it stays 0, which disables
+	// block execution entirely: a bare Step always retires exactly one
 	// instruction, preserving the historical single-step granularity.
-	fuseLimit uint64
+	runLimit uint64
 	// jit/jitBase are the attached superblock plan (see jit_exec.go): block
 	// executors indexed by the same (pc - base) >> 1 slot arithmetic as the
-	// decode cache. The plan is compiled once per Program and shared; like
-	// fusion, block execution is additionally gated on fuseLimit so bare
-	// Step keeps single-instruction granularity.
+	// decode cache. The plan is compiled once per Program and shared.
 	jit     []*compiledBlock
 	jitBase uint16
 	// slow is the live-decode path's reusable checked word reader (a field
@@ -317,18 +315,12 @@ func (c *CPU) Step() *Fault {
 			// deopted before retiring anything and this Step proceeds
 			// normally. The slot index is in range because At succeeded and
 			// the plan mirrors the cache's slot table.
-			if c.jit != nil && c.Cycles < c.fuseLimit {
+			if c.jit != nil && c.Cycles < c.runLimit {
 				if b := c.jit[(pc-c.jitBase)>>1]; b != nil {
 					if f, done := c.runBlock(b); done {
 						return f
 					}
 				}
-			}
-			if f := e.Fused; f != nil && c.Cycles < c.fuseLimit && !c.spanDirty(pc, f.Size) {
-				if f.Fast {
-					return c.stepFusedPair(pc, f)
-				}
-				return c.stepFused(pc, f)
 			}
 			if !c.spanDirty(pc, e.Size) {
 				if viol := c.Bus.FetchWords(pc, e.Size); viol != nil {
@@ -345,93 +337,6 @@ func (c *CPU) Step() *Fault {
 		}
 	}
 	return c.stepSlow(pc)
-}
-
-// stepFusedPair is the combined executor for Fast pairs: the head is a
-// memory-free, control-safe CMP (registers/immediates) or MOV #imm into a
-// plain register, so it is inlined here without the generic operand
-// machinery, and the only split condition that can arise at the component
-// boundary is the cycle budget (the head cannot fault, halt, set CPUOFF or
-// GIE, or dirty code — see isa.Fused.Fast). The second component runs
-// through the ordinary executor, so faults, branches and side effects there
-// behave exactly as on the unfused engine.
-func (c *CPU) stepFusedPair(pc uint16, f *isa.Fused) *Fault {
-	p0, p1 := &f.Parts[0], &f.Parts[1]
-	if viol := c.Bus.FetchWords(pc, p0.Size); viol != nil {
-		return &Fault{PC: pc, Violation: viol}
-	}
-	mid := pc + p0.Size
-	c.Regs[isa.PC] = mid // mid is even: sizes are multiples of 2
-	if in := &p0.In; in.Op == isa.CMP {
-		var src uint16
-		if in.Src.Mode == isa.ModeRegister {
-			src = c.readReg(in.Src.Reg, in.Byte)
-		} else {
-			src = in.Src.X
-			if in.Byte {
-				src &= 0xFF
-			}
-		}
-		c.addCore(c.readReg(in.Dst.Reg, in.Byte), ^src, 1, in.Byte)
-	} else { // MOV #imm, Rn
-		v := in.Src.X
-		if in.Byte {
-			v &= 0xFF
-		}
-		if in.Dst.Reg == isa.SP {
-			v &^= 1
-		}
-		c.Regs[in.Dst.Reg] = v
-	}
-	c.Cycles += uint64(p0.Cost)
-	c.Insns++
-	if c.Cycles >= c.fuseLimit {
-		return nil
-	}
-	if viol := c.Bus.FetchWords(mid, p1.Size); viol != nil {
-		return &Fault{PC: mid, Violation: viol}
-	}
-	c.SetPC(mid + p1.Size)
-	if fl := c.dispatch(mid, p1.Size, &p1.In, p1.H); fl != nil {
-		return fl
-	}
-	c.Cycles += uint64(p1.Cost)
-	c.Insns++
-	return nil
-}
-
-// stepFused executes a fused superinstruction component by component. Each
-// component fetches, executes and charges cycles exactly as the single-slot
-// path would; between components the CPU re-checks every condition Run's
-// loop checks between instructions — halt, CPUOFF, the cycle budget, a
-// pending enabled interrupt — plus whether an earlier component overwrote a
-// later one's bytes. Any of them ends the group at the boundary with the PC
-// on the next component, so Run resumes (or stops) exactly as the unfused
-// engine would have. Only the last component may transfer control (the
-// fusion pass guarantees earlier ones fall through).
-func (c *CPU) stepFused(pc uint16, f *isa.Fused) *Fault {
-	addr := pc
-	for i := range f.Parts {
-		p := &f.Parts[i]
-		if i > 0 {
-			if c.Halted || c.flag(isa.FlagCPUOFF) || c.Cycles >= c.fuseLimit ||
-				(len(c.pendingIRQ) > 0 && c.flag(isa.FlagGIE)) ||
-				c.spanDirty(addr, p.Size) {
-				return nil
-			}
-		}
-		if viol := c.Bus.FetchWords(addr, p.Size); viol != nil {
-			return &Fault{PC: addr, Violation: viol}
-		}
-		c.SetPC(addr + p.Size)
-		if fl := c.dispatch(addr, p.Size, &p.In, p.H); fl != nil {
-			return fl
-		}
-		c.Cycles += uint64(p.Cost)
-		c.Insns++
-		addr += p.Size
-	}
-	return nil
 }
 
 // stepSlow is the live-decode path: PCs outside cached text, uncacheable
@@ -462,8 +367,8 @@ func (c *CPU) stepSlow(pc uint16) *Fault {
 // enters CPUOFF. The budget is a limit on additional cycles from the call.
 func (c *CPU) Run(budget uint64) (StopReason, *Fault) {
 	limit := c.Cycles + budget
-	c.fuseLimit = limit
-	defer func() { c.fuseLimit = 0 }()
+	c.runLimit = limit
+	defer func() { c.runLimit = 0 }()
 	for {
 		if c.Halted {
 			return StopHalt, nil
@@ -489,5 +394,5 @@ func (c *CPU) Reset() {
 	c.ExitCode = 0
 	c.Console = nil
 	c.pendingIRQ = nil
-	c.fuseLimit = 0
+	c.runLimit = 0
 }

@@ -1,7 +1,7 @@
 package cpu
 
 // Threaded dispatch: the executor table behind isa.HandlerID. Predecode
-// binds every cached instruction (and fused component) to one of these
+// binds every cached instruction to one of these
 // handlers, so the hot loop replaces the exec switch cascade — format class,
 // then opcode, then addressing mode — with a single indirect call. Every
 // handler is observably identical to the corresponding exec path: the

@@ -3,9 +3,10 @@ package cpu
 // Superblock executors: the codegen half of the block JIT. internal/jit
 // lifts the superblocks discovered at predecode into its IR; this file binds
 // one Go closure per IR step and drives whole blocks from Step, deopting
-// back to the interpreter at exactly the stop points the fused engine
-// enumerates. The closures reproduce the interpreter's observable schedule
-// instruction by instruction — same fetch counts in the same order, same
+// back to the interpreter at exactly the stop points Run's loop checks
+// between instructions (halt, CPUOFF, cycle budget, pending interrupt,
+// overwritten text). The closures reproduce the interpreter's observable
+// schedule instruction by instruction — same fetch counts in the same order, same
 // cycle/instruction accounting, same PC at every fault and boundary — so a
 // compiled run and an interpreted run are indistinguishable by exit state,
 // stats, MPU violations, or access traces. The exec switch remains the
@@ -159,7 +160,7 @@ func (c *CPU) runBlock(b *compiledBlock) (f *Fault, done bool) {
 			mDeoptIRQ.Inc()
 			return c.deopt(seg, si)
 		}
-		if c.Cycles+seg.preCost >= c.fuseLimit {
+		if c.Cycles+seg.preCost >= c.runLimit {
 			mDeoptBudget.Inc()
 			return c.deopt(seg, si)
 		}

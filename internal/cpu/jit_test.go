@@ -9,9 +9,24 @@ import (
 	"amuletiso/internal/mpu"
 )
 
+// engineResult is the complete observable machine state after a run — the
+// fingerprint the compiled and interpreted engines must agree on bit for bit.
+type engineResult struct {
+	stop    StopReason
+	fault   string
+	regs    [isa.NumRegs]uint16
+	cycles  uint64
+	insns   uint64
+	reads   uint64
+	writes  uint64
+	fetches uint64
+	halted  bool
+	exit    uint16
+	trace   string
+}
+
 // runJIT assembles instrs at 0x4400 and runs them under Run(budget) with the
-// superblock JIT on or off. Unlike runEngine it attaches NO access profiler by
-// default: a profiler lawfully disables block execution (the certificate fast
+// superblock JIT on or off. It attaches NO access profiler by default: a profiler lawfully disables block execution (the certificate fast
 // path carries it), so profiled runs never exercise compiled code. withTrace
 // turns the profiler on for the runs that pin exactly that deferral.
 func runJIT(t *testing.T, jit bool, budget uint64, withTrace bool, prep func(*CPU), instrs ...isa.Instr) engineResult {
@@ -243,8 +258,8 @@ func TestJITDefersToProfiler(t *testing.T) {
 }
 
 // TestJITBareStepSingleInstruction pins the Step contract: outside Run the
-// fuse limit is zero, which gates block execution exactly like fusion, so a
-// bare Step retires exactly one instruction even on a block head.
+// run limit is zero, which gates block execution off, so a bare Step
+// retires exactly one instruction even on a block head.
 func TestJITBareStepSingleInstruction(t *testing.T) {
 	defer isa.SetJIT(true)
 	isa.SetJIT(true)

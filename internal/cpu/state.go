@@ -14,8 +14,8 @@ import (
 // peripherals New wires up (Timer_A and the MPY32 multiplier), whose
 // registers live outside bus pages and so outside mem.SnapshotData.
 //
-// The attached Program/JIT plan and fuseLimit are deliberately absent: the
-// caches are derived from the firmware and reattached at load, and fuseLimit
+// The attached Program/JIT plan and runLimit are deliberately absent: the
+// caches are derived from the firmware and reattached at load, and runLimit
 // is only nonzero inside Run.
 type State struct {
 	Regs     [isa.NumRegs]uint16 `json:"regs"`

@@ -1,9 +1,6 @@
 package fleet
 
-import "sync/atomic"
-
-// Wear-window batching. Two amortizations, both behind one switch (the
-// `-nobatch` escape hatch the CLIs expose):
+// Wear-window batching. Two amortizations:
 //
 //   - workers claim contiguous batches of work items instead of one item per
 //     channel round trip, so the pool's coordination cost stays flat as
@@ -15,18 +12,9 @@ import "sync/atomic"
 // Batching is a scheduling change only: per-device results are pure
 // functions of (firmware, seed, scenario), workers write disjoint slots, and
 // RunBatch advances virtual time exactly as RunUntil would — so reports stay
-// byte-identical at any parallelism with batching on or off (the fleet
-// determinism tests pin this).
-
-// batchingOff globally disables wear-window batching when set.
-var batchingOff atomic.Bool
-
-// SetBatching enables or disables wear-window batching process-wide. It is
-// consulted at the start of each run, so it may be toggled between runs.
-func SetBatching(on bool) { batchingOff.Store(!on) }
-
-// BatchingEnabled reports whether fleet runs use wear-window batching.
-func BatchingEnabled() bool { return !batchingOff.Load() }
+// byte-identical at any parallelism (the fleet determinism tests pin this,
+// and kernel's TestRunBatchMatchesRunUntil pins RunBatch against its
+// RunUntil oracle).
 
 // EventBatch is the number of kernel events a worker delivers per slice of a
 // device's wear window before re-checking for cancellation.
@@ -36,10 +24,9 @@ const EventBatch = 64
 // enough that tail workers never idle behind one long claim.
 const maxChunk = 64
 
-// chunkFor sizes a worker claim for n items over the given pool, honoring
-// the batching switch.
+// chunkFor sizes a worker claim for n items over the given pool.
 func chunkFor(n, workers int) int {
-	if !BatchingEnabled() || workers <= 0 {
+	if workers <= 0 {
 		return 1
 	}
 	c := n / (workers * 4)

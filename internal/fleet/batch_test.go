@@ -7,50 +7,28 @@ import (
 	"sync"
 	"testing"
 
-	"amuletiso/internal/abi"
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
 	"amuletiso/internal/kernel"
 )
 
-// runReport simulates sc with the given worker count and batching setting
-// and returns the serialized report.
-func runReport(t *testing.T, sc Scenario, workers int, batching bool) []byte {
+// runReport simulates sc with the given worker count and returns the
+// serialized report.
+func runReport(t *testing.T, sc Scenario, workers int) []byte {
 	t.Helper()
-	defer SetBatching(true)
-	SetBatching(batching)
 	r := &Runner{Workers: workers}
 	rep, err := r.Run(context.Background(), sc)
 	if err != nil {
-		t.Fatalf("workers=%d batching=%v: %v", workers, batching, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return marshal(t, rep)
-}
-
-// TestBatchingByteIdentical is the batching determinism lockdown: with
-// wear-window batching on, reports must be byte-identical across worker
-// counts AND to the unbatched engine — batching may only change scheduling,
-// never results.
-func TestBatchingByteIdentical(t *testing.T) {
-	sc := testScenario(12)
-	sc.Events = []ScheduledEvent{{AtMS: 50, App: 0, Code: abi.EvTick, PeriodMS: 130}}
-	golden := runReport(t, sc, 1, false)
-	for _, workers := range []int{1, 8} {
-		for _, batching := range []bool{true, false} {
-			got := runReport(t, sc, workers, batching)
-			if !bytes.Equal(golden, got) {
-				t.Fatalf("workers=%d batching=%v: report differs from unbatched single-worker run",
-					workers, batching)
-			}
-		}
-	}
 }
 
 // TestWatchdogMidBatch sweeps the per-event watchdog budget so handler kills
 // land at arbitrary points of the wear window — including mid-batch — and
 // asserts batch boundaries neither starve the watchdog nor the periodic
-// schedule: every sweep point stays byte-identical across batching and
-// parallelism, watchdog faults do occur, and the periodic schedule keeps
+// schedule: every sweep point stays byte-identical across parallelism,
+// watchdog faults do occur, and the periodic schedule keeps
 // delivering after the kills.
 func TestWatchdogMidBatch(t *testing.T) {
 	base := Scenario{
@@ -69,15 +47,11 @@ func TestWatchdogMidBatch(t *testing.T) {
 	for _, budget := range []uint64{6_000, 12_000, 40_000, 5_000_000} {
 		sc := base
 		sc.WatchdogBudget = budget
-		golden := runReport(t, sc, 1, true)
-		if !bytes.Equal(golden, runReport(t, sc, 8, true)) {
+		golden := runReport(t, sc, 1)
+		if !bytes.Equal(golden, runReport(t, sc, 8)) {
 			t.Fatalf("budget=%d: batched report differs across worker counts", budget)
 		}
-		if !bytes.Equal(golden, runReport(t, sc, 8, false)) {
-			t.Fatalf("budget=%d: batched report differs from unbatched engine", budget)
-		}
 
-		SetBatching(true)
 		rep, err := (&Runner{Workers: 4}).Run(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
@@ -140,15 +114,9 @@ func TestForEachBatchCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestChunkFor pins the claim-sizing policy: 1 with batching off or tiny
-// fleets, bounded by maxChunk for huge ones.
+// TestChunkFor pins the claim-sizing policy: 1 for tiny fleets, bounded by
+// maxChunk for huge ones.
 func TestChunkFor(t *testing.T) {
-	defer SetBatching(true)
-	SetBatching(false)
-	if got := chunkFor(10_000, 8); got != 1 {
-		t.Fatalf("batching off: chunk = %d, want 1", got)
-	}
-	SetBatching(true)
 	if got := chunkFor(8, 8); got != 1 {
 		t.Fatalf("small fleet: chunk = %d, want 1", got)
 	}

@@ -28,7 +28,7 @@ import (
 // Each entry also lazily holds a kernel.BootTemplate — the post-load memory
 // snapshot devices clone at boot instead of re-running the erased-FRAM fill
 // and firmware load (the "zero-cost boot" path). Keying on the engine
-// configuration (decode cache, fusion, threading, certificates) makes both
+// configuration (decode cache, threading, certificates, JIT) makes both
 // memoizations eviction-safe: flipping an escape hatch between runs in one
 // process gets a correctly built firmware and a matching template instead of
 // silently reusing artifacts built under different engine flags.
@@ -62,12 +62,12 @@ func NewBuildCache() *BuildCache {
 // bakes in. Sources are included whole: two registries whose apps share a
 // name but differ in source must not collide. The engine flags matter
 // because Predecode consults them at build time — a firmware built with,
-// say, fusion off must not be served to a run expecting it on.
+// say, the JIT off must not be served to a run expecting it on.
 func cacheKey(list []apps.App, mode cc.Mode) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "mode=%d|dc=%t|fuse=%t|thread=%t|cert=%t|jit=%t",
-		int(mode), cpu.DecodeCacheEnabled(), isa.FusionEnabled(),
-		isa.ThreadingEnabled(), mem.ExecCertsEnabled(), isa.JITEnabled())
+	fmt.Fprintf(&b, "mode=%d|dc=%t|thread=%t|cert=%t|jit=%t",
+		int(mode), cpu.DecodeCacheEnabled(), isa.ThreadingEnabled(),
+		mem.ExecCertsEnabled(), isa.JITEnabled())
 	for _, a := range list {
 		fmt.Fprintf(&b, "|%q;%q;%q;%d", a.Name, a.Source, a.RestrictedSource, a.StackBytes)
 	}

@@ -14,7 +14,7 @@ import (
 // boot template) baked under different flags.
 func TestBuildCacheEngineFlagEviction(t *testing.T) {
 	defer func() {
-		isa.SetFusion(true)
+		isa.SetJIT(true)
 		isa.SetThreading(true)
 	}()
 	cache := NewBuildCache()
@@ -25,25 +25,25 @@ func TestBuildCacheEngineFlagEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	isa.SetFusion(false)
-	fwNoFuse, err := cache.Get(list, cc.ModeMPU)
+	isa.SetJIT(false)
+	fwNoJIT, err := cache.Get(list, cc.ModeMPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fwOn == fwNoFuse {
-		t.Fatal("fusion flip served the same firmware instance")
+	if fwOn == fwNoJIT {
+		t.Fatal("JIT flip served the same firmware instance")
 	}
-	if fwOn.Text.FusedHeads() == 0 || fwNoFuse.Text.FusedHeads() != 0 {
-		t.Fatalf("fusion state wrong: on=%d heads, off=%d heads",
-			fwOn.Text.FusedHeads(), fwNoFuse.Text.FusedHeads())
+	if fwOn.Text.Blocks() == 0 || fwNoJIT.Text.Blocks() != 0 {
+		t.Fatalf("JIT state wrong: on=%d blocks, off=%d blocks",
+			fwOn.Text.Blocks(), fwNoJIT.Text.Blocks())
 	}
-	isa.SetFusion(true)
+	isa.SetJIT(true)
 	isa.SetThreading(false)
 	fwNoThread, err := cache.Get(list, cc.ModeMPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fwNoThread == fwOn || fwNoThread == fwNoFuse {
+	if fwNoThread == fwOn || fwNoThread == fwNoJIT {
 		t.Fatal("threading flip served a stale firmware instance")
 	}
 	isa.SetThreading(true)

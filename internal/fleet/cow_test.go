@@ -5,26 +5,35 @@ import (
 	"context"
 	"testing"
 
+	"amuletiso/internal/cpu"
 	"amuletiso/internal/isa"
 	"amuletiso/internal/mem"
 )
 
-// engineCell is one cell of the {threading, fusion, certificates} matrix the
-// COW identity test sweeps (mirroring the torture battery's engineMatrix).
+// engineCell is one cell of the fleet engine matrix: the default engine,
+// each build-time or fetch-path hatch flipped alone, and the live-decode
+// oracle (decode cache and certificates off). The COW axis is swept
+// separately, so every cell also runs on flat memory.
 type engineCell struct {
-	name                string
-	thread, fuse, certs bool
+	name                                   string
+	noThread, noCert, noJIT, noDecodeCache bool
 }
 
 var engineCells = []engineCell{
-	{"threaded+fused+certified", true, true, true},
-	{"threaded+fused+perword", true, true, false},
-	{"threaded+unfused+certified", true, false, true},
-	{"threaded+unfused+perword", true, false, false},
-	{"switch+fused+certified", false, true, true},
-	{"switch+fused+perword", false, true, false},
-	{"switch+unfused+certified", false, false, true},
-	{"switch+unfused+perword", false, false, false},
+	{name: "default"},
+	{name: "nothread", noThread: true},
+	{name: "nocert", noCert: true},
+	{name: "nojit", noJIT: true},
+	{name: "nodecodecache", noDecodeCache: true},
+	{name: "oracle", noDecodeCache: true, noCert: true},
+}
+
+// apply flips the process-global engine toggles to this cell.
+func (c engineCell) apply() {
+	isa.SetThreading(!c.noThread)
+	mem.SetExecCerts(!c.noCert)
+	isa.SetJIT(!c.noJIT)
+	cpu.SetDecodeCache(!c.noDecodeCache)
 }
 
 // TestFleetReportByteIdenticalCOWAcrossEngines is the fleet-level COW
@@ -33,17 +42,13 @@ var engineCells = []engineCell{
 // flat-clone oracle, in every cell of the engine matrix.
 func TestFleetReportByteIdenticalCOWAcrossEngines(t *testing.T) {
 	defer func() {
-		isa.SetThreading(true)
-		isa.SetFusion(true)
-		mem.SetExecCerts(true)
+		engineCells[0].apply()
 		mem.SetCOW(true)
 	}()
 	sc := testScenario(6)
 	var golden []byte
 	for _, cell := range engineCells {
-		isa.SetThreading(cell.thread)
-		isa.SetFusion(cell.fuse)
-		mem.SetExecCerts(cell.certs)
+		cell.apply()
 		for _, cow := range []bool{true, false} {
 			mem.SetCOW(cow)
 			rep, err := Run(context.Background(), sc)

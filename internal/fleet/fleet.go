@@ -251,10 +251,10 @@ func DeviceSeed(fleetSeed uint64, device int) uint32 {
 
 // simulate runs one device start to finish: clone a kernel from the shared
 // boot template with the device's seed, install the schedule, and walk the
-// wear window in injection-bounded segments. With batching on, each segment
-// is delivered in bounded event batches (cancellation is checked between
-// batches rather than only between segments); either way the delivered
-// event sequence — and therefore the DeviceResult — is identical.
+// wear window in injection-bounded segments. Each segment is delivered in
+// bounded event batches, with cancellation checked between batches; the
+// delivered event sequence — and therefore the DeviceResult — is exactly
+// what one RunUntil per segment would deliver.
 func simulate(ctx context.Context, sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena, device int) (DeviceResult, error) {
 	d := newDeviceSim(sc, tmpl, arena, device)
 	// The deferred close releases the device's COW pages on EVERY exit —
@@ -336,7 +336,6 @@ func (d *deviceSim) advance(ctx context.Context, until uint64) error {
 	if until > d.sc.DurationMS {
 		until = d.sc.DurationMS
 	}
-	batch := BatchingEnabled()
 	for d.now < until {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -354,19 +353,15 @@ func (d *deviceSim) advance(ctx context.Context, until uint64) error {
 		// A dark device delivers nothing: injection and power cursors still
 		// advance through the outage, but the kernel is parked until reboot.
 		if !d.dark() {
-			if batch {
-				for {
-					n, more := d.k.RunBatch(next, EventBatch)
-					d.events += n
-					if !more {
-						break
-					}
-					if err := ctx.Err(); err != nil {
-						return err
-					}
+			for {
+				n, more := d.k.RunBatch(next, EventBatch)
+				d.events += n
+				if !more {
+					break
 				}
-			} else {
-				d.events += d.k.RunUntil(next)
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
 		}
 		d.now = next

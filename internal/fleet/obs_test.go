@@ -11,8 +11,8 @@ import (
 
 // TestLatencyReportDeterminism is the satellite lock for the latency
 // histograms: serialized reports — hist buckets and percentile summary
-// included — must be byte-identical across worker counts, across batching
-// on/off, and across tracing on/off.
+// included — must be byte-identical across worker counts and across tracing
+// on/off.
 func TestLatencyReportDeterminism(t *testing.T) {
 	sc := testScenario(10)
 	var golden []byte
@@ -36,9 +36,6 @@ func TestLatencyReportDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		check("workers", workers)
 	}
-	SetBatching(false)
-	check("nobatch", 4)
-	SetBatching(true)
 	obs.SetTracing(true)
 	check("traced", 4)
 	obs.SetTracing(false)

@@ -86,8 +86,11 @@ func dstBits(o Operand) (ad uint16, reg Reg, ext uint16, hasExt bool, err string
 	case ModeRegister:
 		return 0, o.Reg, 0, false, ""
 	case ModeIndexed:
-		if o.Reg == SR || o.Reg == CG {
-			return 0, 0, 0, false, "indexed destination on R2/R3 is not encodable"
+		// x(R2) is the absolute form's encoding. x(R3) has no constant
+		// generator meaning as a destination: Decode reads it back as
+		// indexed, so it encodes like any other register.
+		if o.Reg == SR {
+			return 0, 0, 0, false, "indexed destination on R2 is not encodable"
 		}
 		return 1, o.Reg, o.X, true, ""
 	case ModeAbsolute:

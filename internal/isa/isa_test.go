@@ -137,18 +137,25 @@ func TestEncodeErrors(t *testing.T) {
 	}
 }
 
+// roundTripInstrs are the decode/encode round-trip cases; FuzzDecode seeds
+// its corpus from their encodings.
+var roundTripInstrs = []Instr{
+	{Op: MOV, Src: Imm(0x4400), Dst: RegOp(SP)},
+	{Op: CMP, Src: Imm(2), Dst: RegOp(R12)},
+	{Op: SUB, Src: Imm(6), Dst: RegOp(SP)},
+	{Op: MOV, Src: Abs(0x1C00), Dst: Abs(0x1C02)},
+	{Op: ADD, Byte: true, Src: Idx(3, R10), Dst: RegOp(R11)},
+	{Op: PUSH, Src: Imm(0x55AA)},
+	{Op: CALL, Src: Ind(R7)},
+	{Op: BIT, Src: Imm(8), Dst: RegOp(SR)},
+}
+
+// illegalWords are opcode words Decode must reject; FuzzDecode seeds its
+// corpus from them too.
+var illegalWords = []uint16{0x0000, 0x0FFF, 0x1380, 0x13FF}
+
 func TestDecodeMatchesEncode(t *testing.T) {
-	progs := []Instr{
-		{Op: MOV, Src: Imm(0x4400), Dst: RegOp(SP)},
-		{Op: CMP, Src: Imm(2), Dst: RegOp(R12)},
-		{Op: SUB, Src: Imm(6), Dst: RegOp(SP)},
-		{Op: MOV, Src: Abs(0x1C00), Dst: Abs(0x1C02)},
-		{Op: ADD, Byte: true, Src: Idx(3, R10), Dst: RegOp(R11)},
-		{Op: PUSH, Src: Imm(0x55AA)},
-		{Op: CALL, Src: Ind(R7)},
-		{Op: BIT, Src: Imm(8), Dst: RegOp(SR)},
-	}
-	for _, in := range progs {
+	for _, in := range roundTripInstrs {
 		words := MustEncode(in)
 		got, size, err := Decode(sliceReader(words), 0)
 		if err != nil {
@@ -164,7 +171,7 @@ func TestDecodeMatchesEncode(t *testing.T) {
 }
 
 func TestDecodeIllegal(t *testing.T) {
-	for _, w := range []uint16{0x0000, 0x0FFF, 0x1380, 0x13FF} {
+	for _, w := range illegalWords {
 		if _, _, err := Decode(sliceReader{w}, 0); err == nil {
 			t.Errorf("Decode(%04X) unexpectedly succeeded", w)
 		}

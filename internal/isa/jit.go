@@ -27,7 +27,7 @@ import "sync/atomic"
 var jitOff atomic.Bool
 
 // SetJIT enables or disables superblock discovery process-wide. Like
-// SetThreading and SetFusion it is consulted when a Program is built
+// SetThreading it is consulted when a Program is built
 // (Predecode), so set it once, before building firmware, as the CLIs do;
 // already-built programs keep whatever blocks they were built with.
 func SetJIT(on bool) { jitOff.Store(!on) }

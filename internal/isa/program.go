@@ -31,10 +31,6 @@ type CachedInstr struct {
 	// H is the threaded-dispatch handler bound at predecode (see thread.go);
 	// HNone routes the slot through the CPU's classic switch executor.
 	H HandlerID
-	// Fused, when non-nil, is the superinstruction headed by this slot
-	// (see fuse.go). The component slots keep their own entries, so a PC
-	// landing mid-group executes normally from its own slot.
-	Fused *Fused
 }
 
 // Program is a decode-once cache over an image's text ranges.
@@ -43,7 +39,6 @@ type Program struct {
 	ins    []CachedInstr
 	ranges []TextRange
 	cached int
-	fused  int
 	// blocks are the superblocks discovered for the block JIT (see jit.go);
 	// empty when SetJIT was off at build time.
 	blocks []Block
@@ -106,9 +101,6 @@ func Predecode(r WordReader, ranges []TextRange) *Program {
 			p.cached++
 		}
 	}
-	if FusionEnabled() {
-		p.fuse()
-	}
 	if JITEnabled() {
 		p.discoverBlocks()
 	}
@@ -152,12 +144,8 @@ func (p *Program) RangeAt(i int) TextRange { return p.ranges[i] }
 // introspection for tests and tooling.
 func (p *Program) Cached() int { return p.cached }
 
-// FusedHeads returns how many slots head a fused superinstruction —
-// introspection for tests and tooling.
-func (p *Program) FusedHeads() int { return p.fused }
-
 // Blocks returns how many superblocks discovery found — introspection for
-// tests and tooling, beside Cached and FusedHeads.
+// tests and tooling, beside Cached.
 func (p *Program) Blocks() int { return len(p.blocks) }
 
 // BlockSpans returns the discovered superblocks, sorted by address. The

@@ -21,12 +21,12 @@ package isa
 import "sync/atomic"
 
 // threadingOff globally disables handler binding when set — the `-nothread`
-// escape hatch the CLIs expose (mirroring `-nofuse`) so any run can be
+// escape hatch the CLIs expose (mirroring `-nojit`) so any run can be
 // replayed on the switch-dispatch engine for differential checks.
 var threadingOff atomic.Bool
 
 // SetThreading enables or disables threaded-dispatch handler binding
-// process-wide. Like SetFusion it is consulted when a Program is built
+// process-wide. Like SetJIT it is consulted when a Program is built
 // (Predecode), so set it once, before building firmware, as the CLIs do;
 // already-built programs keep whatever binding they were built with.
 func SetThreading(on bool) { threadingOff.Store(!on) }
@@ -102,7 +102,7 @@ const (
 
 // HandlerFor resolves the dispatch handler for a decoded instruction. It is
 // a pure function of the instruction shape; Predecode calls it once per slot
-// (and per fused component) when threading is enabled.
+// when threading is enabled.
 func HandlerFor(in Instr) HandlerID {
 	switch {
 	case in.Op.IsJump():

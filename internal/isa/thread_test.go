@@ -48,8 +48,8 @@ func TestHandlerFor(t *testing.T) {
 	}
 }
 
-// TestPredecodeBindsHandlers checks handler binding is on by default, reaches
-// fused components, and is fully disabled by SetThreading(false).
+// TestPredecodeBindsHandlers checks handler binding is on by default and is
+// fully disabled by SetThreading(false).
 func TestPredecodeBindsHandlers(t *testing.T) {
 	defer SetThreading(true)
 	mem := testWords{}
@@ -69,12 +69,8 @@ func TestPredecodeBindsHandlers(t *testing.T) {
 	if head == nil || head.H != HFastCMP {
 		t.Fatalf("CMP slot handler = %+v, want HFastCMP", head)
 	}
-	if head.Fused == nil {
-		t.Fatal("CMP+JNE did not fuse")
-	}
-	if head.Fused.Parts[0].H != HFastCMP || head.Fused.Parts[1].H != HJNE {
-		t.Errorf("fused part handlers = %d,%d, want %d,%d",
-			head.Fused.Parts[0].H, head.Fused.Parts[1].H, HFastCMP, HJNE)
+	if jne := p.At(0x4400 + head.Size); jne == nil || jne.H != HJNE {
+		t.Errorf("JNE slot handler = %+v, want HJNE", jne)
 	}
 	for pc := uint16(0x4400); pc < addr; pc += 2 {
 		if e := p.At(pc); e != nil && e.H == HNone {
@@ -91,13 +87,6 @@ func TestPredecodeBindsHandlers(t *testing.T) {
 		}
 		if e.H != HNone {
 			t.Errorf("pc=0x%04X: handler bound with threading off", pc)
-		}
-		if e.Fused != nil {
-			for i, part := range e.Fused.Parts {
-				if part.H != HNone {
-					t.Errorf("pc=0x%04X part %d: handler bound with threading off", pc, i)
-				}
-			}
 		}
 	}
 }

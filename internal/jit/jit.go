@@ -14,9 +14,9 @@
 //
 // The package is pure analysis: it knows the ISA but owns no CPU or bus
 // state. internal/cpu consumes the IR and binds one Go closure per step,
-// with deoptimization back to the interpreter at every stop point the fused
-// engine enumerates (pending IRQ, cycle budget, halt/CPUOFF, dirtied text,
-// certificate drop). Everything here is therefore advisory EXCEPT the
+// with deoptimization back to the interpreter at every stop point Run's loop
+// checks between instructions (pending IRQ, cycle budget, halt/CPUOFF,
+// dirtied text), plus a certificate drop. Everything here is therefore advisory EXCEPT the
 // segment structure, which carries the correctness argument:
 //
 // A segment is a run of steps the executor may retire without re-checking

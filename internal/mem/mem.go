@@ -23,7 +23,7 @@ import (
 var execCertsOff atomic.Bool
 
 // SetExecCerts enables or disables the execute and data-access certificate
-// fast paths process-wide. Unlike the fusion and decode-cache switches it is
+// fast paths process-wide. Unlike the JIT and decode-cache switches it is
 // consulted on every access, so it may be toggled between runs without
 // rebuilding.
 func SetExecCerts(on bool) { execCertsOff.Store(!on) }

@@ -5,8 +5,7 @@ import "math"
 // CycleHist is a fixed-bucket histogram over the simulated cycle domain. It
 // is the one observability structure allowed inside fleet reports: cycle
 // counts are a pure function of the simulation, so per-device hists and their
-// merge are byte-identical at any worker count, batching mode, or tracing
-// setting.
+// merge are byte-identical at any worker count or tracing setting.
 //
 // It is plain data with value semantics — no atomics, no pointers — so a
 // DeviceResult embedding one stays trivially copyable and JSON-stable.

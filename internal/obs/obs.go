@@ -4,7 +4,7 @@
 // latency histograms.
 //
 // The package follows the repository's zero-cost-when-off discipline
-// (`-nofuse`, `-nothread`, ...): metrics are atomic counters behind a single
+// (`-nojit`, `-nothread`, ...): metrics are atomic counters behind a single
 // predictable branch, the flight recorder is a nil pointer check on the
 // kernel hot path unless SetTracing armed it, and nothing in this package may
 // ever feed a simulation result — fleet reports and torture campaigns stay
@@ -34,7 +34,7 @@ func SetMetrics(on bool) { metricsOff.Store(!on) }
 func MetricsEnabled() bool { return !metricsOff.Load() }
 
 // tracingOn arms the flight recorder: kernels booted while it is set attach
-// a ring recorder automatically. Like the fusion/threading switches it is a
+// a ring recorder automatically. Like the JIT/threading switches it is a
 // boot-time property — already-booted kernels keep whatever recorder they
 // have.
 var tracingOn atomic.Bool

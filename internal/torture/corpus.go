@@ -51,24 +51,23 @@ func LoadCorpus(dir string) ([]*Case, error) {
 	return cases, nil
 }
 
-// fusionCorpusCases are hand-written fusion-boundary regressions: programs
-// whose compiled form is dense in fusion candidates (CMP+Jcc condition
-// ladders, MOV#imm+ALU constant arithmetic, call-heavy PUSH traffic) with
-// branch and call-return targets landing throughout the fused regions —
-// including on the second halves of fused pairs. They replay as ordinary
-// differential cases, and TestCorpusReplayAcrossEngines additionally replays
-// every corpus case under the full {fused, unfused} × {certified, per-word}
-// matrix, which is what locks these shapes down. (The deterministic
-// jump-to-the-exact-second-half and gate/watchdog-mid-group cases live in
+// ladderCorpusCases are hand-written branch-ladder and PUSH-run regressions:
+// programs whose compiled form is dense in CMP+Jcc condition ladders,
+// MOV#imm+ALU constant arithmetic and call-heavy PUSH traffic, with branch
+// and call-return targets landing between adjacent instructions of those
+// idioms. They replay as ordinary differential cases, and
+// TestCorpusReplayAcrossEngines additionally replays every corpus case under
+// each engine cell, which is what locks these shapes down. (The deterministic
+// jump-into-a-block and gate/watchdog-mid-prologue cases live in
 // internal/cpu and internal/kernel, where instruction layout is controlled
-// by hand.)
-var fusionCorpusCases = []struct {
+// by hand.) The case names keep their historical prefix.
+var ladderCorpusCases = []struct {
 	name, note, source string
 	restricted         bool
 }{
 	{
 		name: "fuse-00-branch-ladder",
-		note: "fusion boundary: if/else ladders compile to CMP+Jcc chains whose taken branches land between fusion candidates",
+		note: "branch ladder: if/else ladders compile to CMP+Jcc chains whose taken branches land between compare/jump pairs",
 		source: `int g0;
 int g1;
 int main() {
@@ -89,7 +88,7 @@ int main() {
 	},
 	{
 		name: "fuse-01-compare-dense",
-		note: "fusion boundary: back-to-back comparisons against constants, re-entered from call returns",
+		note: "branch ladder: back-to-back comparisons against constants, re-entered from call returns",
 		source: `int g0;
 int cmp3(int a, int b) {
     if (a < b) { return 0 - 1; }
@@ -111,7 +110,7 @@ int main() {
 	},
 	{
 		name: "fuse-02-push-recursion",
-		note: "fusion boundary: recursive calls exercise PUSH runs and returns landing after fused prologues",
+		note: "PUSH run: recursive calls exercise PUSH runs and returns landing after the saving prologues",
 		source: `int g0;
 int fib(int n) {
     if (n < 2) { return n; }
@@ -125,7 +124,7 @@ int main() {
 	},
 	{
 		name:       "fuse-03-restricted-array-loop",
-		note:       "fusion boundary: restricted-dialect array loop, MOV#imm+ALU bounds arithmetic under all four modes",
+		note:       "branch ladder: restricted-dialect array loop, MOV#imm+ALU bounds arithmetic under all four modes",
 		restricted: true,
 		source: `int g0;
 int a[8];
@@ -245,7 +244,7 @@ int main() {
 // a slice of differential programs straight from the generator, plus
 // adversarial and hosted reproducers shrunk to their minimal trapping form
 // (the predicate preserves the full per-mode layer attribution), plus the
-// hand-written fusion-boundary and superblock-JIT regressions above. Returns
+// hand-written branch-ladder and superblock-JIT regressions above. Returns
 // the written case names.
 func BuildCorpus(dir string, seed uint64) ([]string, error) {
 	var names []string
@@ -315,13 +314,13 @@ func BuildCorpus(dir string, seed uint64) ([]string, error) {
 		}
 	}
 
-	// Fusion-boundary and superblock-JIT regressions: hand-written, validated
+	// Branch-ladder and superblock-JIT regressions: hand-written, validated
 	// before writing so a dialect or generator change cannot silently commit
 	// a failing case.
 	for _, fc := range append(append([]struct {
 		name, note, source string
 		restricted         bool
-	}{}, fusionCorpusCases...), jitCorpusCases...) {
+	}{}, ladderCorpusCases...), jitCorpusCases...) {
 		c := &Case{
 			Name:       fc.name,
 			Kind:       KindDifferential,

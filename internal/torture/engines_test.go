@@ -17,45 +17,43 @@ import (
 	"amuletiso/internal/obs"
 )
 
-// engineCfg is one cell of the {threading, fusion, certificates, jit} matrix
-// the battery sweeps. Threading, fusion and the superblock JIT are build-time
-// properties (they shape the predecode cache and the compiled block plan),
-// certificates a run-time one (they shape the fetch path).
+// engineCfg is one cell of the engine matrix: the production engine with
+// any subset of the escape hatches flipped. Threading, the superblock JIT and
+// the decode cache are build-time properties (they shape the predecode cache
+// and the compiled block plan); certificates and COW device memory are
+// run-time ones.
 type engineCfg struct {
-	name                     string
-	thread, fuse, certs, jit bool
+	name                                          string
+	noThread, noCert, noJIT, noCOW, noDecodeCache bool
 }
 
-// engineMatrix is all 16 cells, jit innermost so adjacent indices differ only
-// on the JIT axis and the certified cells stay easy to enumerate.
-var engineMatrix = buildEngineMatrix()
+// engineMatrix is the default engine, each remaining hatch flipped alone,
+// and the all-off oracle. Every hatch replaces exactly one layer with its
+// oracle, so flipping it alone tests that layer; the oracle (live decode,
+// per-word checks, flat memory) pins the whole stack at once. Live decode
+// already implies switch dispatch and no JIT, so the oracle leaves those
+// toggles alone. engineMatrix[0] is the production engine.
+var engineMatrix = []engineCfg{
+	{name: "default"},
+	{name: "nothread", noThread: true},
+	{name: "nocert", noCert: true},
+	{name: "nojit", noJIT: true},
+	{name: "nocow", noCOW: true},
+	{name: "nodecodecache", noDecodeCache: true},
+	{name: "oracle", noDecodeCache: true, noCert: true, noCOW: true},
+}
 
-func buildEngineMatrix() []engineCfg {
-	var m []engineCfg
-	for _, thread := range []bool{true, false} {
-		for _, fuse := range []bool{true, false} {
-			for _, certs := range []bool{true, false} {
-				for _, jit := range []bool{true, false} {
-					name := map[bool]string{true: "threaded", false: "switch"}[thread] +
-						map[bool]string{true: "+fused", false: "+unfused"}[fuse] +
-						map[bool]string{true: "+certified", false: "+perword"}[certs] +
-						map[bool]string{true: "+jit", false: "+nojit"}[jit]
-					m = append(m, engineCfg{name, thread, fuse, certs, jit})
-				}
-			}
-		}
-	}
-	return m
+// apply flips the process-global engine toggles to this cell.
+func (c engineCfg) apply() {
+	isa.SetThreading(!c.noThread)
+	mem.SetExecCerts(!c.noCert)
+	isa.SetJIT(!c.noJIT)
+	mem.SetCOW(!c.noCOW)
+	cpu.SetDecodeCache(!c.noDecodeCache)
 }
 
 // resetEngines restores the production configuration.
-func resetEngines() {
-	isa.SetThreading(true)
-	isa.SetFusion(true)
-	mem.SetExecCerts(true)
-	isa.SetJIT(true)
-	mem.SetCOW(true)
-}
+func resetEngines() { engineMatrix[0].apply() }
 
 // engineFP is everything one standalone run exposes: exit state, cycle and
 // instruction counts, bus statistics, MPU violation state, final global
@@ -75,15 +73,13 @@ type engineFP struct {
 
 // fingerprintStandalone compiles src under one engine configuration and runs
 // it to completion. withTrace attaches a bus profiling hook hashing every
-// access in order (which lawfully bypasses the certificate fast path, so
-// trace comparisons exercise fusion while stats comparisons exercise both).
+// access in order (which lawfully bypasses the certificate fast path and
+// block execution, so trace comparisons exercise the interpreter layers while
+// stats comparisons exercise every layer).
 func fingerprintStandalone(t *testing.T, src string, mode cc.Mode, cfg engineCfg, withTrace bool) engineFP {
 	t.Helper()
 	defer resetEngines()
-	isa.SetThreading(cfg.thread)
-	isa.SetFusion(cfg.fuse)
-	mem.SetExecCerts(cfg.certs)
-	isa.SetJIT(cfg.jit)
+	cfg.apply()
 
 	p, err := cc.CompileProgram(unitName, src, cc.ProgramOptions{
 		Mode: mode, EnableMPU: mode == cc.ModeMPU,
@@ -132,12 +128,12 @@ func fingerprintStandalone(t *testing.T, src string, mode cc.Mode, cfg engineCfg
 
 // TestEngineEquivalenceBattery is the engine lockdown: generated torture
 // programs — benign differential ones and fault-injecting adversarial ones —
-// must be byte-identical across {threaded, switch} × {fused, unfused} ×
-// {certified, per-word} × {jit, nojit} under every isolation mode: exit state, cycle
-// counts, instruction counts, bus statistics, MPU violation state, final
-// global bytes, and the complete access trace (compared across the threading
-// and fusion axes; the certificate fast path is only taken when no profiler
-// observes accesses, so traces cannot compare the certificate axis).
+// must be byte-identical in every engineMatrix cell under every isolation
+// mode: exit state, cycle counts, instruction counts, bus statistics, MPU
+// violation state, final global bytes, and the complete access trace
+// (compared across the certified cells; the certificate fast path is only
+// taken when no profiler observes accesses, so traces cannot compare the
+// certificate axis).
 func TestEngineEquivalenceBattery(t *testing.T) {
 	defer resetEngines()
 	nDiff, nAdv := 20, 12
@@ -165,14 +161,14 @@ func TestEngineEquivalenceBattery(t *testing.T) {
 							kind, i, mode, cfg.name, engineMatrix[0].name, ref, fp, c.Source)
 					}
 				}
-				// Trace pass under the profiling hook: the certified cells
-				// of every {threading, fusion, jit} combination must produce
-				// the identical access stream. (A profiler lawfully disables
-				// both the certificate fast path and block execution, so this
-				// also proves the jit entry check defers to the profiler.)
+				// Trace pass under the profiling hook: every certified cell
+				// must produce the identical access stream. (A profiler
+				// lawfully disables both the certificate fast path and block
+				// execution, so this also proves the jit entry check defers
+				// to the profiler.)
 				ref = fingerprintStandalone(t, c.Source, mode, engineMatrix[0], true)
 				for j, cfg := range engineMatrix {
-					if j == 0 || !cfg.certs {
+					if j == 0 || cfg.noCert {
 						continue
 					}
 					b := fingerprintStandalone(t, c.Source, mode, cfg, true)
@@ -189,22 +185,19 @@ func TestEngineEquivalenceBattery(t *testing.T) {
 }
 
 // TestCampaignByteIdenticalAcrossEngines is the campaign-level guardrail
-// behind the CI matrix legs: whole differential, adversarial and hosted
-// campaigns serialize to the same bytes in every cell of the engine matrix
-// (and with the decode cache off entirely), so `-nofuse` and
-// `-nodecodecache` stay byte-identical forever.
+// behind the CI escape-hatch legs: whole differential, adversarial and
+// hosted campaigns serialize to the same bytes in every engineMatrix cell —
+// each hatch alone and the live-decode oracle — and with observability armed
+// or off, so every hatch stays byte-identical forever.
 func TestCampaignByteIdenticalAcrossEngines(t *testing.T) {
-	defer func() {
-		resetEngines()
-		cpu.SetDecodeCache(true)
-	}()
+	defer resetEngines()
 	for _, kind := range []string{KindDifferential, KindAdversarial, KindHosted} {
-		n := 30
+		n := 40
 		if kind == KindHosted {
-			n = 10
+			n = 15 // kernel-hosted cases are an order of magnitude slower
 		}
 		if testing.Short() {
-			n = n/4 + 1
+			n = n/4 + 1 // keep the -race -short CI job cheap
 		}
 		var ref string
 		check := func(name string) {
@@ -226,23 +219,11 @@ func TestCampaignByteIdenticalAcrossEngines(t *testing.T) {
 				t.Errorf("%s: %s report differs from %s", kind, name, engineMatrix[0].name)
 			}
 		}
-		// Every engine cell runs twice — COW device memory and the flat-clone
-		// oracle — so the -nocow hatch stays byte-identical across the whole
-		// matrix, not just in the production cell.
 		for _, cfg := range engineMatrix {
-			isa.SetThreading(cfg.thread)
-			isa.SetFusion(cfg.fuse)
-			mem.SetExecCerts(cfg.certs)
-			isa.SetJIT(cfg.jit)
+			cfg.apply()
 			check(cfg.name)
-			mem.SetCOW(false)
-			check(cfg.name + "+nocow")
-			mem.SetCOW(true)
 		}
 		resetEngines()
-		cpu.SetDecodeCache(false)
-		check("nodecodecache")
-		cpu.SetDecodeCache(true)
 		// The {obs, noobs} axis: campaign bytes must not depend on whether
 		// flight recorders are armed or metrics enabled. Tracing only touches
 		// kernel-hosted paths, so the production engine cell suffices.
@@ -256,13 +237,10 @@ func TestCampaignByteIdenticalAcrossEngines(t *testing.T) {
 }
 
 // TestCorpusReplayAcrossEngines replays every committed corpus case —
-// including the fusion-boundary reproducers — under the full engine matrix
-// and the live-decode engine, asserting identical serialized outcomes.
+// including the branch-ladder and superblock reproducers — in every
+// engineMatrix cell, asserting identical serialized outcomes.
 func TestCorpusReplayAcrossEngines(t *testing.T) {
-	defer func() {
-		resetEngines()
-		cpu.SetDecodeCache(true)
-	}()
+	defer resetEngines()
 	cases, err := LoadCorpus("testdata")
 	if err != nil {
 		t.Fatal(err)
@@ -285,16 +263,10 @@ func TestCorpusReplayAcrossEngines(t *testing.T) {
 			}
 		}
 		for _, cfg := range engineMatrix {
-			isa.SetThreading(cfg.thread)
-			isa.SetFusion(cfg.fuse)
-			mem.SetExecCerts(cfg.certs)
-			isa.SetJIT(cfg.jit)
+			cfg.apply()
 			replay(cfg.name)
 		}
 		resetEngines()
-		cpu.SetDecodeCache(false)
-		replay("nodecodecache")
-		cpu.SetDecodeCache(true)
 		// Tracing-armed replay: identical outcomes, and hosted cases
 		// additionally run the flight-recorder second-witness check inside
 		// executeHosted (a recorder/oracle disagreement fails the case).

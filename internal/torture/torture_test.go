@@ -120,42 +120,6 @@ func TestCampaignByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCampaignByteIdenticalWithDecodeCacheToggle is the predecode engine's
-// differential guardrail: the same campaign run with the decode cache
-// attached and with it disabled (-nodecodecache) must serialize to the same
-// bytes — every generated program's exit state, cycle counts and layer
-// attribution is independent of the execution engine.
-func TestCampaignByteIdenticalWithDecodeCacheToggle(t *testing.T) {
-	defer cpu.SetDecodeCache(true)
-	for _, kind := range []string{KindDifferential, KindAdversarial, KindHosted} {
-		n := 40
-		if kind == KindHosted {
-			n = 15 // kernel-hosted cases are an order of magnitude slower
-		}
-		if testing.Short() {
-			n = n/4 + 1 // keep the -race -short CI job cheap
-		}
-		var blobs []string
-		for _, cache := range []bool{true, false} {
-			cpu.SetDecodeCache(cache)
-			cfg := DefaultConfig(kind)
-			cfg.Programs = n
-			rep, err := Run(context.Background(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := json.Marshal(rep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			blobs = append(blobs, string(b))
-		}
-		if blobs[0] != blobs[1] {
-			t.Errorf("%s: reports differ between decode cache on and off", kind)
-		}
-	}
-}
-
 // TestCampaignSharding asserts disjoint shards reproduce the union run's
 // per-case outcomes, like fleet device sharding.
 func TestCampaignSharding(t *testing.T) {
