@@ -245,7 +245,8 @@ func printHuman(r *fleet.Report, elapsed time.Duration) {
 
 // jitLine renders the process-wide superblock-JIT counters — the same series
 // /metrics exposes — for one-shot CLI output: what got compiled, what the
-// passes saved, and why compiled blocks fell back to the interpreter.
+// passes saved, why compiled blocks fell back to the interpreter, and which
+// tier retired the instructions.
 func jitLine() string {
 	c := func(name string) uint64 {
 		if m := obs.Default.Lookup(name); m != nil {
@@ -257,11 +258,15 @@ func jitLine() string {
 	if v := obs.Default.LookupVec(obs.MetricJITDeopts); v != nil {
 		deopts = v.Total()
 	}
-	return fmt.Sprintf("jit: %d blocks (%d steps) compiled in %s; %d flag stores elided, %d ext words baked, %d addrs folded; %d deopts",
+	var tiers [3]uint64
+	if v := obs.Default.LookupVec(obs.MetricInstrRetired); v != nil {
+		tiers = [3]uint64{v.Value("interp"), v.Value("jit_generic"), v.Value("jit_specialized")}
+	}
+	return fmt.Sprintf("jit: %d blocks (%d steps) compiled in %s; %d flag stores elided, %d ext words baked, %d addrs folded; %d deopts; retired %d interp, %d jit generic, %d jit specialized",
 		c(obs.MetricJITBlocksCompiled), c(obs.MetricJITStepsCompiled),
 		time.Duration(c(obs.MetricJITCompileNS)),
 		c(obs.MetricJITFlagsElided), c(obs.MetricJITExtElided),
-		c(obs.MetricJITAddrsFolded), deopts)
+		c(obs.MetricJITAddrsFolded), deopts, tiers[0], tiers[1], tiers[2])
 }
 
 // startProgress prints a periodic devices-done / instr-per-second line on

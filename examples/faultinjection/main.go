@@ -85,7 +85,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		target := sys.Firmware.Vars[abi.SymVarGateCount]
+		target := sys.Firmware.Vars.GateCount
 		sys.Kernel.Post(0, 3, target, 1)
 		sys.RunFor(100)
 		fmt.Printf("%-15s ", mode)

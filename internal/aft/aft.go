@@ -85,8 +85,8 @@ type Firmware struct {
 	Dispatch  uint16 // event dispatch veneer
 	OSStackSP uint16 // initial OS stack pointer (top of SRAM)
 
-	// Vars maps OS variable symbols to their data addresses.
-	Vars map[string]uint16
+	// Vars holds the OS variables' data addresses.
+	Vars OSVars
 
 	// Text is the decode-once instruction cache over the firmware's
 	// executable text (OS code plus every app's code segment). Like the
@@ -94,6 +94,15 @@ type Firmware struct {
 	// from this firmware, so a fleet of devices pays the decode cost once
 	// per (app set, mode) build rather than once per executed instruction.
 	Text *isa.Program
+}
+
+// OSVars are the data addresses of the OS variables (the os.var.* symbols),
+// resolved once at build so the kernel's per-dispatch priming does no
+// symbol lookups.
+type OSVars struct {
+	SavedSP, OSStackSP, AppSP uint16
+	CurB1, CurB2, CurSAM      uint16
+	GateCount, CurApp         uint16
 }
 
 // AppSAM is the MPUSAM app plan: seg1 execute-only, seg2 read/write,
@@ -230,10 +239,16 @@ func Build(apps []AppSource, mode cc.Mode) (*Firmware, error) {
 		OSPlanSAM: OSSAM,
 		Dispatch:  img.MustSym(abi.SymDispatch),
 		OSStackSP: OSStackTop,
-		Vars:      make(map[string]uint16, len(osVarSyms)),
-	}
-	for _, sym := range osVarSyms {
-		fw.Vars[sym] = img.MustSym(sym)
+		Vars: OSVars{
+			SavedSP:   img.MustSym(abi.SymVarSavedSP),
+			OSStackSP: img.MustSym(abi.SymVarOSStackSP),
+			AppSP:     img.MustSym(abi.SymVarAppSP),
+			CurB1:     img.MustSym(abi.SymVarCurB1),
+			CurB2:     img.MustSym(abi.SymVarCurB2),
+			CurSAM:    img.MustSym(abi.SymVarCurSAM),
+			GateCount: img.MustSym(abi.SymVarGateCount),
+			CurApp:    img.MustSym(abi.SymVarCurApp),
+		},
 	}
 	for i, a := range apps {
 		info := &AppInfo{

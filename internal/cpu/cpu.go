@@ -118,6 +118,10 @@ type CPU struct {
 	// decode cache. The plan is compiled once per Program and shared.
 	jit     []*compiledBlock
 	jitBase uint16
+	// jitSteps/jitGeneric count the instructions compiled blocks retired,
+	// and of those the ones bound to the generic tier; Run publishes them
+	// per call as the per-tier retired-instruction metrics.
+	jitSteps, jitGeneric uint64
 	// slow is the live-decode path's reusable checked word reader (a field
 	// so taking its address for the isa.WordReader interface never
 	// allocates on the per-instruction path).
@@ -365,10 +369,21 @@ func (c *CPU) stepSlow(pc uint16) *Fault {
 
 // Run executes until the cycle budget is exceeded, the CPU halts, faults, or
 // enters CPUOFF. The budget is a limit on additional cycles from the call.
+//
+// Each call adds the instructions it retired to the per-tier metrics
+// (interpreter, JIT generic tier, JIT specialized tiers); bare Step calls
+// outside Run are not counted.
 func (c *CPU) Run(budget uint64) (StopReason, *Fault) {
 	limit := c.Cycles + budget
 	c.runLimit = limit
-	defer func() { c.runLimit = 0 }()
+	insns, steps, generic := c.Insns, c.jitSteps, c.jitGeneric
+	defer func() {
+		c.runLimit = 0
+		jit := c.jitSteps - steps
+		mRetiredInterp.Add(c.Insns - insns - jit)
+		mRetiredGeneric.Add(c.jitGeneric - generic)
+		mRetiredSpecial.Add(jit - (c.jitGeneric - generic))
+	}()
 	for {
 		if c.Halted {
 			return StopHalt, nil

@@ -51,17 +51,20 @@ type cseg struct {
 	addr     uint16 // deopt PC at this boundary
 	restSize uint16 // block.end - addr: the span a post-write re-probe covers
 	reprobe  bool   // previous segment may have written memory
+	generic  uint32 // steps bound to the generic tier (retired-instruction counters)
 	preCost  uint64 // segment cycles minus the last step's (budget atomicity)
 	steps    []cstep
 }
 
 // cstep is one bound instruction: fn executes it (nil for dead steps whose
 // only remaining effects are the accounting), words/cost feed the fetch and
-// cycle counters exactly as the interpreter would per instruction.
+// cycle counters exactly as the interpreter would per instruction. generic
+// marks a step bound to compileDispatch.
 type cstep struct {
-	fn    func(*CPU) *Fault
-	words uint64
-	cost  uint64
+	fn      func(*CPU) *Fault
+	words   uint32
+	cost    uint32
+	generic bool
 }
 
 // compileJITPlan lifts and binds every discovered superblock of p. Called
@@ -112,10 +115,15 @@ func compileBlock(lb *jit.Block) *compiledBlock {
 		}
 		for j := sg.Lo; j < sg.Hi; j++ {
 			st := &lb.Steps[j]
+			fn, generic := compileStep(st)
+			if generic {
+				cs.generic++
+			}
 			cs.steps = append(cs.steps, cstep{
-				fn:    compileStep(st),
-				words: uint64(st.Size >> 1),
-				cost:  uint64(st.Cost),
+				fn:      fn,
+				words:   uint32(st.Size >> 1),
+				cost:    uint32(st.Cost),
+				generic: generic,
 			})
 		}
 		cb.segs[i] = cs
@@ -166,20 +174,34 @@ func (c *CPU) runBlock(b *compiledBlock) (f *Fault, done bool) {
 		}
 		for i := range seg.steps {
 			s := &seg.steps[i]
-			c.Bus.AddFetchWords(s.words)
+			c.Bus.AddFetchWords(uint64(s.words))
 			if s.fn != nil {
 				if fl := s.fn(c); fl != nil {
+					c.retired(seg.steps[:i])
 					return fl, true
 				}
 			}
-			c.Cycles += s.cost
+			c.Cycles += uint64(s.cost)
 			c.Insns++
 		}
+		c.jitSteps += uint64(len(seg.steps))
+		c.jitGeneric += uint64(seg.generic)
 	}
 	if !b.lastIsTerm {
 		c.Regs[isa.PC] = b.end
 	}
 	return nil, true
+}
+
+// retired adds the steps of a segment cut short by a fault to the tier
+// counters.
+func (c *CPU) retired(steps []cstep) {
+	c.jitSteps += uint64(len(steps))
+	for i := range steps {
+		if steps[i].generic {
+			c.jitGeneric++
+		}
+	}
 }
 
 // deopt hands control back to the interpreter at a segment boundary: if any
@@ -195,27 +217,31 @@ func (c *CPU) deopt(seg *cseg, si int) (*Fault, bool) {
 }
 
 // compileStep binds the executor closure for one IR step, picking the most
-// specialized tier the passes proved safe. Every tier reproduces the
-// corresponding interpreter path exactly (same flag stores or proven-dead
-// omissions, same fault PC discipline: Fault.PC is the instruction address
-// and Regs[PC] is past the encoding whenever a step can fault or read PC).
-func compileStep(st *jit.Step) func(*CPU) *Fault {
+// specialized tier the passes proved safe, and reports whether that is the
+// generic tier. Every tier reproduces the corresponding interpreter path
+// exactly (same flag stores or proven-dead omissions, same fault PC
+// discipline: Fault.PC is the instruction address and Regs[PC] is past the
+// encoding whenever a step can fault or read PC).
+func compileStep(st *jit.Step) (fn func(*CPU) *Fault, generic bool) {
 	if st.Dead {
 		// CMP/BIT whose flags nothing reads: accounting-only.
-		return nil
+		return nil, false
 	}
 	if st.Kind == jit.KindJump {
-		return compileJump(st)
+		return compileJump(st), false
 	}
-	var fn func(*CPU) *Fault
 	switch {
 	case st.Elide:
 		fn = compileElidedALU(st)
 	case st.In.Op == isa.MOV:
 		fn = compileMOV(st)
+	case st.In.Op == isa.PUSH:
+		fn = compilePush(st)
+	case st.In.Op == isa.CALL:
+		fn = compileCall(st)
 	}
 	if fn == nil {
-		fn = compileDispatch(st)
+		fn, generic = compileDispatch(st), true
 	}
 	if st.NeedPC && st.Kind == jit.KindPure {
 		// Pure steps skip PC maintenance unless the instruction observes or
@@ -226,7 +252,7 @@ func compileStep(st *jit.Step) func(*CPU) *Fault {
 			return inner(c)
 		}
 	}
-	return fn
+	return fn, generic
 }
 
 // compileDispatch is the universal tier: advance PC as Step would, then run
@@ -483,6 +509,123 @@ func compileMOV(st *jit.Step) func(*CPU) *Fault {
 			if viol != nil {
 				return &Fault{PC: pc, Violation: viol}
 			}
+			return nil
+		}
+
+	case in.Dst.Mode == isa.ModeRegister && in.Src.Reg != isa.PC &&
+		(in.Src.Mode == isa.ModeIndirect || in.Src.Mode == isa.ModeIndirectInc || in.Src.Mode == isa.ModeIndexed):
+		// MOV @Rn, Rd / MOV @Rn+, Rd (POP, and RET when Rd is PC) / MOV
+		// x(Rn), Rd: a load through a register. The autoincrement lands
+		// only after a successful read, and before the destination write,
+		// so MOV @SP+,SP leaves SP holding the loaded word.
+		sreg, x, dreg := in.Src.Reg, in.Src.X, in.Dst.Reg
+		var inc uint16
+		switch {
+		case in.Src.Mode == isa.ModeIndirect:
+			x = 0
+		case in.Src.Mode == isa.ModeIndirectInc:
+			x, inc = 0, 2
+			if byteOp && sreg != isa.SP {
+				inc = 1 // SP always stays word-aligned
+			}
+		}
+		clearLow := dreg == isa.PC || dreg == isa.SP
+		return func(c *CPU) *Fault {
+			c.Regs[isa.PC] = end
+			v, viol := c.readMem(c.Regs[sreg]+x, byteOp)
+			if viol != nil {
+				return &Fault{PC: pc, Violation: viol}
+			}
+			c.Regs[sreg] += inc
+			if clearLow {
+				v &^= 1
+			}
+			c.Regs[dreg] = v
+			return nil
+		}
+
+	case in.Dst.Mode == isa.ModeIndexed && in.Dst.Reg != isa.PC && regImmSrc:
+		// MOV Rs/#k, x(Rn): a store through a register (stack frames).
+		dreg, x := in.Dst.Reg, in.Dst.X
+		return func(c *CPU) *Fault {
+			c.Regs[isa.PC] = end
+			v := loadSrc(c)
+			var viol *mem.Violation
+			if byteOp {
+				viol = c.Bus.Write8(c.Regs[dreg]+x, uint8(v))
+			} else {
+				viol = c.Bus.Write16(c.Regs[dreg]+x, v)
+			}
+			if viol != nil {
+				return &Fault{PC: pc, Violation: viol}
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+// compilePush binds PUSH Rn and PUSH #k (word). The source is read before
+// SP moves, so PUSH SP stores the pre-decrement value, and a faulting store
+// leaves SP decremented, exactly as the interpreter does. Byte pushes take
+// the dispatch tier.
+func compilePush(st *jit.Step) func(*CPU) *Fault {
+	in := &st.In
+	if in.Byte || (in.Src.Mode != isa.ModeRegister && in.Src.Mode != isa.ModeImmediate) {
+		return nil
+	}
+	pc, end := st.Addr, st.Addr+st.Size
+	sreg, k, imm := in.Src.Reg, in.Src.X, in.Src.Mode == isa.ModeImmediate
+	return func(c *CPU) *Fault {
+		c.Regs[isa.PC] = end
+		v := k
+		if !imm {
+			v = c.Regs[sreg]
+		}
+		c.Regs[isa.SP] -= 2
+		if viol := c.Bus.Write16(c.Regs[isa.SP], v); viol != nil {
+			return &Fault{PC: pc, Violation: viol}
+		}
+		return nil
+	}
+}
+
+// compileCall binds CALL #imm and CALL Rn: the target is read before the
+// return address (the address past the CALL) is pushed; a faulting push
+// leaves SP decremented and PC past the CALL, as in the interpreter. A
+// target the MPU denies execute faults on the next fetch, outside the step.
+func compileCall(st *jit.Step) func(*CPU) *Fault {
+	in := &st.In
+	pc, end := st.Addr, st.Addr+st.Size
+	switch in.Src.Mode {
+	case isa.ModeImmediate:
+		target := in.Src.X
+		if in.Byte {
+			target &= 0xFF
+		}
+		target &^= 1
+		return func(c *CPU) *Fault {
+			c.Regs[isa.PC] = end
+			c.Regs[isa.SP] -= 2
+			if viol := c.Bus.Write16(c.Regs[isa.SP], end); viol != nil {
+				return &Fault{PC: pc, Violation: viol}
+			}
+			c.Regs[isa.PC] = target
+			return nil
+		}
+	case isa.ModeRegister:
+		sreg, byteOp := in.Src.Reg, in.Byte
+		return func(c *CPU) *Fault {
+			c.Regs[isa.PC] = end
+			target := c.Regs[sreg]
+			if byteOp {
+				target &= 0xFF
+			}
+			c.Regs[isa.SP] -= 2
+			if viol := c.Bus.Write16(c.Regs[isa.SP], end); viol != nil {
+				return &Fault{PC: pc, Violation: viol}
+			}
+			c.Regs[isa.PC] = target &^ 1
 			return nil
 		}
 	}

@@ -11,18 +11,24 @@ import (
 
 // engineResult is the complete observable machine state after a run — the
 // fingerprint the compiled and interpreted engines must agree on bit for bit.
+// mem is a checksum of the bus's bytes; mpuFlags/mpuViolations are the
+// latched state of an MPU installed as the bus checker, if any.
 type engineResult struct {
-	stop    StopReason
-	fault   string
-	regs    [isa.NumRegs]uint16
-	cycles  uint64
-	insns   uint64
-	reads   uint64
-	writes  uint64
-	fetches uint64
-	halted  bool
-	exit    uint16
-	trace   string
+	stop          StopReason
+	fault         string
+	regs          [isa.NumRegs]uint16
+	cycles        uint64
+	insns         uint64
+	reads         uint64
+	writes        uint64
+	fetches       uint64
+	slowWrites    uint64
+	halted        bool
+	exit          uint16
+	mem           uint64
+	mpuFlags      uint16
+	mpuViolations uint64
+	trace         string
 }
 
 // runJIT assembles instrs at 0x4400 and runs them under Run(budget) with the
@@ -61,13 +67,27 @@ func runJIT(t *testing.T, jit bool, budget uint64, withTrace bool, prep func(*CP
 	r, w, f := bus.Stats()
 	res := engineResult{
 		stop: stop, regs: c.Regs, cycles: c.Cycles, insns: c.Insns,
-		reads: r, writes: w, fetches: f, halted: c.Halted, exit: c.ExitCode,
-		trace: trace,
+		reads: r, writes: w, fetches: f, slowWrites: bus.SlowWrites(),
+		halted: c.Halted, exit: c.ExitCode, mem: memSum(bus), trace: trace,
+	}
+	if u, ok := bus.Checker().(*mpu.Unit); ok {
+		res.mpuFlags, res.mpuViolations = u.Flags(), u.Violations()
 	}
 	if fault != nil {
 		res.fault = fault.Error()
 	}
 	return res
+}
+
+// memSum is an FNV-1a checksum of the bus's memory.
+func memSum(bus *mem.Bus) uint64 {
+	var img mem.BusImage
+	bus.SnapshotData(&img)
+	h := uint64(14695981039346656037)
+	for _, b := range img {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
 }
 
 // compareJIT runs the program compiled and interpreted and fails on any
@@ -120,6 +140,19 @@ func TestJITBudgetSweep(t *testing.T) {
 	res := runJIT(t, true, 1_000_000, false, nil, jitProgram...)
 	if !res.halted || res.exit != 60 {
 		t.Fatalf("loop did not complete: %+v", res)
+	}
+	// The same sweep over an MPU-mode gate crossing: stack saves, plan
+	// stores, stack swaps, a syscall-port store, restores and RET, so
+	// budgets stop inside every segment the gate's stores delimit.
+	for budget := uint64(0); budget <= 260; budget++ {
+		compareJIT(t, budget, gatePrep, gateProgram...)
+		if t.Failed() {
+			t.Fatalf("gate: first divergence at budget %d", budget)
+		}
+	}
+	res = runJIT(t, true, 1_000_000, false, gatePrep, gateProgram...)
+	if !res.halted || res.exit != 0x44 || res.regs[isa.SP] != 0x2400 || res.mpuViolations != 0 {
+		t.Fatalf("gate crossing did not complete: %+v", res)
 	}
 }
 

@@ -29,4 +29,13 @@ var (
 	mDeoptHalt   = jitDeopts.With("halt")
 	mDeoptCPUOff = jitDeopts.With("cpuoff")
 	mDeoptText   = jitDeopts.With("text")
+
+	// Retired instructions by execution tier, added once per Run: the
+	// interpreter, compiled steps bound to the generic (dispatch) tier, and
+	// compiled steps bound to a specialized tier.
+	retired = obs.Default.CounterVec(obs.MetricInstrRetired,
+		"Instructions retired inside CPU.Run, by execution tier.", "tier")
+	mRetiredInterp  = retired.With("interp")
+	mRetiredGeneric = retired.With("jit_generic")
+	mRetiredSpecial = retired.With("jit_specialized")
 )

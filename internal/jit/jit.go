@@ -55,9 +55,11 @@ type StepKind uint8
 
 // Step kinds.
 const (
-	// KindGeneric runs through the full dispatcher (PC advanced first), so
-	// any cacheable instruction — memory operands, PUSH/CALL/RETI, computed
-	// branches — executes exactly as a lone interpreter step would.
+	// KindGeneric is every other cacheable shape — memory operands,
+	// PUSH/CALL/RETI, computed branches. internal/cpu binds specialized
+	// executors for the stack and frame shapes among them and runs the rest
+	// through the full dispatcher (PC advanced first), exactly as a lone
+	// interpreter step would.
 	KindGeneric StepKind = iota
 	// KindPure is the register/immediate-only format-I and format-II shape:
 	// no bus traffic, cannot fault, eligible for flag elision.

@@ -412,7 +412,7 @@ func (k *Kernel) Pending() int { return k.queue.Len() }
 // GateCount reads the context-switch bookkeeping counter maintained by the
 // generated gate code.
 func (k *Kernel) GateCount() uint16 {
-	return k.Bus.Peek16(k.FW.Vars[abi.SymVarGateCount])
+	return k.Bus.Peek16(k.FW.Vars.GateCount)
 }
 
 // timeMS returns virtual time including progress within the current event.
@@ -554,13 +554,13 @@ func (k *Kernel) deliver(appIdx int, code, arg uint16) {
 	k.OSCycles += DispatchModelCycles
 
 	// Prime the os.var.* block for the gates and veneer.
-	vars := k.FW.Vars
-	k.Bus.Poke16(vars[abi.SymVarCurB1], info.PlanB1)
-	k.Bus.Poke16(vars[abi.SymVarCurB2], info.PlanB2)
-	k.Bus.Poke16(vars[abi.SymVarCurSAM], info.PlanSAM)
-	k.Bus.Poke16(vars[abi.SymVarCurApp], info.ID)
-	k.Bus.Poke16(vars[abi.SymVarAppSP], info.StackTop)
-	k.Bus.Poke16(vars[abi.SymVarOSStackSP], k.FW.OSStackSP)
+	vars := &k.FW.Vars
+	k.Bus.Poke16(vars.CurB1, info.PlanB1)
+	k.Bus.Poke16(vars.CurB2, info.PlanB2)
+	k.Bus.Poke16(vars.CurSAM, info.PlanSAM)
+	k.Bus.Poke16(vars.CurApp, info.ID)
+	k.Bus.Poke16(vars.AppSP, info.StackTop)
+	k.Bus.Poke16(vars.OSStackSP, k.FW.OSStackSP)
 
 	// Machine state: OS stack, OS plan, veneer entry.
 	k.osPlan()

@@ -182,7 +182,7 @@ func TestOSDataProtectedFromApps(t *testing.T) {
 	// Writing an OS variable (below the app) must be blocked by the
 	// compiler's lower-bound check in MPU mode.
 	k := build(t, cc.ModeMPU, aft.AppSource{Name: "evil", Source: evilApp})
-	target := k.FW.Vars[abi.SymVarGateCount]
+	target := k.FW.Vars.GateCount
 	before := k.Bus.Peek16(target)
 	k.Post(0, 3, target, 10)
 	k.RunUntil(100)

@@ -9,8 +9,9 @@ import (
 // Service cycle costs: the modeled execution cost of each OS service body
 // (the code the real AmuletOS would run inside the call). Charged on the
 // simulated cycle counter in every mode, so isolation comparisons see the
-// same service work and differ only in gate/check cost.
-var svcCost = map[uint16]uint64{
+// same service work and differ only in gate/check cost. Indexed by syscall
+// number; unknown numbers cost nothing (see svcCycles).
+var svcCost = [...]uint64{
 	abi.SysGetTime:      30,
 	abi.SysReadAccel:    60,
 	abi.SysReadHR:       80,
@@ -30,6 +31,14 @@ var svcCost = map[uint16]uint64{
 	abi.SysPing:         0,
 }
 
+// svcCycles returns the modeled cost of service id.
+func svcCycles(id uint16) uint64 {
+	if int(id) < len(svcCost) {
+		return svcCost[id]
+	}
+	return 0
+}
+
 // MaxLogArg caps one amulet_log_write transfer.
 const MaxLogArg = 64
 
@@ -39,8 +48,9 @@ func (k *Kernel) service(id uint16) {
 	app := k.Apps[k.curApp]
 	app.Syscalls++
 	mSyscalls.Inc()
-	k.CPU.Cycles += svcCost[id]
-	k.OSCycles += svcCost[id]
+	cost := svcCycles(id)
+	k.CPU.Cycles += cost
+	k.OSCycles += cost
 	if k.rec != nil {
 		k.rec.Record(k.CPU.Cycles, obs.KindSyscall, int16(k.curApp), id, 0)
 		defer func() {

@@ -3,10 +3,11 @@ package mem
 import "testing"
 
 // dataChecker is a data certifier over certChecker: it certifies the pages
-// in read/write and denies data accesses everywhere else.
+// in read/write and denies data accesses everywhere else. It claims the pages
+// in unchecked are never checked (none unless a test adds some).
 type dataChecker struct {
 	certChecker
-	read, write PageSet
+	read, write, unchecked PageSet
 }
 
 func (c *dataChecker) CheckAccess(a Access) *Violation {
@@ -19,10 +20,13 @@ func (c *dataChecker) CheckAccess(a Access) *Violation {
 }
 
 func (c *dataChecker) ExecGenRef() *uint64              { return &c.gen }
+func (c *dataChecker) DataGenRef() *uint64              { return &c.gen }
 func (c *dataChecker) DataPages() (read, write PageSet) { return c.read, c.write }
+func (c *dataChecker) Unchecked() *PageSet              { return &c.unchecked }
 
 // newDataBus returns a bus whose checker certifies every page for reads and
-// writes, with one device on page 0x60 and watched text on page 0x44.
+// writes, with one device on page 0x60, one on page 0x02 (which the checker
+// declares unchecked) and watched text on page 0x44.
 func newDataBus(t *testing.T) (*Bus, *dataChecker) {
 	t.Helper()
 	b := NewBus()
@@ -30,7 +34,9 @@ func newDataBus(t *testing.T) (*Bus, *dataChecker) {
 	for i := range ck.read {
 		ck.read[i], ck.write[i] = ^uint64(0), ^uint64(0)
 	}
+	ck.unchecked.Add(0x02)
 	b.Map(0x6000, 0x6001, &fakeDev{})
+	b.Map(0x0200, 0x0201, &fakeDev{})
 	b.SetChecker(ck)
 	b.WatchCode([]CodeRange{{Lo: 0x4400, Hi: 0x4480}}, func(lo, hi uint16) {})
 	return b, ck
@@ -113,9 +119,15 @@ func TestDataCertificateInvalidation(t *testing.T) {
 
 	SetExecCerts(false)
 	off := probe(0x8000)
+	before = ck.checks
+	b.Write16(0x0200, 1)
+	offDev := ck.checks != before
 	SetExecCerts(true)
 	if !off {
 		t.Fatal("certificates off, but a read skipped the checker")
+	}
+	if !offDev {
+		t.Fatal("certificates off, but an unchecked device store skipped the checker")
 	}
 	b.OnAccess = func(Access) {}
 	if !probe(0x8000) {
@@ -148,5 +160,54 @@ func TestSlowWrites(t *testing.T) {
 		if moved := b.SlowWrites() != before; moved != c.moves {
 			t.Errorf("%s: SlowWrites moved = %v, want %v", c.name, moved, c.moves)
 		}
+	}
+}
+
+// TestDeviceStoreCertificate checks which word stores the certifier's
+// unchecked pages let skip the checker: a device store there is the device
+// call plus the write and slow-write counters, whatever the generation; a
+// store to a device page the certifier checks, to a device sharing watched
+// text's page, to the BSL ROM or under a profiler still reaches CheckAccess
+// (TestDataCertificateInvalidation covers certificates switched off).
+func TestDeviceStoreCertificate(t *testing.T) {
+	b, ck := newDataBus(t)
+	dev, shared, rom := &fakeDev{}, &fakeDev{}, &fakeDev{}
+	b.Map(0x0200, 0x0201, dev)
+	b.Map(0x4470, 0x4471, shared) // page 0x44 holds watched text
+	b.Map(0x1000, 0x1001, rom)
+	for _, p := range []int{0x10, 0x44} {
+		ck.unchecked.Add(p)
+	}
+	store := func(addr, v uint16) bool { // did a Write16 consult the checker?
+		before := ck.checks
+		if viol := b.Write16(addr, v); viol != nil && addr != 0x1000 {
+			t.Fatalf("store %#04x: %v", addr, viol)
+		}
+		return ck.checks != before
+	}
+	_, w0, _ := b.Stats()
+	slow := b.SlowWrites()
+	if store(0x0200, 0x1111) || dev.val != 0x1111 {
+		t.Fatalf("unchecked device store: checked or lost (device holds %#x)", dev.val)
+	}
+	if _, w, _ := b.Stats(); w != w0+1 || b.SlowWrites() != slow+1 {
+		t.Fatalf("unchecked device store: writes %d→%d, slow writes %d→%d", w0, w, slow, b.SlowWrites())
+	}
+	ck.gen++ // a configuration change does not void the device certificate
+	if store(0x0200, 0x2222) || dev.val != 0x2222 {
+		t.Fatal("device store after a generation bump consulted the checker")
+	}
+	if !store(0x6000, 1) {
+		t.Fatal("store to a checked device page skipped the checker")
+	}
+	if !store(0x4470, 1) {
+		t.Fatal("device store on a watched-text page skipped the checker")
+	}
+	if !store(0x1000, 1) || rom.val != 0 {
+		t.Fatal("device store in the BSL ROM skipped the checker or landed")
+	}
+	b.OnAccess = func(Access) {}
+	if !store(0x0200, 4) {
+		t.Fatal("profiled device store skipped the checker")
 	}
 }

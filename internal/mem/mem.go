@@ -201,9 +201,11 @@ type ExecCertifier interface {
 }
 
 // execGenRef is an optional ExecCertifier extension: a certifier that can
-// expose its generation counter's address lets the bus turn the per-fetch
-// validity probe (an interface call on every certified instruction) into a
-// single memory load. The pointee must be exactly the value ExecGen returns.
+// expose the address of an execute generation lets the bus turn the
+// per-fetch validity probe (an interface call on every certified
+// instruction) into a single memory load. The pointee must advance on every
+// configuration change that could alter ExecSpan's answer; unlike ExecGen it
+// may stay put across changes that leave the execute runs as they were.
 type execGenRef interface {
 	ExecGenRef() *uint64
 }
@@ -211,14 +213,23 @@ type execGenRef interface {
 // dataCertifier is the data-access extension of an ExecCertifier: it proves
 // read and write permission page by page, letting Read16 and Write16 skip the
 // per-access check on plain memory the way FetchWords skips it inside an
-// execute span. DataPages must be pure (no violation latching) and valid
-// for as long as ExecGen is unchanged.
+// execute span, and names the pages it never checks, letting Write16 store to
+// a device there without asking. Every query must be pure (no violation
+// latching).
 type dataCertifier interface {
 	ExecCertifier
 	execGenRef
 	// DataPages returns the pages on which every read (read) and every
-	// write (write) is allowed under the current configuration.
+	// write (write) is allowed under the current configuration. The answer
+	// holds while the value at DataGenRef is unchanged.
 	DataPages() (read, write PageSet)
+	// DataGenRef returns the address of the generation DataPages' answer is
+	// valid for (ExecGen's value: every configuration change advances it).
+	DataGenRef() *uint64
+	// Unchecked returns the pages on which no access is denied under any
+	// configuration the checker can take: its hardware's coverage holes.
+	// The answer does not depend on any generation.
+	Unchecked() *PageSet
 }
 
 // Bus is the CPU-visible memory system.
@@ -271,8 +282,10 @@ type Bus struct {
 	codeRanges  []CodeRange
 	codePages   PageSet
 	onCodeWrite func(lo, hi uint16)
-	// devSet marks the pages overlapped by any device.
-	devSet PageSet
+	// devSet marks the pages overlapped by any device; devW those of them
+	// with no watched text and outside the BSL ROM — the pages where a store
+	// the checker leaves unchecked is a device-handler call (see Write16).
+	devSet, devW PageSet
 
 	// Execute-certificate state (see FetchWords). certLo/certHi is the span
 	// the checker last certified execute-allowed end to end, certGen the
@@ -290,13 +303,15 @@ type Bus struct {
 	certGenRef *uint64
 
 	// Data-access certificate state (see Read16 and Write16). dataEC is the
-	// checker's data-certifier view, derived in SetChecker. fastR and fastW
-	// are the pages on which a word read or write may skip the checker: the
-	// certifier's DataPages minus device pages, and for writes also minus
-	// watched text and the BSL ROM. They hold for checker generation
-	// dataGen and are refreshed lazily when it moves; Map, WatchCode and
-	// SetChecker invalidate them.
+	// checker's data-certifier view and dataGenRef the address of its data
+	// generation, both derived in SetChecker. fastR and fastW are the pages
+	// on which a word read or write may skip the checker: the certifier's
+	// DataPages minus device pages, and for writes also minus watched text
+	// and the BSL ROM. They hold for data generation dataGen and are
+	// refreshed lazily when it moves; Map, WatchCode and SetChecker
+	// invalidate them.
 	dataEC       dataCertifier
+	dataGenRef   *uint64
 	dataGen      uint64
 	fastR, fastW PageSet
 	// slowWrites counts every write that did not take the data fast path —
@@ -553,6 +568,9 @@ func (b *Bus) Map(lo, hi uint16, d Device) {
 	b.dataGen = ^uint64(0)
 	for p := int(lo >> pageShift); p <= int(hi>>pageShift); p++ {
 		b.devSet.Add(p)
+		if !b.codePages.Has(p) && !bslPages.Has(p) {
+			b.devW.Add(p)
+		}
 		idx := b.devPages[p]
 		if idx == 0 {
 			b.devLists = append(b.devLists, nil)
@@ -603,19 +621,21 @@ func (b *Bus) WatchCode(ranges []CodeRange, fn func(lo, hi uint16)) {
 	b.DropExecCert()
 	b.certGen = ^uint64(0)
 	b.dataGen = ^uint64(0)
-	if fn == nil {
-		b.codeRanges, b.onCodeWrite = nil, nil
-		return
+	b.codeRanges, b.onCodeWrite = nil, nil
+	if fn != nil {
+		b.codeRanges = append([]CodeRange(nil), ranges...)
+		b.onCodeWrite = fn
+		for _, r := range ranges {
+			if r.Hi <= r.Lo {
+				continue
+			}
+			for p := int(r.Lo >> pageShift); p <= int((r.Hi-1)>>pageShift); p++ {
+				b.codePages.Add(p)
+			}
+		}
 	}
-	b.codeRanges = append([]CodeRange(nil), ranges...)
-	b.onCodeWrite = fn
-	for _, r := range ranges {
-		if r.Hi <= r.Lo {
-			continue
-		}
-		for p := int(r.Lo >> pageShift); p <= int((r.Hi-1)>>pageShift); p++ {
-			b.codePages.Add(p)
-		}
+	for i := range b.devW {
+		b.devW[i] = b.devSet[i] &^ b.codePages[i] &^ bslPages[i]
 	}
 }
 
@@ -684,6 +704,12 @@ func (b *Bus) rawWrite16(addr, v uint16) {
 	addr = align(addr)
 	b.slowWrites++
 	b.touchCode(addr, addr+1)
+	b.storeWord(addr, v)
+}
+
+// storeWord stores v at the word-aligned addr: to the device mapped there,
+// else to memory.
+func (b *Bus) storeWord(addr, v uint16) {
 	if d := b.deviceAt(addr); d != nil {
 		d.WriteWord(addr, v)
 		return
@@ -706,6 +732,10 @@ func (b *Bus) SetChecker(c Checker) {
 	b.certGenRef = nil
 	if gr, ok := c.(execGenRef); ok {
 		b.certGenRef = gr.ExecGenRef()
+	}
+	b.dataGenRef = nil
+	if b.dataEC != nil {
+		b.dataGenRef = b.dataEC.DataGenRef()
 	}
 	b.certGen = ^uint64(0)
 	b.dataGen = ^uint64(0)
@@ -745,21 +775,21 @@ func (b *Bus) observe(a Access) {
 // certificates are enabled. It is small enough to inline into the access
 // paths; recertify handles every miss.
 func (b *Bus) dataFast(mask *PageSet, addr uint16) bool {
-	return mask.Has(int(addr>>pageShift)) && *b.certGenRef == b.dataGen &&
+	return mask.Has(int(addr>>pageShift)) && *b.dataGenRef == b.dataGen &&
 		b.OnAccess == nil && !execCertsOff.Load()
 }
 
 // recertify is dataFast's miss path: after a generation change it re-derives
-// fastR and fastW and tests addr's page again. Device pages are never
-// certified, so device traffic — gate code's MPU register writes above all —
-// goes straight to the checked path instead of refreshing for the
-// mid-switch configuration each register write leaves behind. The masks
+// fastR and fastW and tests addr's page again. Device pages are never on the
+// masks, so device traffic — gate code's MPU register writes above all —
+// never refreshes them for the mid-switch configuration each register write
+// leaves behind (stores take deviceCertified instead). The masks
 // stay empty while no data certifier is installed (see SetChecker), so
 // dataFast never reads a missing generation counter.
 func (b *Bus) recertify(mask *PageSet, addr uint16) bool {
 	p := int(addr >> pageShift)
 	if b.dataEC == nil || b.OnAccess != nil || execCertsOff.Load() ||
-		*b.certGenRef == b.dataGen || b.devSet.Has(p) {
+		*b.dataGenRef == b.dataGen || b.devSet.Has(p) {
 		return false
 	}
 	r, w := b.dataEC.DataPages()
@@ -767,8 +797,20 @@ func (b *Bus) recertify(mask *PageSet, addr uint16) bool {
 		b.fastR[i] = r[i] &^ b.devSet[i]
 		b.fastW[i] = w[i] &^ b.devSet[i] &^ b.codePages[i] &^ bslPages[i]
 	}
-	b.dataGen = *b.certGenRef
+	b.dataGen = *b.dataGenRef
 	return mask.Has(p)
+}
+
+// deviceCertified reports whether a word store to addr may skip the checker
+// because addr's page is a device page the certifier never checks (see
+// dataCertifier.Unchecked) — on the FR5969 every peripheral page, so gate
+// code's MPU register writes and the kernel's port writes. The page holds no
+// watched text and is not the BSL ROM (devW), so the store is the device
+// call plus the counters, whatever the configuration generation.
+func (b *Bus) deviceCertified(addr uint16) bool {
+	p := int(addr >> pageShift)
+	return b.devW.Has(p) && b.dataEC != nil && b.OnAccess == nil &&
+		!execCertsOff.Load() && b.dataEC.Unchecked().Has(p)
 }
 
 // Read16 performs a checked word read. On a page the checker has certified
@@ -822,18 +864,36 @@ func (b *Bus) Read8(addr uint16) (uint8, *Violation) {
 // Write16 performs a checked word write. On a page the checker has
 // certified writable, with no device, watched text or ROM on it, the write
 // is a direct page store (faulting a COW page in as usual) plus the write
-// counter; every other write takes write16Oracle, the enforcement oracle.
+// counter. On a device page the checker never checks, it is the device call
+// (or page store) plus the counters. Every other write takes write16Oracle,
+// the enforcement oracle.
 func (b *Bus) Write16(addr, val uint16) *Violation {
 	addr = align(addr)
-	if b.dataFast(&b.fastW, addr) || b.recertify(&b.fastW, addr) {
+	if b.dataFast(&b.fastW, addr) {
+		b.storePage(addr, val)
+		return nil
+	}
+	if b.deviceCertified(addr) {
+		b.slowWrites++
+		b.storeWord(addr, val)
 		b.writes++
-		pg := b.writablePage(addr)
-		off := addr & pageMask
-		pg[off] = byte(val)
-		pg[off+1] = byte(val >> 8)
+		return nil
+	}
+	if b.recertify(&b.fastW, addr) {
+		b.storePage(addr, val)
 		return nil
 	}
 	return b.write16Oracle(addr, val)
+}
+
+// storePage is the certified store to plain memory: the page store
+// (faulting a COW page in as usual) plus the write counter.
+func (b *Bus) storePage(addr, val uint16) {
+	b.writes++
+	pg := b.writablePage(addr)
+	off := addr & pageMask
+	pg[off] = byte(val)
+	pg[off+1] = byte(val >> 8)
 }
 
 // write16Oracle is the per-access checked word write.

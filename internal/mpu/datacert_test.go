@@ -16,18 +16,28 @@ type checkOnly struct{ u *Unit }
 func (c checkOnly) CheckAccess(a mem.Access) *mem.Violation { return c.u.CheckAccess(a) }
 
 // regDevice is a plain word register file standing in for a peripheral.
-type regDevice struct{ regs map[uint16]uint16 }
+// log is a running checksum of every write it received, in order.
+type regDevice struct {
+	regs map[uint16]uint16
+	log  uint64
+}
 
-func (d *regDevice) DeviceName() string              { return "regs" }
-func (d *regDevice) ReadWord(addr uint16) uint16     { return d.regs[addr] }
-func (d *regDevice) WriteWord(addr uint16, v uint16) { d.regs[addr] = v }
+func (d *regDevice) DeviceName() string          { return "regs" }
+func (d *regDevice) ReadWord(addr uint16) uint16 { return d.regs[addr] }
+func (d *regDevice) WriteWord(addr uint16, v uint16) {
+	d.regs[addr] = v
+	d.log = (d.log+uint64(addr)<<16|uint64(v))*1099511628211 + 1
+}
 
 // certRig is one side of the data-certificate differential: a COW bus over
-// a shared template with the MPU mapped and installed, a second device in
-// MPU-covered FRAM, and a code watch that logs its callbacks.
+// a shared template with the MPU mapped and installed, a device in
+// MPU-covered FRAM, a device on a peripheral page the FR5969 never checks
+// and one sharing watched text's page, and a code watch that logs its
+// callbacks.
 type certRig struct {
 	bus   *mem.Bus
 	u     *Unit
+	devs  []*regDevice
 	watch []string
 }
 
@@ -43,7 +53,11 @@ var certTemplate = func() *mem.Template {
 func newCertRig(certify bool) *certRig {
 	r := &certRig{bus: mem.NewBusCOW(certTemplate, nil), u: New()}
 	r.bus.Map(RegLo, RegHi, r.u)
-	r.bus.Map(0x6000, 0x6003, &regDevice{regs: map[uint16]uint16{}})
+	for _, w := range [][2]uint16{{0x6000, 0x6003}, {0x0200, 0x0203}, {0x4470, 0x4473}} {
+		d := &regDevice{regs: map[uint16]uint16{}}
+		r.devs = append(r.devs, d)
+		r.bus.Map(w[0], w[1], d)
+	}
 	if certify {
 		r.bus.SetChecker(r.u)
 	} else {
@@ -57,10 +71,18 @@ func newCertRig(certify bool) *certRig {
 // certAddrs are the addresses the op decoder favours: region edges, the
 // configurable boundaries of the grid, device, watched and BSL pages.
 var certAddrs = []uint16{
-	0x0000, 0x01DE, 0x01E0, 0x0200, 0x05A4, 0x0FFE, 0x1000, 0x17FE, 0x1800, 0x19FE,
-	0x1A00, 0x1C00, 0x23FE, 0x4400, 0x447E, 0x4480, 0x47FE, 0x4800, 0x4FFE, 0x5000,
+	0x0000, 0x01DE, 0x01E0, 0x0200, 0x0202, 0x05A2, 0x05A4, 0x0FFE, 0x1000, 0x17FE, 0x1800, 0x19FE,
+	0x1A00, 0x1C00, 0x23FE, 0x4400, 0x4470, 0x447E, 0x4480, 0x47FE, 0x4800, 0x4FFE, 0x5000,
 	0x53FE, 0x5400, 0x5FFE, 0x6000, 0x6002, 0x6004, 0x8FFE, 0x9000, 0x9100, 0xBFFE,
 	0xC000, 0xFBFE, 0xFC00, 0xFF7E, 0xFF80, 0xFFFE,
+}
+
+// devState is the write logs of the rig's devices.
+func (r *certRig) devState() (s [3]uint64) {
+	for i, d := range r.devs {
+		s[i] = d.log
+	}
+	return s
 }
 
 // runCertOps decodes ops from data and applies each to both rigs, failing on
@@ -75,6 +97,7 @@ func runCertOps(t *testing.T, data []byte) {
 		data = data[1:]
 	}
 	for i := 0; len(data) >= 4; i, data = i+1, data[4:] {
+		slowWrites, gen, watched, devs := fast.bus.SlowWrites(), fast.u.ExecGen(), len(fast.watch), fast.devState()
 		op := data[0]
 		addr := binary.LittleEndian.Uint16(data[1:3])
 		if op&0x80 != 0 {
@@ -102,10 +125,16 @@ func runCertOps(t *testing.T, data []byte) {
 			fast.bus.Poke8(addr, uint8(val))
 			slow.bus.Poke8(addr, uint8(val))
 		case 10, 11, 12:
-			// Gate-style register write through the checked bus path.
+			// Gate-style register write through the bus. CTL0 writes carry
+			// the password unless op bit 6 is set (a bad-password write);
+			// a written lock bit freezes the unit for the rest of the run;
+			// CTL1 writes clear the flags whose bits are written as 0.
 			reg := []uint16{RegSEGB1, RegSEGB2, RegSAM, RegCTL0, RegCTL1}[int(addr)%5]
-			if reg == RegCTL0 && op&0x40 == 0 {
+			switch {
+			case reg == RegCTL0 && op&0x40 == 0:
 				val = Password | val&(CtlEnable|CtlLock)
+			case reg == RegCTL0 && val&pwMask == Password:
+				val ^= 0x0100
 			}
 			got, want = fmt.Sprint(fast.bus.Write16(reg, val)), fmt.Sprint(slow.bus.Write16(reg, val))
 		case 13:
@@ -125,6 +154,18 @@ func runCertOps(t *testing.T, data []byte) {
 		if fast.u.Flags() != slow.u.Flags() || fast.u.Violations() != slow.u.Violations() {
 			t.Fatalf("op %d (%#02x @ %#04x): MPU flags %#x/%d, oracle %#x/%d", i, op, addr,
 				fast.u.Flags(), fast.u.Violations(), slow.u.Flags(), slow.u.Violations())
+		}
+		if fast.devState() != slow.devState() {
+			t.Fatalf("op %d (%#02x @ %#04x): device writes %x, oracle %x", i, op, addr, fast.devState(), slow.devState())
+		}
+		// The block JIT skips its post-store re-probe while SlowWrites stands
+		// still, so a bus op that left it alone must have changed no MPU
+		// configuration, fired no code watch and written no device (op 13
+		// reprograms the unit from Go, outside the bus).
+		if op&0xF != 13 && fast.bus.SlowWrites() == slowWrites &&
+			(fast.u.ExecGen() != gen || len(fast.watch) != watched || fast.devState() != devs) {
+			t.Fatalf("op %d (%#02x @ %#04x): configuration, code watch or device changed without a slow write",
+				i, op, addr)
 		}
 	}
 	r1, w1, f1 := fast.bus.Stats()
@@ -183,4 +224,54 @@ func FuzzDataCertificates(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runCertOps(t, data)
 	})
+}
+
+// TestUncheckedPagesNeverDenied sweeps, for both capabilities, every word
+// and byte address of every page Unchecked names against CheckAccess under
+// the whole certificate grid and a deny-everything plan: no access of any
+// kind may be denied there. Every other page must hold an address the
+// deny-everything plan denies, so the set is as large as it can be.
+func TestUncheckedPagesNeverDenied(t *testing.T) {
+	for _, c := range []Capability{CapabilityFR5969, CapabilityAdvanced} {
+		cfgs := []certConfig{{"deny-all", c, 0x5000, 0x6000, 0, true, false}}
+		for _, cfg := range certConfigs {
+			cfg.cap = c
+			cfgs = append(cfgs, cfg)
+		}
+		var set mem.PageSet
+		for _, cfg := range cfgs {
+			u := New()
+			cfg.configure(u)
+			set = *u.Unchecked()
+			for p := 0; p < 256; p++ {
+				if !set.Has(p) {
+					continue
+				}
+				for a := p << 8; a < (p+1)<<8; a++ {
+					for _, kind := range []mem.Kind{mem.Read, mem.Write, mem.Execute} {
+						if v := u.CheckAccess(mem.Access{Addr: uint16(a), Kind: kind, Byte: a&1 != 0}); v != nil {
+							t.Fatalf("cap %d, %s: unchecked page %#02x denies %v", c, cfg.name, p, v)
+						}
+					}
+				}
+			}
+		}
+		deny := New()
+		cfgs[0].configure(deny)
+		n := 0
+		for p := 0; p < 256; p++ {
+			if set.Has(p) {
+				n++
+				continue
+			}
+			denied := false
+			for a := p << 8; a < (p+1)<<8 && !denied; a += 2 {
+				denied = deny.CheckAccess(mem.Access{Addr: uint16(a), Kind: mem.Write}) != nil
+			}
+			if !denied {
+				t.Fatalf("cap %d: page %#02x is never denied but not in the unchecked set", c, p)
+			}
+		}
+		t.Logf("cap %d: %d unchecked pages", c, n)
+	}
 }

@@ -122,7 +122,7 @@ const (
 )
 
 // Unit is the MPU. It implements mem.Device (register file) and mem.Checker
-// (access filter).
+// (access filter). Create one with New; the zero value has no plan record.
 type Unit struct {
 	// Cap is part of the configuration: set it before programming the unit
 	// (Configure, SetState or the register protocol), since certificates
@@ -136,21 +136,17 @@ type Unit struct {
 	sam   uint16
 
 	// gen counts configuration changes (boundaries, rights, enable state) —
-	// the generation the bus's execute and data certificates are pinned to.
-	// Violation latching does not bump it: latched flags never change what
-	// an access is allowed to do.
-	gen uint64
+	// the generation the bus's data certificates are pinned to. xgen counts
+	// only the changes that alter the execute runs, and pins the bus's
+	// execute certificate: most gate writes move data rights alone, so the
+	// re-probe after them is a load and a compare. Violation latching bumps
+	// neither: latched flags never change what an access is allowed to do.
+	gen, xgen uint64
 
-	// cur is the plan record for configuration generation curGen — the
-	// steady-state answer to every certificate query is one compare and a
-	// load. memo is a small direct-mapped cache of records this unit has
-	// used, in front of the process-wide plan store: gate-heavy workloads
-	// rotate through a few dozen configurations (every app plan, the OS
-	// plan, and the intermediate states mid-switch), so a plan change costs
-	// a hash and a compare rather than a trip to the shared store.
-	cur    *plan
-	curGen uint64
-	memo   [unitMemoSlots]*plan
+	// cur is the plan record for the current configuration, resolved at
+	// every configuration change through the previous record's successor
+	// edges (see plan.successor), so every certificate query is a load.
+	cur *plan
 
 	// OnViolation, if set, is invoked after a violation flag latches.
 	OnViolation func(v *mem.Violation)
@@ -165,15 +161,23 @@ type Unit struct {
 
 // New returns a disabled MPU with open access rights.
 func New() *Unit {
-	return &Unit{sam: 0x7777}
+	return &Unit{sam: 0x7777, cur: openPlan}
 }
 
 // DeviceName implements mem.Device.
 func (u *Unit) DeviceName() string { return "mpu" }
 
-// bump advances the configuration generation and notifies any observer.
+// bump advances the configuration generation, resolves the new
+// configuration's plan record — advancing the execute generation only if
+// its execute runs differ from the previous record's — and notifies any
+// observer.
 func (u *Unit) bump() {
 	u.gen++
+	p := u.resolve()
+	if p.runs != u.cur.runs {
+		u.xgen++
+	}
+	u.cur = p
 	if u.OnConfig != nil {
 		u.OnConfig()
 	}
@@ -412,12 +416,28 @@ func (u *Unit) allows(addr, need uint16) bool {
 // re-validate its certificates at plan changes.
 func (u *Unit) ExecGen() uint64 { return u.gen }
 
-// ExecGenRef exposes the generation counter's address, letting the bus read
-// certificate validity with a load instead of an interface call on every
-// certified fetch or data access (the probe was ~5% of interpreter time).
-// The pointee is exactly the ExecGen value; only the bus (single-threaded
-// with the unit) reads it.
-func (u *Unit) ExecGenRef() *uint64 { return &u.gen }
+// ExecGenRef exposes the execute generation's address, letting the bus read
+// execute-certificate validity with a load instead of an interface call on
+// every certified fetch. The execute generation advances only when a
+// configuration change alters the execute runs (ExecSpan's answers), so a
+// certificate survives the data-only register writes of a gate crossing.
+// Only the bus (single-threaded with the unit) reads it.
+func (u *Unit) ExecGenRef() *uint64 { return &u.xgen }
+
+// DataGenRef exposes the configuration generation's address (the ExecGen
+// value): DataPages' answer holds while it is unchanged.
+func (u *Unit) DataGenRef() *uint64 { return &u.gen }
+
+// Unchecked returns the pages on which CheckAccess denies nothing under any
+// configuration of the unit's capability — the coverage holes of the
+// modeled part. Unlike DataPages it does not depend on the generation: the
+// bus may store to a device on these pages without consulting the unit.
+func (u *Unit) Unchecked() *mem.PageSet {
+	if u.Cap == CapabilityAdvanced {
+		return &uncheckedPages[CapabilityAdvanced]
+	}
+	return &uncheckedPages[CapabilityFR5969]
+}
 
 // ExecSpan implements mem.ExecCertifier: the maximal span [lo, hi)
 // containing addr for which every instruction fetch is allowed under the
@@ -425,11 +445,11 @@ func (u *Unit) ExecGenRef() *uint64 { return &u.gen }
 // executable. hi is a uint32 so the span may extend through 0xFFFF
 // (hi = 0x10000). The runs come from the configuration's shared plan record.
 func (u *Unit) ExecSpan(addr uint16) (uint16, uint32) {
-	p := u.plan()
+	r := u.plan().runs
 	a := uint32(addr)
-	for i := 0; i < p.n; i++ {
-		if a >= p.lo[i] && a < p.hi[i] {
-			return uint16(p.lo[i]), p.hi[i]
+	for i := 0; i < r.n; i++ {
+		if a >= r.lo[i] && a < r.hi[i] {
+			return uint16(r.lo[i]), r.hi[i]
 		}
 	}
 	return addr, uint32(addr)
@@ -447,28 +467,23 @@ func (u *Unit) DataPages() (read, write mem.PageSet) {
 	return p.read, p.write
 }
 
-// plan returns the record for the current configuration: the cached one
-// while the generation is unchanged, else the unit's memo, else the shared
-// store.
-func (u *Unit) plan() *plan {
-	if p := u.cur; p != nil && u.curGen == u.gen {
-		return p
+// plan returns the record for the current configuration.
+func (u *Unit) plan() *plan { return u.cur }
+
+// resolve finds the record for the unit's registers: the current record if
+// they still match it, else a successor of it.
+func (u *Unit) resolve() *plan {
+	if !u.Enabled() {
+		return openPlan
 	}
-	p := openPlan
-	if u.Enabled() {
-		k := planKey{
-			regs: uint64(u.segB1) | uint64(u.segB2)<<16 | uint64(u.sam)<<32 | uint64(u.ctl0)<<48,
-			cap:  u.Cap,
-		}
-		h := k.hash()
-		slot := &u.memo[h%unitMemoSlots]
-		if p = *slot; p == nil || p.key != k {
-			p = lookupPlan(k, h, u)
-			*slot = p
-		}
+	k := planKey(u.segB1) | planKey(u.segB2)<<16 | planKey(u.sam)<<32 | planKey(u.ctl0)<<48
+	if u.Cap == CapabilityAdvanced {
+		k |= 1 << 63
 	}
-	u.cur, u.curGen = p, u.gen
-	return p
+	if u.cur.key == k {
+		return u.cur
+	}
+	return u.cur.successor(k, u)
 }
 
 func (u *Unit) segmentName(seg int) string {

@@ -12,67 +12,146 @@ import (
 // once per configuration per process and shared by every Unit, so a fleet
 // of devices running the same firmware pays for each plan once.
 type plan struct {
-	key         planKey
-	n           int
-	lo, hi      [8]uint32 // execute runs [lo, hi), ascending (at most 6)
+	key planKey
+	// first is the first successor recorded: most records have exactly one
+	// (each step of a gate's register sequence leads to the next), and it
+	// shares the key's cache line. next holds the rest.
+	first atomic.Pointer[plan]
+	// runs is interned: two records whose execute runs are equal share one
+	// pointer, so a configuration change that leaves execute rights alone
+	// is recognized by a pointer compare (see Unit.bump).
+	runs        *execRuns
 	read, write mem.PageSet
+	// next holds successor edges: records a unit in this configuration has
+	// moved to. Gate code walks the same chain of configurations at every
+	// crossing (OS plan, three intermediate states, app plan and back), so
+	// after the first crossing every register write finds its successor
+	// here. Edges are hints published atomically; the record's permissions
+	// never change.
+	next [planEdges]atomic.Pointer[plan]
 }
 
-// planKey is the part of the unit's state that decides every permission:
-// SEGB1, SEGB2, SAM and the CTL0 enable/lock bits packed into one word,
-// plus the capability.
-type planKey struct {
-	regs uint64
-	cap  Capability
+// execRuns is a set of execute runs [lo, hi), ascending (at most 6).
+type execRuns struct {
+	n      int
+	lo, hi [8]uint32
 }
 
-// hash spreads a key over the memo and store slots (Fibonacci hashing: the
+// planKey is the part of the unit's state that decides every permission,
+// packed into one word: SEGB1, SEGB2, SAM, the CTL0 enable/lock bits, and
+// whether the capability is CapabilityAdvanced (the only capability
+// segmentOf tells apart).
+type planKey uint64
+
+// hash spreads a key over the edge and store slots (Fibonacci hashing: the
 // boundary registers carry only six significant bits each).
 func (k planKey) hash() uint32 {
-	return uint32((k.regs ^ uint64(k.cap)<<62) * 0x9E3779B97F4A7C15 >> 32)
+	return uint32(uint64(k) * 0x9E3779B97F4A7C15 >> 32)
 }
 
-// unitMemoSlots sizes a unit's direct-mapped record memo (one pointer each).
-const unitMemoSlots = 32
+// planEdges bounds a record's successor edges. The busiest record, the OS
+// plan, has one successor per app (the first boundary write of the switch
+// into that app).
+const planEdges = 16
 
-// The shared plan store is a fixed table of record pointers probed in
-// groups of planStoreWays, so adversarial register traffic (the torture
-// harness writes arbitrary values) can at worst replace records, never grow
-// the store. Entries are published atomically; records never change after
-// publication, so any goroutine may read one it finds.
+// The shared plan and run stores are fixed tables of pointers probed in
+// groups of storeWays, so adversarial register traffic (the torture harness
+// writes arbitrary values) can at worst replace entries, never grow a store.
+// Entries are published atomically; they never change after publication,
+// so any goroutine may read one it finds.
 const (
 	planStoreSlots = 4096
-	planStoreWays  = 4
+	runStoreSlots  = 1024
+	storeWays      = 4
 )
 
-var planStore [planStoreSlots]atomic.Pointer[plan]
+var (
+	planStore [planStoreSlots]atomic.Pointer[plan]
+	runStore  [runStoreSlots]atomic.Pointer[execRuns]
+	// storeLookups counts trips to the shared plan store: every
+	// configuration change that no successor edge answered.
+	storeLookups atomic.Uint64
+)
 
 // openPlan is the disabled unit's record: everything allowed.
 var openPlan = &plan{
-	n: 1, hi: [8]uint32{0x10000},
+	runs:  &execRuns{n: 1, hi: [8]uint32{0x10000}},
 	read:  mem.PageSet{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)},
 	write: mem.PageSet{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)},
+}
+
+// successor returns the record for k, which u's registers now hold, coming
+// from record p: through p's edges when one matches, else from the shared
+// store, recording the edge for next time.
+func (p *plan) successor(k planKey, u *Unit) *plan {
+	if n := p.first.Load(); n != nil && n.key == k {
+		return n
+	}
+	h := k.hash()
+	for i := uint32(0); i < planEdges; i++ {
+		e := &p.next[(h+i)%planEdges]
+		n := e.Load()
+		if n == nil {
+			n = lookupPlan(k, h, u)
+			if !p.first.CompareAndSwap(nil, n) {
+				e.CompareAndSwap(nil, n)
+			}
+			return n
+		}
+		if n.key == k {
+			return n
+		}
+	}
+	// Every edge is taken: replace the one k hashes to.
+	n := lookupPlan(k, h, u)
+	p.next[h%planEdges].Store(n)
+	return n
 }
 
 // lookupPlan returns the shared record for k (hash h), building it from u —
 // whose current configuration is k — on a miss.
 func lookupPlan(k planKey, h uint32, u *Unit) *plan {
-	base := h % planStoreSlots &^ (planStoreWays - 1)
-	for i := base; i < base+planStoreWays; i++ {
+	storeLookups.Add(1)
+	base := h % planStoreSlots &^ (storeWays - 1)
+	for i := base; i < base+storeWays; i++ {
 		if p := planStore[i].Load(); p != nil && p.key == k {
 			return p
 		}
 	}
 	p := newPlan(k, u)
-	for i := base; i < base+planStoreWays; i++ {
+	for i := base; i < base+storeWays; i++ {
 		if planStore[i].CompareAndSwap(nil, p) {
 			return p
 		}
 	}
 	// A full group evicts the way picked by hash bits the group index
 	// does not use.
-	planStore[base+h>>12%planStoreWays].Store(p)
+	planStore[base+h>>12%storeWays].Store(p)
 	return p
+}
+
+// internRuns returns the shared copy of r, publishing r itself when the run
+// store holds no equal set. An evicted set only costs a later equal one a
+// pointer of its own, which the unit reads as an execute-rights change.
+func internRuns(r *execRuns) *execRuns {
+	h := uint64(r.n)
+	for i := 0; i < r.n; i++ {
+		h = (h*31+uint64(r.lo[i]))*31 + uint64(r.hi[i])
+	}
+	h32 := uint32(h * 0x9E3779B97F4A7C15 >> 32)
+	base := h32 % runStoreSlots &^ (storeWays - 1)
+	for i := base; i < base+storeWays; i++ {
+		if q := runStore[i].Load(); q != nil && *q == *r {
+			return q
+		}
+	}
+	for i := base; i < base+storeWays; i++ {
+		if runStore[i].CompareAndSwap(nil, r) {
+			return r
+		}
+	}
+	runStore[base+h32>>10%storeWays].Store(r)
+	return r
 }
 
 // newPlan computes the record for u's current configuration. Permission is
@@ -84,6 +163,7 @@ func lookupPlan(k planKey, h uint32, u *Unit) *plan {
 // FRAM/vector page 0xFF stay off both maps).
 func newPlan(k planKey, u *Unit) *plan {
 	p := &plan{key: k, read: openPlan.read, write: openPlan.write}
+	runs := new(execRuns)
 	cuts := [11]uint32{
 		0,
 		uint32(mem.InfoLo), uint32(mem.InfoHi) + 1,
@@ -124,12 +204,34 @@ func newPlan(k planKey, u *Unit) *plan {
 			continue
 		}
 		// Merge consecutive allowed intervals into maximal runs.
-		if p.n > 0 && p.hi[p.n-1] == ilo {
-			p.hi[p.n-1] = ihi
+		if runs.n > 0 && runs.hi[runs.n-1] == ilo {
+			runs.hi[runs.n-1] = ihi
 			continue
 		}
-		p.lo[p.n], p.hi[p.n] = ilo, ihi
-		p.n++
+		runs.lo[runs.n], runs.hi[runs.n] = ilo, ihi
+		runs.n++
 	}
+	p.runs = internRuns(runs)
 	return p
 }
+
+// uncheckedPages holds, per capability, the pages no configuration can
+// deny any access to: every word on them lies outside the unit's coverage
+// (segmentOf < 0, which depends on the capability alone). On the FR5969
+// that is every page outside FRAM and InfoMem — the peripheral registers,
+// the BSL window and SRAM, which the paper names as the part's flaw.
+var uncheckedPages = func() (s [2]mem.PageSet) {
+	for c := range s {
+		u := &Unit{Cap: Capability(c)}
+		for p := 0; p < 256; p++ {
+			covered := false
+			for a := p << 8; a < (p+1)<<8; a++ {
+				covered = covered || u.segmentOf(uint16(a)) >= 0
+			}
+			if !covered {
+				s[c].Add(p)
+			}
+		}
+	}
+	return s
+}()

@@ -87,6 +87,7 @@ const (
 	MetricJITAddrsFolded    = "amulet_jit_addrs_folded"
 	MetricJITCompileNS      = "amulet_jit_compile_ns_total"
 	MetricJITDeopts         = "amulet_jit_deopts_total"
+	MetricInstrRetired      = "amulet_cpu_instr_retired_total"
 
 	MetricCertDrops     = "amulet_mem_cert_drops_total"
 	MetricWatchInval    = "amulet_mem_watch_invalidations_total"
