@@ -298,8 +298,9 @@ type Bus struct {
 	certGen        uint64
 	certEC         ExecCertifier
 	// certGenRef, when the certifier exposes it, is the address of the
-	// certifier's generation counter: the steady-state validity probe reads
-	// it directly instead of calling ExecGen through the interface.
+	// certifier's execute generation: the steady-state validity probe reads
+	// it directly instead of calling ExecGen through the interface, and it
+	// stays put across plan changes that leave the execute runs alone.
 	certGenRef *uint64
 
 	// Data-access certificate state (see Read16 and Write16). dataEC is the
@@ -948,12 +949,13 @@ func (b *Bus) immutable(addr uint16) *Violation {
 }
 
 // execCertified reports whether the instruction fetch [addr, addr+size) is
-// covered by a valid execute certificate, re-validating lazily: on a
-// generation change (an MPU plan change — gate code rewriting the registers,
-// or the kernel's Go-side Configure) the certifier is asked once for the
-// maximal allowed span around addr. Between plan changes the per-fetch cost
-// is two compares and a generation load (SetChecker pre-derived the
-// certifier view, so no identity probe or interface call remains here).
+// covered by a valid execute certificate, re-validating lazily: on an
+// execute-generation change (an MPU plan change that alters the execute
+// runs — gate code rewriting the registers, or the kernel's Go-side
+// Configure) the certifier is asked once for the maximal allowed span
+// around addr. Otherwise the per-fetch cost is two compares and a
+// generation load (SetChecker pre-derived the certifier view, so no
+// identity probe or interface call remains here).
 func (b *Bus) execCertified(addr, size uint16) bool {
 	ec := b.certEC
 	if ec == nil {
