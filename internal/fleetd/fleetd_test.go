@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -151,17 +152,22 @@ func TestDaemonJobMatchesCLIBytes(t *testing.T) {
 		t.Fatalf("stream carried %d events, want at least one per shard", len(events))
 	}
 	last := events[len(events)-1]
-	if last.State != StateDone || last.Done != spec.Devices {
-		t.Fatalf("final stream event: state=%s done=%d", last.State, last.Done)
+	if last.State != StateDone || last.Done != spec.Devices || last.V != streamVersion {
+		t.Fatalf("final stream event: v=%d state=%s done=%d", last.V, last.State, last.Done)
 	}
+	// Running lines are deltas: counters only, never a report.
 	prev := 0
 	for _, ev := range events[:len(events)-1] {
-		if ev.Report != nil && ev.Report.Devices < prev {
-			t.Fatalf("merged device count went backwards: %d -> %d", prev, ev.Report.Devices)
+		if ev.V != streamVersion || ev.State != StateRunning || ev.Total != spec.Devices {
+			t.Fatalf("running line: %+v", ev)
 		}
-		if ev.Report != nil {
-			prev = ev.Report.Devices
+		if ev.Report != nil || ev.Torture != nil {
+			t.Fatal("running line carries a report")
 		}
+		if ev.Done <= prev {
+			t.Fatalf("done count did not advance: %d -> %d", prev, ev.Done)
+		}
+		prev = ev.Done
 	}
 
 	rep, err := http.Get(ts.URL + "/jobs/" + id + "/report")
@@ -176,6 +182,14 @@ func TestDaemonJobMatchesCLIBytes(t *testing.T) {
 	want := cliBytes(t, oneShot(t, spec))
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatal("daemon report bytes differ from amuletfleet -json output")
+	}
+	// The terminal line carries the same report, compact.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(last.Report, compact.Bytes()) {
+		t.Fatal("terminal stream line's report differs from the served report")
 	}
 
 	list, err := http.Get(ts.URL + "/jobs")
@@ -224,21 +238,14 @@ func TestKilledDaemonResumesByteIdentity(t *testing.T) {
 	})
 	s1.Stop()
 
-	data, err := os.ReadFile(filepath.Join(dir, id+".json"))
-	if err != nil {
-		t.Fatal(err)
+	jr := readJournal(t, dir, id)
+	if jr.state != "" {
+		t.Fatalf("interrupted job journaled end state %q, want none", jr.state)
 	}
-	var f jobFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
+	if jr.merged == nil {
+		t.Fatal("interrupted job journaled no completed shard")
 	}
-	if f.State != StateQueued {
-		t.Fatalf("interrupted job persisted as %q, want queued", f.State)
-	}
-	if f.Progress == nil || f.Progress.Merged == nil {
-		t.Fatal("interrupted job persisted no resumable progress")
-	}
-	if f.Progress.Merged.Devices >= spec.Devices {
+	if jr.merged.Devices >= spec.Devices {
 		t.Fatal("job finished before the daemon stopped; interruption not exercised")
 	}
 
@@ -390,21 +397,14 @@ func TestShardedTortureResumesByteIdentity(t *testing.T) {
 	})
 	s1.Stop()
 
-	data, err := os.ReadFile(filepath.Join(dir, id+".json"))
-	if err != nil {
-		t.Fatal(err)
+	jr := readJournal(t, dir, id)
+	if jr.state != "" {
+		t.Fatalf("interrupted torture job journaled end state %q, want none", jr.state)
 	}
-	var f jobFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
+	if jr.torture == nil {
+		t.Fatal("interrupted torture job journaled no completed shard")
 	}
-	if f.State != StateQueued {
-		t.Fatalf("interrupted torture job persisted as %q, want queued", f.State)
-	}
-	if f.Progress == nil || f.Progress.TortureMerged == nil {
-		t.Fatal("interrupted torture job persisted no resumable shard union")
-	}
-	if f.Progress.TortureMerged.Programs >= spec.Programs {
+	if jr.torture.Programs >= spec.Programs {
 		t.Fatal("job finished before the daemon stopped; interruption not exercised")
 	}
 
@@ -493,6 +493,8 @@ func TestMetricsOnSameMux(t *testing.T) {
 		"amulet_fleetd_jobs_submitted_total",
 		"amulet_fleetd_shards_merged_total",
 		"amulet_fleetd_persist_failures_total",
+		"amulet_fleetd_persist_bytes_total",
+		"amulet_fleetd_persist_latency_us_bucket",
 		"amulet_fleetd_state_files_corrupt_total",
 	} {
 		if !strings.Contains(buf.String(), metric) {
@@ -501,8 +503,10 @@ func TestMetricsOnSameMux(t *testing.T) {
 	}
 }
 
-// TestPersistedFilesAreAtomic: no .tmp residue survives a persist, and the
-// state file decodes cleanly at every observation point during a run.
+// TestPersistedFilesAreAtomic: at every observation point during a run the
+// journal replays cleanly — its completed shards only grow — and the cut
+// file, replaced by rename, always decodes whole; no .tmp residue survives
+// and the finished job leaves only its journal.
 func TestPersistedFilesAreAtomic(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
@@ -512,55 +516,90 @@ func TestPersistedFilesAreAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shards, cuts := 0, 0
 	waitFor(t, "job completion", func() bool {
 		j, _ := s.Job(id)
-		if data, err := os.ReadFile(filepath.Join(dir, id+".json")); err == nil {
-			var f jobFile
-			if jsonErr := json.Unmarshal(data, &f); jsonErr != nil {
-				t.Fatalf("torn state file mid-run: %v", jsonErr)
-			}
+		done := j.view().State == StateDone
+		data, err := os.ReadFile(filepath.Join(dir, id+".json"))
+		if err != nil {
+			t.Fatalf("journal missing mid-run: %v", err)
 		}
-		return j.view().State == StateDone
+		jr, err := replayJournal(id, data)
+		if err != nil {
+			t.Fatalf("journal mid-run does not replay: %v", err)
+		}
+		if jr.shards < shards {
+			t.Fatalf("journal went from %d to %d shards", shards, jr.shards)
+		}
+		shards = jr.shards
+		if done && jr.state != StateDone {
+			t.Fatal("job done before its end record")
+		}
+		if cut, err := os.ReadFile(filepath.Join(dir, id+".cut")); err == nil {
+			var rec record
+			if !decodeRecord(bytes.TrimSuffix(cut, []byte{'\n'}), &rec) || rec.Kind != recCut {
+				t.Fatal("torn cut file mid-run")
+			}
+			cuts++
+		}
+		return done
 	})
+	if shards != 3 {
+		t.Fatalf("finished journal holds %d shards, want 3", shards)
+	}
+	if cuts == 0 {
+		t.Log("no cut file observed mid-run")
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("leftover temp file %s", e.Name())
+	if len(entries) != 1 || entries[0].Name() != id+".json" {
+		for _, e := range entries {
+			t.Errorf("state dir holds %s", e.Name())
 		}
-	}
-	if fmt.Sprintf("%s.json", id) != entries[0].Name() {
-		t.Fatalf("unexpected state file %s", entries[0].Name())
+		t.Fatal("finished job left more than its journal")
 	}
 }
 
 // followStream reads a job's NDJSON stream from the start until the server
 // ends it and returns the decoded lines.
 func followStream(ts *httptest.Server, id string) ([]streamEvent, error) {
+	lines, err := streamLines(ts, id)
+	if err != nil {
+		return nil, err
+	}
+	events := make([]streamEvent, len(lines))
+	for i, line := range lines {
+		if err := json.Unmarshal(line, &events[i]); err != nil {
+			return nil, fmt.Errorf("bad stream line %q: %v", line, err)
+		}
+	}
+	return events, nil
+}
+
+// streamLines reads a job's raw NDJSON stream lines until the server ends
+// the stream.
+func streamLines(ts *httptest.Server, id string) ([][]byte, error) {
 	resp, err := http.Get(ts.URL + "/jobs/" + id + "/stream")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var events []streamEvent
+	var lines [][]byte
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	for sc.Scan() {
-		var ev streamEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("bad stream line %q: %v", sc.Text(), err)
-		}
-		events = append(events, ev)
+		lines = append(lines, append([]byte(nil), sc.Bytes()...))
 	}
-	return events, sc.Err()
+	return lines, sc.Err()
 }
 
 // TestStreamsEndWithTerminalLine: every job's stream, followed from submit,
 // ends with a line carrying the job's terminal state — done, failed,
 // cancelled while running, and cancelled while queued — and the moment a
-// status read shows that state, the state file on disk already holds it.
+// status read shows that state, the journal on disk already ends with its
+// end record.
 func TestStreamsEndWithTerminalLine(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, dir)
@@ -618,16 +657,8 @@ func TestStreamsEndWithTerminalLine(t *testing.T) {
 			state = j.view().State
 			return state != StateQueued && state != StateRunning
 		})
-		data, err := os.ReadFile(filepath.Join(dir, id+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var f jobFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatal(err)
-		}
-		if state != want[i] || f.State != state {
-			t.Fatalf("%s: status %s, state file %s, want %s in both", id, state, f.State, want[i])
+		if jr := readJournal(t, dir, id); state != want[i] || jr.state != state {
+			t.Fatalf("%s: status %s, journal end record %q, want %s in both", id, state, jr.state, want[i])
 		}
 		res := <-streams[i]
 		if res.err != nil {
@@ -639,53 +670,135 @@ func TestStreamsEndWithTerminalLine(t *testing.T) {
 	}
 }
 
-// TestLoadStateQuarantinesCorruptFile: a truncated job file next to a good
-// queued one is renamed to *.corrupt and counted, and the good job resumes.
-func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
-	dir := t.TempDir()
+// finishedJournal runs testSpec to done in dir and returns the job's ID and
+// journal bytes.
+func finishedJournal(t *testing.T, dir string) (string, []byte) {
+	t.Helper()
 	s := newTestServer(t, dir)
-	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(testSpec()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bad := filepath.Join(dir, "job-2.json")
-	data, err := os.ReadFile(bad)
+	s.Start()
+	defer s.Stop()
+	id, err := s.Submit(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(bad, data[:len(data)/2], 0o644); err != nil {
+	waitFor(t, "job completion", func() bool {
+		j, _ := s.Job(id)
+		return j.view().State == StateDone
+	})
+	data, err := os.ReadFile(filepath.Join(dir, id+".json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	before := mCorruptStateFiles.Value()
-	r := newTestServer(t, dir)
-	if err := r.LoadState(); err != nil {
-		t.Fatalf("one corrupt file failed the whole resume: %v", err)
-	}
-	if got := mCorruptStateFiles.Value() - before; got != 1 {
-		t.Fatalf("corrupt-file counter moved by %d, want 1", got)
-	}
-	if _, err := os.Stat(bad + ".corrupt"); err != nil {
-		t.Fatalf("corrupt file not quarantined: %v", err)
-	}
-	if _, ok := r.Job("job-2"); ok {
-		t.Fatal("corrupt job registered")
-	}
-	j, ok := r.Job("job-1")
-	if !ok || j.view().State != StateQueued {
-		t.Fatal("good queued job did not resume")
-	}
-	// IDs stay monotonic past the quarantined file.
-	if id, err := r.Submit(testSpec()); err != nil || id != "job-3" {
-		t.Fatalf("next submit got %q (%v), want job-3", id, err)
-	}
+	return id, data
 }
 
-// TestPersistFailures: a state dir that cannot take the file (a path under a
-// regular file; root ignores read-only modes) and a rename that fails (the
-// target is a non-empty directory) both return the error from
-// writeJobFile, count it on /metrics, and leave no .tmp behind.
+// recordStarts returns the offset of every record line in a journal.
+func recordStarts(data []byte) []int {
+	starts := []int{0}
+	for i, b := range data[:len(data)-1] {
+		if b == '\n' {
+			starts = append(starts, i+1)
+		}
+	}
+	return starts
+}
+
+// TestLoadStateQuarantinesCorruptFile: a torn tail record is dropped and its
+// job resumes to the byte-identical report; a corrupt record in the middle
+// of a journal quarantines the file as *.corrupt, counted, while a good
+// queued job next to it resumes and IDs stay monotonic.
+func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
+	t.Run("torn tail", func(t *testing.T) {
+		dir := t.TempDir()
+		id, data := finishedJournal(t, dir)
+		// Keep the first two shard records and half of the third: the end
+		// record and the rest of shard 3 are lost.
+		starts := recordStarts(data)
+		if len(starts) != 5 {
+			t.Fatalf("journal has %d records, want header + 3 shards + end", len(starts))
+		}
+		torn := data[:starts[3]+(starts[4]-starts[3])/2]
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := mCorruptStateFiles.Value()
+		r := newTestServer(t, dir)
+		if err := r.LoadState(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mCorruptStateFiles.Value() - before; got != 0 {
+			t.Fatalf("torn tail counted %d corrupt files", got)
+		}
+		j, ok := r.Job(id)
+		if !ok || j.view().State != StateQueued || j.resume == nil || j.resume.ShardsDone != 2 {
+			t.Fatal("torn-tail job did not come back queued with 2 shards")
+		}
+		r.Start()
+		defer r.Stop()
+		ts := httptest.NewServer(r.Handler())
+		defer ts.Close()
+		waitFor(t, "resumed job completion", func() bool { return j.view().State == StateDone })
+		if got := getReport(t, ts, id); !bytes.Equal(got, cliBytes(t, oneShot(t, testSpec()))) {
+			t.Fatal("torn-tail job's report differs from amuletfleet -json")
+		}
+		// The next append overwrote the torn bytes.
+		if jr := readJournal(t, dir, id); jr.shards != 3 || jr.state != StateDone {
+			t.Fatalf("rewritten journal: %d shards, end %q", jr.shards, jr.state)
+		}
+	})
+	t.Run("corrupt middle", func(t *testing.T) {
+		dir := t.TempDir()
+		_, data := finishedJournal(t, dir)
+		starts := recordStarts(data)
+		data[starts[1]+crcLen+4] ^= 0x20 // inside the first shard record's payload
+		bad := filepath.Join(dir, "job-1.json")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, dir)
+		s.nextID = 2
+		if _, err := s.Submit(testSpec()); err != nil {
+			t.Fatal(err)
+		}
+
+		before := mCorruptStateFiles.Value()
+		r := newTestServer(t, dir)
+		if err := r.LoadState(); err != nil {
+			t.Fatalf("one corrupt file failed the whole resume: %v", err)
+		}
+		if got := mCorruptStateFiles.Value() - before; got != 1 {
+			t.Fatalf("corrupt-file counter moved by %d, want 1", got)
+		}
+		if _, err := os.Stat(bad + ".corrupt"); err != nil {
+			t.Fatalf("corrupt file not quarantined: %v", err)
+		}
+		if _, ok := r.Job("job-1"); ok {
+			t.Fatal("corrupt job registered")
+		}
+		j, ok := r.Job("job-2")
+		if !ok || j.view().State != StateQueued {
+			t.Fatal("good queued job did not resume")
+		}
+		// IDs stay monotonic past the quarantined file, across restarts too.
+		if id, err := r.Submit(testSpec()); err != nil || id != "job-3" {
+			t.Fatalf("next submit got %q (%v), want job-3", id, err)
+		}
+		r2 := newTestServer(t, dir)
+		if err := r2.LoadState(); err != nil {
+			t.Fatal(err)
+		}
+		if id, err := r2.Submit(testSpec()); err != nil || id != "job-4" {
+			t.Fatalf("submit after a second restart got %q (%v), want job-4", id, err)
+		}
+	})
+}
+
+// TestPersistFailures: a state dir that cannot take the journal (a path
+// under a regular file; root ignores read-only modes) and a rename that
+// fails (the target is a non-empty directory) both fail the header write,
+// count it on /metrics, leave no .tmp behind, and refuse the submit without
+// registering the job. A failed append is counted too, and its record goes
+// out ahead of the next one.
 func TestPersistFailures(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "file")
@@ -701,17 +814,59 @@ func TestPersistFailures(t *testing.T) {
 		"rename fails":   blocked,
 	} {
 		s := newTestServer(t, stateDir)
-		j := newJob("job-1", testSpec())
 		before := mPersistFailures.Value()
-		if err := s.writeJobFile(j, &jobFile{ID: j.ID, Spec: j.Spec}); err == nil {
-			t.Errorf("%s: writeJobFile reported success", name)
+		if _, err := s.Submit(testSpec()); !errors.Is(err, errUnpersisted) {
+			t.Errorf("%s: submit returned %v, want a journal error", name, err)
 		}
 		if got := mPersistFailures.Value() - before; got != 1 {
 			t.Errorf("%s: persist-failure counter moved by %d, want 1", name, got)
 		}
-		if _, err := os.Stat(s.jobPath(j.ID) + ".tmp"); err == nil {
+		if _, err := os.Stat(s.journalPath("job-1") + ".tmp"); err == nil {
 			t.Errorf("%s: .tmp left behind", name)
 		}
+		if len(s.Jobs()) != 0 {
+			t.Errorf("%s: refused submit registered a job", name)
+		}
+	}
+
+	stateDir := t.TempDir()
+	s := newTestServer(t, stateDir)
+	j := newJob("job-1", testSpec())
+	if err := s.createJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	first := s.frame(&record{Kind: recEnd, State: StateFailed, Error: "first"})
+	s.files = &faultFS{at: 1, mode: faultENOSPC, span: 1}
+	before := mPersistFailures.Value()
+	if err := s.appendJournal(j, first); err == nil {
+		t.Fatal("append on a full disk reported success")
+	}
+	if got := mPersistFailures.Value() - before; got != 1 {
+		t.Fatalf("persist-failure counter moved by %d, want 1", got)
+	}
+	// The failed append left a torn tail; it replays as the header alone.
+	if jr := readJournal(t, stateDir, j.ID); jr.state != "" {
+		t.Fatalf("failed append left end record %q", jr.state)
+	}
+	// The pending record goes out first: the journal reads header, the
+	// retried record, then the new one.
+	if err := s.appendJournal(j, s.frame(&record{Kind: recEnd, State: StateFailed, Error: "second"})); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s.journalPath(j.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs []string
+	for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte{'\n'}), []byte{'\n'})[1:] {
+		var rec record
+		if !decodeRecord(line, &rec) {
+			t.Fatalf("bad record %q after the retry", line)
+		}
+		errs = append(errs, rec.Error)
+	}
+	if fmt.Sprint(errs) != "[first second]" {
+		t.Fatalf("records after the retry: %q, want first then second", errs)
 	}
 }
 

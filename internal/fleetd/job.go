@@ -6,6 +6,7 @@
 package fleetd
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -205,18 +206,43 @@ func (s *JobSpec) validate() error {
 	}
 }
 
+// total is the number of devices (fleet) or programs (torture) the job
+// covers; 0 for a spec the scheduler would reject.
+func (s *JobSpec) total() int {
+	if s.kind() == TypeTorture {
+		cfg, err := s.tortureConfig(0)
+		if err != nil {
+			return 0
+		}
+		return cfg.Programs
+	}
+	sc, err := s.scenario()
+	if err != nil {
+		return 0
+	}
+	return sc.Devices
+}
+
 // Job is one scheduled campaign and its live progress.
 type Job struct {
 	ID   string  `json:"id"`
 	Spec JobSpec `json:"spec"`
 
-	mu      sync.Mutex
-	state   string
-	errMsg  string
-	done    int // devices (fleet) or programs (torture) finished
-	total   int
+	mu     sync.Mutex
+	state  string
+	errMsg string
+	done   int // devices (fleet) or programs (torture) finished
+	total  int
+	// report and torture are the running merge of completed shards; a
+	// terminal job drops them for final.
 	report  *fleet.Report
 	torture *torture.Report
+	// final is a terminal job's merge, encoded compactly: the report of its
+	// terminal stream line and, indented, of GET /report. cold marks a
+	// terminal job that no longer holds final (restored by LoadState, or
+	// past the retention window); its reads replay the journal.
+	final []byte
+	cold  bool
 	// resume is the persisted progress a restarted daemon loaded for this
 	// job: completed-shard merge plus the interrupted shard's cut.
 	resume *jobProgress
@@ -224,15 +250,33 @@ type Job struct {
 	cancelled bool
 	cancel    func()
 
-	// lines is the job's NDJSON stream history; changed is closed and
-	// replaced on every append, waking blocked stream readers.
+	// lines is the job's stream history of running lines (the terminal line
+	// is built from final when read); changed is closed and replaced on
+	// every append or state change, waking blocked stream readers.
 	lines   [][]byte
 	changed chan struct{}
 
-	// persistMu serializes state-file writes for this job: the flusher
-	// goroutine and the scheduler both persist, and they must not share the
-	// temp file mid-write.
+	// persistMu serializes the job's journal appends and cut writes: the
+	// flusher goroutine and the scheduler both persist. jsize is the
+	// journal's length on disk; pending holds records a failed append could
+	// not land, written ahead of the next one.
 	persistMu sync.Mutex
+	jsize     int64
+	pending   []byte
+}
+
+// jobProgress is the resumable position inside a running fleet or torture
+// job.
+type jobProgress struct {
+	// ShardsDone counts fully merged shards; Merged (fleet) or TortureMerged
+	// (torture) is their merge, nil until the first completes.
+	ShardsDone    int
+	Merged        *fleet.Report
+	TortureMerged *torture.Report
+	// Current is the interrupted fleet shard's consistent cut, when one was
+	// taken. Torture cases have no mid-case cut, so an interrupted torture
+	// shard reruns from its First index.
+	Current *fleet.CampaignCheckpoint
 }
 
 // JobView is the JSON shape of list/get responses.
@@ -246,7 +290,8 @@ type JobView struct {
 }
 
 func newJob(id string, spec JobSpec) *Job {
-	return &Job{ID: id, Spec: spec, state: StateQueued, changed: make(chan struct{})}
+	return &Job{ID: id, Spec: spec, state: StateQueued, total: spec.total(),
+		changed: make(chan struct{})}
 }
 
 func (j *Job) view() JobView {
@@ -256,33 +301,55 @@ func (j *Job) view() JobView {
 		Done: j.done, Total: j.total}
 }
 
-// terminal reports whether the job reached a final state. Callers hold j.mu.
+// isTerminal reports whether state is final.
+func isTerminal(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCancelled
+}
+
+// terminalLocked reports whether the job reached a final state. Callers hold
+// j.mu.
 func (j *Job) terminalLocked() bool {
-	return j.state == StateDone || j.state == StateFailed || j.state == StateCancelled
+	return isTerminal(j.state)
 }
 
-// appendLine records one NDJSON stream line (without trailing newline) and
-// wakes readers.
-func (j *Job) appendLine(line []byte) {
-	j.mu.Lock()
-	j.lines = append(j.lines, line)
+// wakeLocked wakes blocked stream readers. Callers hold j.mu.
+func (j *Job) wakeLocked() {
 	close(j.changed)
 	j.changed = make(chan struct{})
-	j.mu.Unlock()
 }
 
-// publish transitions the job and appends the stream line announcing the
-// new state in one critical section, waking readers once: whoever observes
-// the state also finds its line, so a stream that ends on a terminal state
-// always ends with that state's line. A nil line publishes the state alone.
-func (j *Job) publish(state, errMsg string, line []byte) {
-	j.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	if line != nil {
-		j.lines = append(j.lines, line)
+// streamVersion is the "v" of every stream line.
+const streamVersion = 2
+
+// streamEvent is one NDJSON line of a job's progress stream (schema v2).
+// Running lines carry only the counters; the terminal line adds the final
+// merge (report or torture, omitted when no shard completed) and the error.
+type streamEvent struct {
+	V       int             `json:"v"`
+	Job     string          `json:"job"`
+	State   string          `json:"state"`
+	Done    int             `json:"done"`
+	Total   int             `json:"total"`
+	Report  json.RawMessage `json:"report,omitempty"`
+	Torture json.RawMessage `json:"torture,omitempty"`
+	Error   string          `json:"error,omitempty"`
+}
+
+// deltaLine encodes a stream line that carries no report.
+func deltaLine(id, state string, done, total int) []byte {
+	// Strings and ints only: Marshal cannot fail.
+	line, _ := json.Marshal(&streamEvent{V: streamVersion, Job: id, State: state, Done: done, Total: total})
+	return line
+}
+
+// encodeFinal encodes a job's final merge compactly (nil when there is
+// none).
+func encodeFinal(rep *fleet.Report, tort *torture.Report) ([]byte, error) {
+	switch {
+	case rep != nil:
+		return json.Marshal(rep)
+	case tort != nil:
+		return json.Marshal(tort)
 	}
-	close(j.changed)
-	j.changed = make(chan struct{})
-	j.mu.Unlock()
+	return nil, nil
 }

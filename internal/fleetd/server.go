@@ -1,11 +1,13 @@
 package fleetd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sync"
 	"time"
 
@@ -25,13 +27,32 @@ var (
 	mResumes = obs.Default.Counter("amulet_fleetd_jobs_resumed_total",
 		"Jobs continued from persisted checkpoint state.")
 	mPersistFailures = obs.Default.Counter("amulet_fleetd_persist_failures_total",
-		"Job state file writes that failed (the previous file stays in place).")
+		"Journal and cut writes that failed (unwritten journal records are retried at the next append).")
+	mPersistBytes = obs.Default.Counter("amulet_fleetd_persist_bytes_total",
+		"Bytes written to job journals and cut files.")
+	mPersistLatency = obs.Default.Histogram("amulet_fleetd_persist_latency_us",
+		"Host microseconds per journal append or cut write, fsync included.",
+		[]uint64{100, 250, 500, 1000, 2500, 5000, 10_000, 25_000, 100_000, 1_000_000})
 	mCorruptStateFiles = obs.Default.Counter("amulet_fleetd_state_files_corrupt_total",
-		"Job state files LoadState could not decode and renamed to *.corrupt.")
+		"Job journals LoadState could not replay and renamed to *.corrupt.")
 )
 
-// maxSpecBytes bounds a POST /jobs body.
-const maxSpecBytes = 1 << 20
+const (
+	// maxSpecBytes bounds a POST /jobs body.
+	maxSpecBytes = 1 << 20
+	// maxQueued bounds the FIFO: POST /jobs replies 429 while this many
+	// jobs wait to run.
+	maxQueued = 64
+	// retainFinished is how many of the most recently finished jobs keep
+	// their final report in memory; older ones replay their journal. A
+	// daemon without a state directory keeps every report.
+	retainFinished = 8
+)
+
+var (
+	errQueueFull   = errors.New("fleetd: job queue full")
+	errUnpersisted = errors.New("fleetd: job journal not written")
+)
 
 // Server is the fleetd scheduler plus its HTTP surface. Configure the
 // exported fields, then LoadState (optional) and Start; Handler serves the
@@ -62,10 +83,19 @@ type Server struct {
 	// (0 = 500ms).
 	FlushEvery time.Duration
 
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	order   []string
-	nextID  int
+	// files takes every journal and cut write.
+	files persistFS
+
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	order  []string
+	nextID int
+	// submitting counts submits between their queue check and their
+	// registration, so concurrent submits cannot overrun maxQueued.
+	submitting int
+	// hot lists the finished jobs still holding their final report, oldest
+	// first.
+	hot     []*Job
 	wake    chan struct{}
 	ctx     context.Context
 	stop    context.CancelFunc
@@ -79,6 +109,7 @@ func NewServer(stateDir string) *Server {
 	return &Server{
 		Runner:   &fleet.Runner{Cache: fleet.NewBuildCache()},
 		StateDir: stateDir,
+		files:    osFS{},
 		jobs:     make(map[string]*Job),
 		nextID:   1,
 		wake:     make(chan struct{}, 1),
@@ -126,22 +157,56 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
-// Submit validates and enqueues a job, returning its ID.
+// Submit validates and enqueues a job, returning its ID. With a state
+// directory the job's journal header is on disk before Submit returns. A
+// full queue refuses the job (errQueueFull), as does a header that cannot be
+// written (errUnpersisted); a refused job is not registered.
 func (s *Server) Submit(spec JobSpec) (string, error) {
 	if err := spec.validate(); err != nil {
 		return "", err
 	}
 	s.mu.Lock()
+	if s.queuedLocked()+s.submitting >= maxQueued {
+		s.mu.Unlock()
+		return "", errQueueFull
+	}
 	id := fmt.Sprintf("job-%d", s.nextID)
 	s.nextID++
-	j := newJob(id, spec)
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	s.submitting++
 	s.mu.Unlock()
+
+	j := newJob(id, spec)
+	var err error
+	if s.StateDir != "" {
+		err = s.createJournal(j)
+	}
+	s.mu.Lock()
+	s.submitting--
+	if err == nil {
+		s.jobs[id] = j
+		s.order = append(s.order, id)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return "", fmt.Errorf("%w: %v", errUnpersisted, err)
+	}
 	mJobsSubmitted.Inc()
-	s.persist(j, nil)
 	s.kick()
 	return id, nil
+}
+
+// queuedLocked counts jobs waiting to run. Callers hold s.mu.
+func (s *Server) queuedLocked() int {
+	n := 0
+	for _, id := range s.order {
+		j := s.jobs[id]
+		j.mu.Lock()
+		if j.state == StateQueued && !j.cancelled {
+			n++
+		}
+		j.mu.Unlock()
+	}
+	return n
 }
 
 // Job returns a job by ID.
@@ -184,7 +249,7 @@ func (s *Server) Cancel(id string) error {
 		// persists the terminal state.
 		j.cancelled = true
 		j.mu.Unlock()
-		s.settle(j, StateCancelled, "", nil)
+		s.settle(j, StateCancelled, "")
 		mJobsFinished.With(StateCancelled).Inc()
 		return nil
 	default: // running
@@ -244,31 +309,6 @@ func (s *Server) schedule() {
 	}
 }
 
-// streamEvent is one NDJSON line of a job's progress stream: the job's state
-// plus, for fleet jobs, the merge of every completed shard so far.
-type streamEvent struct {
-	Job     string          `json:"job"`
-	State   string          `json:"state"`
-	Done    int             `json:"done"`
-	Total   int             `json:"total"`
-	Report  *fleet.Report   `json:"report,omitempty"`
-	Torture *torture.Report `json:"torture,omitempty"`
-	Error   string          `json:"error,omitempty"`
-}
-
-// emit appends one stream line reflecting the job's current state.
-func (s *Server) emit(j *Job) {
-	j.mu.Lock()
-	ev := streamEvent{Job: j.ID, State: j.state, Done: j.done, Total: j.total,
-		Report: j.report, Torture: j.torture, Error: j.errMsg}
-	j.mu.Unlock()
-	line, err := json.Marshal(&ev)
-	if err != nil {
-		return
-	}
-	j.appendLine(line)
-}
-
 // runJob executes one job to a terminal state — or back to queued when the
 // daemon itself is shutting down mid-run.
 func (s *Server) runJob(j *Job) {
@@ -305,20 +345,13 @@ func (s *Server) runJob(j *Job) {
 	default:
 		state, errMsg = StateFailed, err.Error()
 	}
-	s.settle(j, state, errMsg, s.progressOf(j))
+	s.settle(j, state, errMsg)
 	if state != StateQueued {
 		mJobsFinished.With(state).Inc()
 	}
 }
 
-// progressOf snapshots a job's resumable position for persistence.
-func (s *Server) progressOf(j *Job) *jobProgress {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.resume
-}
-
-// runFleetJob walks the job's fleet shard by shard, merging and persisting
+// runFleetJob walks the job's fleet shard by shard, journaling and merging
 // after each. Shards are contiguous FirstDevice ranges, so the running merge
 // is always a valid partial campaign and the final merge is byte-identical
 // to a one-shot run of the whole scenario.
@@ -339,14 +372,10 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 	var cut *fleet.CampaignCheckpoint
 	start := 0
 	j.mu.Lock()
-	if j.resume != nil {
-		merged, cut, start = j.resume.Merged, j.resume.Current, j.resume.ShardsDone
+	if p := j.resume; p != nil {
+		merged, cut, start = p.Merged, p.Current, p.ShardsDone
 	}
-	j.total = sc.Devices
-	if merged != nil {
-		j.report = merged
-		j.done = merged.Devices
-	}
+	j.report = merged
 	j.mu.Unlock()
 
 	runner := s.Runner
@@ -370,48 +399,52 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 		opt := fleet.ResumableOptions{
 			SegmentMS: s.segmentMS(),
 			Flush:     s.flushEvery(),
-			Sink: func(c *fleet.CampaignCheckpoint) {
-				s.setProgress(j, &jobProgress{ShardsDone: k, Merged: merged, Current: c})
-				s.persist(j, s.progressOf(j))
-			},
+			Sink:      func(c *fleet.CampaignCheckpoint) { s.writeCut(j, k+1, c) },
 		}
 		rep, c, err := runner.RunResumable(ctx, sub, prior, opt)
 		if err != nil {
 			// Interrupted (cancel or shutdown): persist the final cut so a
 			// resume continues this shard instead of rerunning it.
-			s.setProgress(j, &jobProgress{ShardsDone: k, Merged: merged, Current: c})
-			s.persist(j, s.progressOf(j))
+			if c != nil {
+				s.writeCut(j, k+1, c)
+			}
 			return err
 		}
+		// The shard's own report is journaled, encoded before a later merge
+		// can append to it.
+		rec := s.frame(&record{Kind: recShard, Shard: k + 1, Report: rep})
 		if merged == nil {
 			merged = rep
 		} else if err := merged.Merge(rep); err != nil {
 			return err
 		}
-		mShardsMerged.Inc()
-		j.mu.Lock()
-		j.report = merged
-		j.done = merged.Devices
-		j.mu.Unlock()
-		s.setProgress(j, &jobProgress{ShardsDone: k + 1, Merged: merged})
-		s.persist(j, s.progressOf(j))
-		s.emit(j)
+		s.shardDone(j, rec, &jobProgress{ShardsDone: k + 1, Merged: merged}, merged.Devices)
 	}
 	return nil
 }
 
-// setProgress replaces the job's resumable position.
-func (s *Server) setProgress(j *Job, p *jobProgress) {
+// shardDone makes a completed shard durable, then publishes the new merge
+// and its stream line: a reader that sees the progress finds the shard in
+// the journal. A failed append is counted and retried with the next record;
+// the job runs on.
+func (s *Server) shardDone(j *Job, rec []byte, p *jobProgress, done int) {
+	_ = s.appendJournal(j, rec)
+	mShardsMerged.Inc()
 	j.mu.Lock()
 	j.resume = p
+	j.report, j.torture = p.Merged, p.TortureMerged
+	j.done = done
+	j.lines = append(j.lines, deltaLine(j.ID, j.state, done, j.total))
+	j.wakeLocked()
 	j.mu.Unlock()
 }
 
 // runTortureJob walks the job's campaign shard by shard — contiguous program
-// ranges, exactly as runFleetJob walks device ranges — merging and persisting
-// after each, so a killed daemon resumes at the first incomplete shard and
-// the final merge is byte-identical to a one-shot run of the whole campaign.
-// Torture cases have no mid-case cut, so an interrupted shard reruns whole.
+// ranges, exactly as runFleetJob walks device ranges — journaling and
+// merging after each, so a killed daemon resumes at the first incomplete
+// shard and the final merge is byte-identical to a one-shot run of the whole
+// campaign. Torture cases have no mid-case cut, so an interrupted shard
+// reruns whole.
 func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
 	workers := 0
 	if s.Runner != nil {
@@ -432,14 +465,10 @@ func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
 	var merged *torture.Report
 	start := 0
 	j.mu.Lock()
-	if j.resume != nil {
-		merged, start = j.resume.TortureMerged, j.resume.ShardsDone
+	if p := j.resume; p != nil {
+		merged, start = p.TortureMerged, p.ShardsDone
 	}
-	j.total = cfg.Programs
-	if merged != nil {
-		j.torture = merged
-		j.done = merged.Programs
-	}
+	j.torture = merged
 	j.mu.Unlock()
 
 	nshards := (cfg.Programs + shard - 1) / shard
@@ -454,21 +483,120 @@ func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
 		if err != nil {
 			return err
 		}
+		rec := s.frame(&record{Kind: recShard, Shard: k + 1, Torture: rep})
 		if merged == nil {
 			merged = rep
 		} else if err := merged.Merge(rep); err != nil {
 			return err
 		}
-		mShardsMerged.Inc()
-		j.mu.Lock()
-		j.torture = merged
-		j.done = merged.Programs
-		j.mu.Unlock()
-		s.setProgress(j, &jobProgress{ShardsDone: k + 1, TortureMerged: merged})
-		s.persist(j, s.progressOf(j))
-		s.emit(j)
+		s.shardDone(j, rec, &jobProgress{ShardsDone: k + 1, TortureMerged: merged}, merged.Programs)
 	}
 	return nil
+}
+
+// settle moves a job to state — a terminal one, or back to queued on
+// shutdown. A terminal state's end record is on disk first; only then do the
+// state and its stream line become visible, together. A status reader or
+// stream follower that sees the state therefore finds the end record in the
+// journal and the terminal line in the stream.
+func (s *Server) settle(j *Job, state, errMsg string) {
+	terminal := isTerminal(state)
+	var final []byte
+	var persisted error
+	if terminal {
+		persisted = s.appendJournal(j, s.frame(&record{Kind: recEnd, State: state, Error: errMsg}))
+		j.mu.Lock()
+		rep, tort := j.report, j.torture
+		j.mu.Unlock()
+		// A report Marshal rejects leaves final nil; /report then replies
+		// with an error instead of bytes.
+		final, _ = encodeFinal(rep, tort)
+	}
+	j.mu.Lock()
+	j.state, j.errMsg = state, errMsg
+	if terminal {
+		j.final = final
+		j.report, j.torture, j.resume = nil, nil, nil
+	} else {
+		j.lines = append(j.lines, deltaLine(j.ID, state, j.done, j.total))
+	}
+	j.wakeLocked()
+	j.mu.Unlock()
+	if !terminal || s.StateDir == "" {
+		return
+	}
+	if persisted == nil {
+		// Best effort: replay ignores a terminal job's cut.
+		_ = os.Remove(s.cutPath(j.ID))
+	}
+	s.retire(j)
+}
+
+// retire admits a finished job to the retention window and turns the
+// oldest beyond it cold. A job whose journal still lacks records stays hot:
+// its journal cannot reproduce the report.
+func (s *Server) retire(j *Job) {
+	s.mu.Lock()
+	s.hot = append(s.hot, j)
+	var out []*Job
+	if n := len(s.hot) - retainFinished; n > 0 {
+		out = append(out, s.hot[:n]...)
+		s.hot = append(s.hot[:0], s.hot[n:]...)
+	}
+	s.mu.Unlock()
+	for _, old := range out {
+		old.persistMu.Lock()
+		durable := old.pending == nil
+		old.persistMu.Unlock()
+		if durable {
+			old.mu.Lock()
+			old.final, old.cold = nil, true
+			old.mu.Unlock()
+		}
+	}
+}
+
+// finalOf returns a terminal job's compact final merge, replaying the
+// journal of a cold job.
+func (s *Server) finalOf(j *Job) ([]byte, error) {
+	j.mu.Lock()
+	final, cold, state := j.final, j.cold, j.state
+	j.mu.Unlock()
+	if !cold {
+		return final, nil
+	}
+	data, err := os.ReadFile(s.journalPath(j.ID))
+	if err != nil {
+		return nil, err
+	}
+	jr, err := replayJournal(j.ID, data)
+	if err != nil {
+		return nil, err
+	}
+	if jr.state != state {
+		return nil, fmt.Errorf("fleetd: %s journal ends %q, job is %s", j.ID, jr.state, state)
+	}
+	return encodeFinal(jr.merged, jr.torture)
+}
+
+// terminalLine is a terminal job's last stream line. A cold job whose
+// journal cannot be replayed still gets its line, without the report.
+func (s *Server) terminalLine(j *Job) []byte {
+	j.mu.Lock()
+	ev := streamEvent{V: streamVersion, Job: j.ID, State: j.state, Done: j.done,
+		Total: j.total, Error: j.errMsg}
+	j.mu.Unlock()
+	if final, err := s.finalOf(j); err == nil {
+		if j.Spec.kind() == TypeTorture {
+			ev.Torture = final
+		} else {
+			ev.Report = final
+		}
+	}
+	// final came from json.Marshal, so the raw report is valid JSON and
+	// Marshal cannot fail.
+	line, _ := json.Marshal(&ev)
+	return line
 }
 
 // Handler returns the daemon's HTTP surface: the job API plus the obs
@@ -511,7 +639,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id, err := s.Submit(spec)
-	if err != nil {
+	switch {
+	case errors.Is(err, errQueueFull):
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests, err)
+		return
+	case errors.Is(err, errUnpersisted):
+		httpError(w, http.StatusServiceUnavailable, err)
+		return
+	case err != nil:
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -540,26 +676,34 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 }
 
-// handleReport serves a finished fleet job's report with exactly the
-// encoding `amuletfleet -json` uses, so the two outputs byte-compare equal.
+// handleReport serves a finished job's report with exactly the encoding
+// `amuletfleet -json` (or `amulettorture -json`) uses, so the two outputs
+// byte-compare equal: the compact final merge, indented.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("fleetd: no job %s", r.PathValue("id")))
 		return
 	}
-	j.mu.Lock()
-	state, rep, tort := j.state, j.report, j.torture
-	j.mu.Unlock()
-	if state != StateDone {
+	if state := j.view().State; state != StateDone {
 		httpError(w, http.StatusConflict, fmt.Errorf("fleetd: job %s is %s, not done", j.ID, state))
 		return
 	}
-	if tort != nil {
-		writeJSON(w, tort)
+	final, err := s.finalOf(j)
+	if err == nil && final == nil {
+		err = fmt.Errorf("fleetd: job %s has no report", j.ID)
+	}
+	var buf bytes.Buffer
+	if err == nil {
+		err = json.Indent(&buf, final, "", "  ")
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, rep)
+	buf.WriteByte('\n')
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes())
 }
 
 // handleStream serves the job's NDJSON progress stream: all history so far,
@@ -582,6 +726,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		terminal := j.terminalLocked()
 		changed := j.changed
 		j.mu.Unlock()
+		if terminal {
+			lines = append(lines[:len(lines):len(lines)], s.terminalLine(j))
+		}
 		for _, line := range lines {
 			if _, err := w.Write(line); err != nil {
 				return
