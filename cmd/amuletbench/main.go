@@ -29,10 +29,9 @@ import (
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
 	"amuletiso/internal/cpu"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/fleet"
-	"amuletiso/internal/isa"
 	"amuletiso/internal/kernel"
-	"amuletiso/internal/mem"
 	"amuletiso/internal/obs"
 )
 
@@ -65,7 +64,6 @@ type Snapshot struct {
 	Metrics     bool     `json:"metrics"`
 	Tracing     bool     `json:"tracing"`
 	COW         bool     `json:"cow"`
-	Power       bool     `json:"power"`
 	Benchmarks  []Result `json:"benchmarks"`
 }
 
@@ -74,13 +72,8 @@ func main() {
 	label := flag.String("label", "", "suffix for the output file name (BENCH_<date>-<label>.json)")
 	outDir := flag.String("out", ".", "directory for the snapshot file")
 	toStdout := flag.Bool("stdout", false, "print JSON to stdout instead of writing a file")
-	noCache := flag.Bool("nodecodecache", false, "disable the predecoded instruction cache")
-	noCert := flag.Bool("nocert", false, "disable execute and data-access certificates (per-word fetch and access checks)")
-	noThread := flag.Bool("nothread", false, "disable threaded dispatch (switch-executor engine)")
-	noJIT := flag.Bool("nojit", false, "disable the superblock JIT (interpreter-only engine)")
+	eng := engine.Flags(flag.CommandLine)
 	noObs := flag.Bool("noobs", false, "disable observability (metrics; tracing stays per-benchmark)")
-	noCOW := flag.Bool("nocow", false, "disable copy-on-write device memory (flat 64KiB clones, the memory oracle)")
-	noPower := flag.Bool("nopower", false, "disable the fleet intermittent-power model")
 	force := flag.Bool("force", false, "overwrite an existing snapshot file")
 	baseline := flag.String("baseline", "", "compare instr/s against this committed snapshot and fail on drift")
 	tolerance := flag.Float64("tolerance", 50,
@@ -89,12 +82,6 @@ func main() {
 		"fail when a paired benchmark (TraceOverhead) measures more than this percent overhead (0 = report only)")
 	flag.Parse()
 
-	cpu.SetDecodeCache(!*noCache)
-	mem.SetExecCerts(!*noCert)
-	isa.SetThreading(!*noThread)
-	isa.SetJIT(!*noJIT)
-	mem.SetCOW(!*noCOW)
-	fleet.SetPower(!*noPower)
 	if *noObs {
 		obs.SetMetrics(false)
 	}
@@ -106,26 +93,11 @@ func main() {
 		// the auto-label names every active ablation so combined runs cannot
 		// masquerade as single-flag baselines.
 		var parts []string
-		if *noCache {
-			parts = append(parts, "nodecodecache")
-		}
-		if *noCert {
-			parts = append(parts, "nocert")
-		}
-		if *noThread {
-			parts = append(parts, "nothread")
-		}
-		if *noJIT {
-			parts = append(parts, "nojit")
+		if *eng != (engine.Engine{}) {
+			parts = append(parts, eng.String())
 		}
 		if *noObs {
 			parts = append(parts, "noobs")
-		}
-		if *noCOW {
-			parts = append(parts, "nocow")
-		}
-		if *noPower {
-			parts = append(parts, "nopower")
 		}
 		*label = strings.Join(parts, "-")
 	}
@@ -133,22 +105,21 @@ func main() {
 	snap := Snapshot{
 		Date:        time.Now().Format("2006-01-02"),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		DecodeCache: cpu.DecodeCacheEnabled(),
-		ExecCerts:   mem.ExecCertsEnabled(),
-		Threading:   isa.ThreadingEnabled(),
-		JIT:         isa.JITEnabled(),
+		DecodeCache: !eng.NoDecodeCache,
+		ExecCerts:   !eng.NoCert,
+		Threading:   !eng.NoThread,
+		JIT:         !eng.NoJIT,
 		Metrics:     obs.MetricsEnabled(),
 		Tracing:     obs.TracingEnabled(),
-		COW:         mem.COWEnabled(),
-		Power:       fleet.PowerEnabled(),
+		COW:         !eng.NoCOW,
 	}
 	for _, b := range benches {
 		var res Result
 		var err error
 		if b.refSetup != nil {
-			res, err = measurePaired(b, *benchtime)
+			res, err = measurePaired(b, *eng, *benchtime)
 		} else {
-			res, err = measure(b, *benchtime)
+			res, err = measure(b, *eng, *benchtime)
 		}
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", b.name, err))
@@ -264,14 +235,15 @@ func checkDrift(path string, snap Snapshot, tol float64) error {
 }
 
 // bench is one named workload: setup returns an op closure that performs one
-// operation and reports the simulated instructions it retired. A bench with a
-// refSetup is measured paired: op and ref alternate in interleaved time
-// slices, and OverheadPct compares the best slice of each side — the only way
-// a percent-level delta survives host noise that dwarfs it.
+// operation on the given engine and reports the simulated instructions it
+// retired. A bench with a refSetup is measured paired: op and ref alternate
+// in interleaved time slices, and OverheadPct compares the best slice of
+// each side — the only way a percent-level delta survives host noise that
+// dwarfs it.
 type bench struct {
 	name     string
-	setup    func() (op func() (uint64, error), err error)
-	refSetup func() (op func() (uint64, error), err error)
+	setup    func(engine.Engine) (op func() (uint64, error), err error)
+	refSetup func(engine.Engine) (op func() (uint64, error), err error)
 	// finish, when set, runs after measurement to attach workload-specific
 	// numbers the op closure accumulated (e.g. dirty pages per device).
 	finish func(r *Result)
@@ -283,12 +255,12 @@ type bench struct {
 // throughput wanders by ±20% over seconds; interleaving subjects both sides
 // to the same drift and min-of-slices discards the transient spikes. The
 // Result's throughput numbers come from the op side only.
-func measurePaired(b bench, benchtime time.Duration) (Result, error) {
-	op, err := b.setup()
+func measurePaired(b bench, e engine.Engine, benchtime time.Duration) (Result, error) {
+	op, err := b.setup(e)
 	if err != nil {
 		return Result{}, err
 	}
-	ref, err := b.refSetup()
+	ref, err := b.refSetup(e)
 	if err != nil {
 		return Result{}, err
 	}
@@ -360,8 +332,8 @@ func measurePaired(b bench, benchtime time.Duration) (Result, error) {
 // recording host time and heap allocation per op (allocs/op regressions on
 // the boot and dispatch paths are exactly the kind of engine-sized change
 // the drift gate exists to catch).
-func measure(b bench, benchtime time.Duration) (Result, error) {
-	op, err := b.setup()
+func measure(b bench, e engine.Engine, benchtime time.Duration) (Result, error) {
+	op, err := b.setup(e)
 	if err != nil {
 		return Result{}, err
 	}
@@ -412,13 +384,13 @@ var benches = []bench{
 
 // setupSimulator measures one kernel event dispatch (the BenchmarkSimulator
 // workload): a synthetic app's memory-ops handler under the MPU hybrid.
-func setupSimulator() (func() (uint64, error), error) {
+func setupSimulator(e engine.Engine) (func() (uint64, error), error) {
 	app := apps.Synthetic()
 	fw, err := aft.Build([]aft.AppSource{app.AFT()}, cc.ModeMPU)
 	if err != nil {
 		return nil, err
 	}
-	k := kernel.New(fw)
+	k := kernel.NewBootTemplate(fw).WithEngine(e).NewKernel(0)
 	k.RunUntil(1) // consume EvInit
 	return func() (uint64, error) {
 		before := k.CPU.Insns
@@ -437,13 +409,13 @@ func setupSimulator() (func() (uint64, error), error) {
 // attached: the instr/s gap between the two is the tracing tax the ISSUE caps
 // at 2%. The recorder is attached directly (not via the global tracing
 // switch), so the rest of the suite measures the untraced engine.
-func setupTraceOverhead() (func() (uint64, error), error) {
+func setupTraceOverhead(e engine.Engine) (func() (uint64, error), error) {
 	app := apps.Synthetic()
 	fw, err := aft.Build([]aft.AppSource{app.AFT()}, cc.ModeMPU)
 	if err != nil {
 		return nil, err
 	}
-	k := kernel.New(fw)
+	k := kernel.NewBootTemplate(fw).WithEngine(e).NewKernel(0)
 	k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
 	k.RunUntil(1) // consume EvInit
 	return func() (uint64, error) {
@@ -461,7 +433,7 @@ func setupTraceOverhead() (func() (uint64, error), error) {
 
 // setupQuicksort measures a full standalone program run (compile once, run
 // per op), the shape of the paper's Figure 3 benchmarks.
-func setupQuicksort() (func() (uint64, error), error) {
+func setupQuicksort(e engine.Engine) (func() (uint64, error), error) {
 	const src = `
 int a[64];
 int seed;
@@ -487,7 +459,7 @@ int main() {
 }
 `
 	p, err := cc.CompileProgram("qs", src, cc.ProgramOptions{
-		Mode: cc.ModeMPU, EnableMPU: true, StackBytes: 1024,
+		Mode: cc.ModeMPU, EnableMPU: true, StackBytes: 1024, Engine: e,
 	})
 	if err != nil {
 		return nil, err
@@ -504,7 +476,7 @@ int main() {
 
 // setupFleet measures a 32-device fleet run per op, matching the
 // BenchmarkFleetThroughput scenario.
-func setupFleet() (func() (uint64, error), error) {
+func setupFleet(e engine.Engine) (func() (uint64, error), error) {
 	pedometer, ok := apps.ByName("pedometer")
 	if !ok {
 		return nil, fmt.Errorf("no pedometer app")
@@ -520,6 +492,7 @@ func setupFleet() (func() (uint64, error), error) {
 		DurationMS: 2_000,
 		Devices:    32,
 		Seed:       1,
+		Engine:     e,
 	}
 	runner := &fleet.Runner{Cache: fleet.NewBuildCache()}
 	return func() (uint64, error) {
@@ -535,7 +508,7 @@ func setupFleet() (func() (uint64, error), error) {
 // wear window per op. Boot cost dominates event delivery here, so this is the
 // benchmark the COW work moves — under -nocow every device pays a 64 KiB
 // clone, under COW a handful of page faults.
-func setupFleet100k() (func() (uint64, error), error) {
+func setupFleet100k(e engine.Engine) (func() (uint64, error), error) {
 	pedometer, ok := apps.ByName("pedometer")
 	if !ok {
 		return nil, fmt.Errorf("no pedometer app")
@@ -551,6 +524,7 @@ func setupFleet100k() (func() (uint64, error), error) {
 		DurationMS: 100,
 		Devices:    100_000,
 		Seed:       1,
+		Engine:     e,
 	}
 	runner := &fleet.Runner{Cache: fleet.NewBuildCache()}
 	return func() (uint64, error) {
@@ -570,7 +544,7 @@ var bootDirtyPages, bootDevices uint64
 // boot template per op, no events delivered. It retires no simulated
 // instructions (instr/s stays 0), so the drift gate tracks it by ns/op and
 // allocs/op — the metrics the template-clone optimization moves.
-func setupDeviceBoot() (func() (uint64, error), error) {
+func setupDeviceBoot(e engine.Engine) (func() (uint64, error), error) {
 	pedometer, ok := apps.ByName("pedometer")
 	if !ok {
 		return nil, fmt.Errorf("no pedometer app")
@@ -585,6 +559,7 @@ func setupDeviceBoot() (func() (uint64, error), error) {
 	if err != nil {
 		return nil, err
 	}
+	tmpl = tmpl.WithEngine(e)
 	sink := 0
 	bootDirtyPages, bootDevices = 0, 0
 	return func() (uint64, error) {

@@ -27,11 +27,9 @@ import (
 	"amuletiso"
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
-	"amuletiso/internal/cpu"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/fleet"
-	"amuletiso/internal/isa"
 	"amuletiso/internal/kernel"
-	"amuletiso/internal/mem"
 	"amuletiso/internal/obs"
 )
 
@@ -54,24 +52,13 @@ func main() {
 	repeat := flag.Int("repeat", 1, "run each scenario this many times, must be >= 1 (soak mode: every run is a byte-identical re-run from the warm build cache and only the last report is kept — useful for live-metrics scrapes and leak hunts)")
 	jsonOut := flag.Bool("json", false, "emit the report(s) as JSON on stdout")
 	name := flag.String("name", "fleet", "scenario name recorded in the report")
-	noCache := flag.Bool("nodecodecache", false, "disable the predecoded instruction cache (slow, for differential checks)")
-	noCert := flag.Bool("nocert", false, "disable execute and data-access certificates (for differential checks)")
-	noThread := flag.Bool("nothread", false, "disable threaded dispatch (switch-executor engine, for differential checks)")
-	noJIT := flag.Bool("nojit", false, "disable the superblock JIT (interpreter-only engine, for differential checks)")
+	eng := engine.Flags(flag.CommandLine)
 	noObs := flag.Bool("noobs", false, "disable observability (metrics and tracing)")
-	noCOW := flag.Bool("nocow", false, "disable copy-on-write device memory (flat 64KiB clones, the memory oracle; reports must be byte-identical either way)")
-	noPower := flag.Bool("nopower", false, "disable the intermittent-power model (ignore -power-trace/-brownout-every; reports must match a run without those flags byte-for-byte)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 	progressEvery := flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 2s; 0 = off)")
 	faultTrace := flag.Bool("fault-trace", false, "attach per-device flight recorders and dump the last events of faulting devices into the report")
 	flag.Parse()
 
-	cpu.SetDecodeCache(!*noCache)
-	mem.SetExecCerts(!*noCert)
-	isa.SetThreading(!*noThread)
-	isa.SetJIT(!*noJIT)
-	mem.SetCOW(!*noCOW)
-	fleet.SetPower(!*noPower)
 	if *repeat < 1 {
 		// The old `i < repeat || i == 0` loop silently ran once for 0 or
 		// negative repeats; that masks typos in soak scripts. Reject instead.
@@ -126,6 +113,7 @@ func main() {
 			BrownoutEveryMS: *brownoutEvery,
 			BrownoutOffMS:   *brownoutOff,
 			Policy:          &kernel.RestartPolicy{MaxFaults: *maxFaults, BackoffMS: *backoff},
+			Engine:          *eng,
 		}
 		start := time.Now()
 		var rep *fleet.Report

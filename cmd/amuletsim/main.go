@@ -17,11 +17,11 @@ import (
 	"strings"
 
 	"amuletiso"
+	"amuletiso/internal/aft"
 	"amuletiso/internal/cc"
 	"amuletiso/internal/cpu"
-	"amuletiso/internal/isa"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/kernel"
-	"amuletiso/internal/mem"
 	"amuletiso/internal/obs"
 	"amuletiso/internal/power"
 )
@@ -32,22 +32,12 @@ func main() {
 	modeName := flag.String("mode", "MPU", "isolation mode")
 	ms := flag.Uint64("ms", 10_000, "virtual milliseconds to run (kernel form)")
 	budget := flag.Uint64("budget", 100_000_000, "cycle budget (standalone form)")
-	noCache := flag.Bool("nodecodecache", false, "disable the predecoded instruction cache (slow, for differential checks)")
-	noCert := flag.Bool("nocert", false, "disable execute and data-access certificates (for differential checks)")
-	noThread := flag.Bool("nothread", false, "disable threaded dispatch (switch-executor engine, for differential checks)")
-	noJIT := flag.Bool("nojit", false, "disable the superblock JIT (interpreter-only engine, for differential checks)")
+	eng := engine.Flags(flag.CommandLine)
 	noObs := flag.Bool("noobs", false, "disable observability (metrics and tracing)")
-	noCOW := flag.Bool("nocow", false, "disable copy-on-write device memory (flat-clone oracle, for differential checks)")
-	noPower := flag.Bool("nopower", false, "disable the intermittent-power model (ignore -power-trace; output must match a run without it)")
 	powerTrace := flag.String("power-trace", "", "run the device on harvested power: solar, kinetic or recorded, optionally :mW peak (kernel form)")
 	tracePath := flag.String("trace", "", "export the run as Chrome trace-event JSON to this file (kernel form)")
 	flag.Parse()
 
-	cpu.SetDecodeCache(!*noCache)
-	mem.SetExecCerts(!*noCert)
-	isa.SetThreading(!*noThread)
-	isa.SetJIT(!*noJIT)
-	mem.SetCOW(!*noCOW)
 	if *noObs {
 		obs.SetMetrics(false)
 		obs.SetTracing(false)
@@ -64,16 +54,13 @@ func main() {
 		fail(fmt.Errorf("unknown mode %q", *modeName))
 	}
 
-	if *noPower {
-		*powerTrace = ""
-	}
 	switch {
 	case *mainFile != "":
-		runStandalone(*mainFile, mode, *budget)
+		runStandalone(*mainFile, mode, *budget, *eng)
 	case *appName != "" && *powerTrace != "":
-		runAppPowered(*appName, mode, *ms, *powerTrace)
+		runAppPowered(*appName, mode, *ms, *powerTrace, *eng)
 	case *appName != "":
-		runApp(*appName, mode, *ms, *tracePath)
+		runApp(*appName, mode, *ms, *tracePath, *eng)
 	default:
 		fmt.Fprintln(os.Stderr, "amuletsim: pass -main prog.c or -app name")
 		flag.Usage()
@@ -81,13 +68,13 @@ func main() {
 	}
 }
 
-func runStandalone(path string, mode cc.Mode, budget uint64) {
+func runStandalone(path string, mode cc.Mode, budget uint64, eng engine.Engine) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		fail(err)
 	}
 	prog, err := cc.CompileProgram("prog", string(src), cc.ProgramOptions{
-		Mode: mode, EnableMPU: mode == cc.ModeMPU,
+		Mode: mode, EnableMPU: mode == cc.ModeMPU, Engine: eng,
 	})
 	if err != nil {
 		fail(err)
@@ -111,36 +98,44 @@ func runStandalone(path string, mode cc.Mode, budget uint64) {
 	}
 }
 
-func runApp(name string, mode cc.Mode, ms uint64, tracePath string) {
+// bootApp builds the bundled app's firmware under mode and returns the app
+// with a boot template whose kernels run on eng.
+func bootApp(name string, mode cc.Mode, eng engine.Engine) (amuletiso.App, *kernel.BootTemplate) {
 	app, ok := amuletiso.AppByName(name)
 	if !ok {
 		fail(fmt.Errorf("no bundled app %q", name))
 	}
-	sys, err := amuletiso.NewSystem([]amuletiso.App{app}, mode)
+	fw, err := aft.Build([]aft.AppSource{app.AFT()}, mode)
 	if err != nil {
 		fail(err)
 	}
+	return app, kernel.NewBootTemplate(fw).WithEngine(eng)
+}
+
+func runApp(name string, mode cc.Mode, ms uint64, tracePath string, eng engine.Engine) {
+	app, tmpl := bootApp(name, mode, eng)
+	k := tmpl.NewKernel(0)
 	if tracePath != "" {
 		// Full-run export wants every event, not a post-mortem window: an
 		// unbounded recorder replaces whatever the boot hatch attached.
-		sys.Kernel.AttachRecorder(obs.NewRecorder(0))
+		k.AttachRecorder(obs.NewRecorder(0))
 	}
-	n := sys.RunFor(ms)
+	n := k.RunUntil(ms)
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
 		if err != nil {
 			fail(err)
 		}
-		if err := obs.WriteChromeTrace(f, sys.Kernel.Recorder().Events()); err != nil {
+		if err := obs.WriteChromeTrace(f, k.Recorder().Events()); err != nil {
 			fail(err)
 		}
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
 		fmt.Printf("trace: %d events exported to %s (load in chrome://tracing)\n",
-			sys.Kernel.Recorder().Len(), tracePath)
+			k.Recorder().Len(), tracePath)
 	}
-	st := sys.App(0)
+	st := k.Apps[0]
 	fmt.Printf("%s under %v: %d events in %d ms of wear\n", app.Title, mode, n, ms)
 	fmt.Printf("  dispatches=%d syscalls=%d active-cycles=%d alive=%v\n",
 		st.Dispatches, st.Syscalls, st.Cycles, st.Alive)
@@ -150,10 +145,10 @@ func runApp(name string, mode cc.Mode, ms uint64, tracePath string) {
 	if len(st.Log) > 0 {
 		fmt.Printf("  raw log: % X\n", st.Log)
 	}
-	for row, text := range sys.Kernel.Display.Rows {
+	for row, text := range k.Display.Rows {
 		fmt.Printf("  display[%d] = %q\n", row, text)
 	}
-	for _, f := range sys.Kernel.Faults {
+	for _, f := range k.Faults {
 		fmt.Printf("  FAULT app=%d at=%dms: %s\n", f.App, f.AtMS, f.Reason)
 	}
 	fmt.Println(" ", buildCounters())
@@ -164,20 +159,12 @@ func runApp(name string, mode cc.Mode, ms uint64, tracePath string) {
 // devices use; a brownout drops the kernel's volatile state in place and
 // parks it, and once the supply recovers the same kernel reboots from its
 // FRAM state.
-func runAppPowered(name string, mode cc.Mode, ms uint64, spec string) {
-	app, ok := amuletiso.AppByName(name)
-	if !ok {
-		fail(fmt.Errorf("no bundled app %q", name))
-	}
+func runAppPowered(name string, mode cc.Mode, ms uint64, spec string, eng engine.Engine) {
 	profile, err := power.Parse(spec)
 	if err != nil {
 		fail(err)
 	}
-	sys, err := amuletiso.NewSystem([]amuletiso.App{app}, mode)
-	if err != nil {
-		fail(err)
-	}
-	tmpl := kernel.NewBootTemplate(sys.Firmware)
+	app, tmpl := bootApp(name, mode, eng)
 	k := tmpl.NewKernel(0)
 
 	const stepMS = 50

@@ -28,10 +28,7 @@ import (
 	"os/signal"
 	"time"
 
-	"amuletiso/internal/cpu"
-	"amuletiso/internal/fleet"
-	"amuletiso/internal/isa"
-	"amuletiso/internal/mem"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/obs"
 	"amuletiso/internal/torture"
 )
@@ -50,30 +47,13 @@ func main() {
 	emit := flag.Uint64("emit", 0, "print the generated program for this seed and exit")
 	emitKind := flag.String("emit-kind", "differential", "case kind for -emit")
 	writeCorpus := flag.String("write-corpus", "", "regenerate the committed regression corpus into this directory and exit")
-	noCache := flag.Bool("nodecodecache", false,
-		"disable the predecoded instruction cache; campaigns must report identical bytes either way")
-	noCert := flag.Bool("nocert", false,
-		"disable execute and data-access certificates (per-word fetch and access checks); campaigns must report identical bytes either way")
-	noThread := flag.Bool("nothread", false,
-		"disable threaded dispatch (switch-executor engine); campaigns must report identical bytes either way")
-	noJIT := flag.Bool("nojit", false,
-		"disable the superblock JIT (interpreter-only engine); campaigns must report identical bytes either way")
+	eng := engine.Flags(flag.CommandLine)
 	noObs := flag.Bool("noobs", false,
 		"disable observability (metrics and tracing); campaigns must report identical bytes either way")
-	noCOW := flag.Bool("nocow", false,
-		"disable copy-on-write device memory (flat-clone oracle); campaigns must report identical bytes either way")
-	noPower := flag.Bool("nopower", false,
-		"disable the fleet intermittent-power model; campaigns must report identical bytes either way")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 	progressEvery := flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 2s; 0 = off)")
 	flag.Parse()
 
-	cpu.SetDecodeCache(!*noCache)
-	mem.SetExecCerts(!*noCert)
-	isa.SetThreading(!*noThread)
-	isa.SetJIT(!*noJIT)
-	mem.SetCOW(!*noCOW)
-	fleet.SetPower(!*noPower)
 	if *noObs {
 		obs.SetMetrics(false)
 		obs.SetTracing(false)
@@ -126,6 +106,7 @@ func main() {
 		cfg.Seed = *seed
 		cfg.Workers = *parallel
 		cfg.Shrink = !*noShrink
+		cfg.Engine = *eng
 		if *restrictedEvery > 0 {
 			cfg.RestrictedEvery = *restrictedEvery
 		}

@@ -273,16 +273,12 @@ func Build(apps []AppSource, mode cc.Mode) (*Firmware, error) {
 	}
 	// Predecode the executable text once per build. Data/stack segments are
 	// deliberately excluded: they are mutable, so caching them would force
-	// the bus watch onto every stack push and global store. With the cache
-	// globally disabled the kernel would discard the decode at boot, so
-	// skip the work entirely.
-	if cpu.DecodeCacheEnabled() {
-		ranges := []isa.TextRange{{Lo: mem.FRAMLo, Hi: img.MustSym(abi.SymOSDataLo)}}
-		for _, info := range fw.Apps {
-			ranges = append(ranges, isa.TextRange{Lo: info.CodeLo, Hi: info.CodeHi})
-		}
-		fw.Text = isa.Predecode(img, ranges)
+	// the bus watch onto every stack push and global store.
+	ranges := []isa.TextRange{{Lo: mem.FRAMLo, Hi: img.MustSym(abi.SymOSDataLo)}}
+	for _, info := range fw.Apps {
+		ranges = append(ranges, isa.TextRange{Lo: info.CodeLo, Hi: info.CodeHi})
 	}
+	fw.Text = isa.Predecode(img, ranges)
 	return fw, nil
 }
 

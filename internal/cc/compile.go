@@ -7,6 +7,7 @@ import (
 	"amuletiso/internal/abi"
 	"amuletiso/internal/asm"
 	"amuletiso/internal/cpu"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/isa"
 	"amuletiso/internal/mem"
 	"amuletiso/internal/mpu"
@@ -32,6 +33,9 @@ type ProgramOptions struct {
 	// ShadowReturnStack enables the InfoMem shadow return-address stack
 	// (the paper's §5 extension); see cc.GenOptions.
 	ShadowReturnStack bool
+	// Engine selects the execution layers Load assembles machines on; the
+	// compiled program is the same under every engine.
+	Engine engine.Engine
 }
 
 // Program is a linked standalone AmuletC program: the unit's code plus the
@@ -48,14 +52,14 @@ type Program struct {
 	// Text is the decode-once instruction cache over the program's
 	// executable text (OS/runtime code through the end of the app's code
 	// segment), built at compile time and shared by every machine Load
-	// returns. Load attaches it unless cpu.SetDecodeCache(false) is active.
+	// returns. Load attaches it as Options.Engine selects.
 	Text *isa.Program
 
 	// bootTmpl is the post-load memory snapshot prepared for COW sharing,
 	// built lazily on the first Load. Subsequent machines boot as COW views
-	// over it (or full clones with -nocow), so torture campaigns that load
-	// thousands of machines from a shrunk corpus pay the erased-FRAM fill
-	// and segment copy once.
+	// over it (or full clones under Engine.NoCOW), so torture campaigns that
+	// load thousands of machines from a shrunk corpus pay the erased-FRAM
+	// fill and segment copy once.
 	bootOnce sync.Once
 	bootTmpl *mem.Template
 }
@@ -156,16 +160,10 @@ func CompileProgram(name, src string, opt ProgramOptions) (*Program, error) {
 	img.Entry = img.MustSym("__start")
 	// Text stops at the app's data segment: everything below it (startup,
 	// runtime library, app code) is immutable at run time, everything above
-	// (stack, globals) is not and must go through the live decoder. With the
-	// cache globally disabled the decode would be thrown away at Load, so
-	// skip it (torture's -nodecodecache campaigns compile thousands of
-	// programs).
-	var text *isa.Program
-	if cpu.DecodeCacheEnabled() {
-		text = isa.Predecode(img, []isa.TextRange{
-			{Lo: mem.FRAMLo, Hi: img.MustSym(abi.SymDataLo(name))},
-		})
-	}
+	// (stack, globals) is not and must go through the live decoder.
+	text := isa.Predecode(img, []isa.TextRange{
+		{Lo: mem.FRAMLo, Hi: img.MustSym(abi.SymDataLo(name))},
+	})
 	return &Program{Name: name, Mode: opt.Mode, Image: img, Checked: chk, Options: opt, Text: text}, nil
 }
 
@@ -194,10 +192,10 @@ type Machine struct {
 	Img *asm.Image
 }
 
-// Load instantiates a machine for the program. When the program was built
-// with EnableMPU, a real MPU model is attached to the bus. The first Load
-// snapshots the post-load memory image; later machines boot from it as COW
-// views (full clones under the -nocow oracle) instead of replaying the load.
+// Load instantiates a machine for the program on Options.Engine, with an
+// MPU model installed on the bus (the startup code enables it when the
+// program was built with EnableMPU). The first Load snapshots the post-load
+// memory image; later machines boot from it instead of replaying the load.
 func (p *Program) Load() *Machine {
 	p.bootOnce.Do(func() {
 		scratch := mem.NewBus()
@@ -206,21 +204,14 @@ func (p *Program) Load() *Machine {
 		scratch.SnapshotData(img)
 		p.bootTmpl = mem.NewTemplate(img)
 	})
-	var bus *mem.Bus
-	if mem.COWEnabled() {
-		bus = mem.NewBusCOW(p.bootTmpl, nil)
-	} else {
-		bus = mem.NewBusFrom(p.bootTmpl.Image())
-	}
+	e := p.Options.Engine
+	bus := p.bootTmpl.Boot(nil, e)
 	c := cpu.New(bus)
-	m := &Machine{CPU: c, Bus: bus, Img: p.Image}
 	u := mpu.New()
-	bus.Map(mpu.RegLo, mpu.RegHi, u)
-	bus.SetChecker(u)
-	m.MPU = u
+	u.Install(bus, e)
 	c.SetPC(p.Image.Entry)
-	c.UseProgram(p.Text)
-	return m
+	c.UseProgram(p.Text, e)
+	return &Machine{CPU: c, Bus: bus, MPU: u, Img: p.Image}
 }
 
 // Run executes the program to completion (halt) within the cycle budget.

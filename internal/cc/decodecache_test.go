@@ -6,6 +6,7 @@ import (
 
 	"amuletiso/internal/abi"
 	"amuletiso/internal/cpu"
+	"amuletiso/internal/engine"
 )
 
 // decodeCacheSentinel is an immediate chosen to appear exactly once in the
@@ -129,9 +130,8 @@ int main() {
 	}
 	run := func(t *testing.T, mode Mode, cache bool) snapshot {
 		t.Helper()
-		cpu.SetDecodeCache(cache)
-		defer cpu.SetDecodeCache(true)
-		p, err := CompileProgram("t", src, ProgramOptions{Mode: mode, EnableMPU: mode == ModeMPU})
+		p, err := CompileProgram("t", src, ProgramOptions{Mode: mode, EnableMPU: mode == ModeMPU,
+			Engine: engine.Engine{NoDecodeCache: !cache}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ int main() {
 			t.Fatal("cache requested but not attached")
 		}
 		if !cache && m.CPU.Program() != nil {
-			t.Fatal("cache attached despite SetDecodeCache(false)")
+			t.Fatal("cache attached despite NoDecodeCache")
 		}
 		exit := runToExit(t, m)
 		r, w, f := m.Bus.Stats()

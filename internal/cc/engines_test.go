@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"amuletiso/internal/cpu"
-	"amuletiso/internal/mem"
+	"amuletiso/internal/engine"
 )
 
 const engineProbeSrc = `
@@ -20,15 +20,10 @@ int main() {
 }
 `
 
-// TestProgramEngineMatrixEquivalence runs one compiled program with
-// certificates on and off, on the default engine and on the live-decode
-// oracle, and asserts identical observable results — the cc-level slice of
-// the torture battery.
+// TestProgramEngineMatrixEquivalence runs one compiled program in every
+// engine.Matrix cell and asserts identical observable results — the
+// cc-level slice of the torture battery.
 func TestProgramEngineMatrixEquivalence(t *testing.T) {
-	defer func() {
-		cpu.SetDecodeCache(true)
-		mem.SetExecCerts(true)
-	}()
 	type outcome struct {
 		stop          cpu.StopReason
 		exit          uint16
@@ -36,33 +31,26 @@ func TestProgramEngineMatrixEquivalence(t *testing.T) {
 		r, w, f       uint64
 		viol          uint64
 	}
-	var results []outcome
-	for _, cfg := range []struct {
-		name          string
-		cached, certs bool
-	}{
-		{"default+certified", true, true},
-		{"default+perword", true, false},
-		{"livedecode+certified", false, true},
-		{"livedecode+perword", false, false},
-	} {
-		cpu.SetDecodeCache(cfg.cached)
-		mem.SetExecCerts(cfg.certs)
-		p, err := CompileProgram("engineprobe", engineProbeSrc, ProgramOptions{Mode: ModeMPU, EnableMPU: true})
+	run := func(t *testing.T, e engine.Engine) outcome {
+		p, err := CompileProgram("engineprobe", engineProbeSrc, ProgramOptions{Mode: ModeMPU, EnableMPU: true, Engine: e})
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := p.Load()
 		stop, fault := m.Run(10_000_000)
 		if fault != nil {
-			t.Fatalf("%s: %v", cfg.name, fault)
+			t.Fatal(fault)
 		}
 		r, w, f := m.Bus.Stats()
-		results = append(results, outcome{stop, m.CPU.ExitCode, m.CPU.Cycles, m.CPU.Insns, r, w, f, m.MPU.Violations()})
+		return outcome{stop, m.CPU.ExitCode, m.CPU.Cycles, m.CPU.Insns, r, w, f, m.MPU.Violations()}
 	}
-	for i := 1; i < len(results); i++ {
-		if results[i] != results[0] {
-			t.Fatalf("engine matrix diverged:\n  base: %+v\n  cfg %d: %+v", results[0], i, results[i])
-		}
+	want := run(t, engine.Engine{})
+	for _, e := range engine.Matrix[1:] {
+		t.Run(e.String(), func(t *testing.T) {
+			t.Parallel()
+			if got := run(t, e); got != want {
+				t.Fatalf("diverged:\n  want: %+v\n  got:  %+v", want, got)
+			}
+		})
 	}
 }

@@ -12,28 +12,11 @@ package cpu
 
 import (
 	"fmt"
-	"sync/atomic"
 
+	"amuletiso/internal/engine"
 	"amuletiso/internal/isa"
 	"amuletiso/internal/mem"
 )
-
-// decodeCacheOff globally disables UseProgram when set — the
-// `-nodecodecache` escape hatch the CLIs expose so any run can be replayed
-// on the always-correct live-decode path (differential guardrail).
-var decodeCacheOff atomic.Bool
-
-// SetDecodeCache enables or disables attachment of predecode caches
-// process-wide. It affects machines loaded after the call; already-attached
-// caches stay attached. The flag is also consulted at firmware build time
-// (aft.Build / cc.CompileProgram skip the predecode pass entirely when
-// disabled), so a firmware built while disabled carries no cache even if
-// the flag is re-enabled before load — set the flag once, before building,
-// as the CLIs do.
-func SetDecodeCache(on bool) { decodeCacheOff.Store(!on) }
-
-// DecodeCacheEnabled reports whether predecode caches are attached at load.
-func DecodeCacheEnabled() bool { return !decodeCacheOff.Load() }
 
 // StopReason explains why Run returned.
 type StopReason int
@@ -238,18 +221,22 @@ func (c *CPU) serviceInterrupt() *Fault {
 }
 
 // UseProgram attaches a predecoded cache of the loaded image's text (built
-// once per firmware, typically shared across many machines) and registers
-// the bus code watch that keeps it honest: any write into cached text marks
-// the covered words dirty on this CPU, and dirty or uncached PCs fall back
-// to the live decoder. Passing nil (or disabling via SetDecodeCache before
-// load) detaches the cache and the watch.
-func (c *CPU) UseProgram(p *isa.Program) {
+// once per firmware, typically shared across many machines) as e selects,
+// and registers the bus code watch that keeps it honest: any write into
+// cached text marks the covered words dirty on this CPU, and dirty or
+// uncached PCs fall back to the live decoder. A nil p, or e.NoDecodeCache,
+// detaches the cache and the watch; e.NoThread attaches p's handler-free
+// twin, and e.NoJIT leaves the superblock plan off.
+func (c *CPU) UseProgram(p *isa.Program, e engine.Engine) {
 	c.dirty = nil
 	c.jit, c.jitBase = nil, 0
-	if p == nil || decodeCacheOff.Load() {
+	if p == nil || e.NoDecodeCache {
 		c.prog = nil
 		c.Bus.WatchCode(nil, nil)
 		return
+	}
+	if e.NoThread {
+		p = p.Unthreaded()
 	}
 	c.prog = p
 	watch := make([]mem.CodeRange, p.NumRanges())
@@ -258,6 +245,9 @@ func (c *CPU) UseProgram(p *isa.Program) {
 		watch[i] = mem.CodeRange{Lo: r.Lo, Hi: r.Hi}
 	}
 	c.Bus.WatchCode(watch, c.invalidateCode)
+	if e.NoJIT {
+		return
+	}
 	if plan, _ := p.JITPlan(func() any { return compileJITPlan(p) }).(*jitPlan); plan != nil {
 		c.jit, c.jitBase = plan.blocks, plan.base
 	}

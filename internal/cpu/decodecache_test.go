@@ -3,6 +3,7 @@ package cpu
 import (
 	"testing"
 
+	"amuletiso/internal/engine"
 	"amuletiso/internal/isa"
 	"amuletiso/internal/mem"
 )
@@ -23,8 +24,8 @@ func loadProgram(t *testing.T, cached bool, instrs ...isa.Instr) (*CPU, uint16) 
 	c.SetPC(0x4400)
 	c.SetSP(0x2400)
 	if cached {
-		c.UseProgram(isa.Predecode(bus, []isa.TextRange{{Lo: 0x4400, Hi: addr}}))
-		if DecodeCacheEnabled() && c.Program() == nil {
+		c.UseProgram(isa.Predecode(bus, []isa.TextRange{{Lo: 0x4400, Hi: addr}}), engine.Engine{})
+		if c.Program() == nil {
 			t.Fatal("UseProgram did not attach")
 		}
 	}
@@ -138,14 +139,13 @@ func TestCachedSelfModify(t *testing.T) {
 	}
 }
 
-// TestUseProgramDisabled checks the global escape hatch: with the decode
-// cache disabled, UseProgram is a no-op and execution still works.
+// TestUseProgramDisabled checks the live-decode engine: under
+// NoDecodeCache, UseProgram detaches the cache and execution still works.
 func TestUseProgramDisabled(t *testing.T) {
-	SetDecodeCache(false)
-	defer SetDecodeCache(true)
-	c, _ := loadProgram(t, true, fetchProgram...)
+	c, end := loadProgram(t, true, fetchProgram...)
+	c.UseProgram(isa.Predecode(c.Bus, []isa.TextRange{{Lo: 0x4400, Hi: end}}), engine.Engine{NoDecodeCache: true})
 	if c.Program() != nil {
-		t.Fatal("cache attached despite SetDecodeCache(false)")
+		t.Fatal("cache attached under NoDecodeCache")
 	}
 	for i := range fetchProgram {
 		if f := c.Step(); f != nil {

@@ -7,7 +7,7 @@ package cpu
 // handler is observably identical to the corresponding exec path: the
 // equivalence battery in internal/torture replays whole campaigns across
 // {threaded, switch} and asserts byte-identical traces, and the `-nothread`
-// hatch (isa.SetThreading) keeps the switch engine as the enforcement
+// hatch (engine.Engine.NoThread) keeps the switch engine as the enforcement
 // oracle.
 //
 // The fast format-I handlers cover the register/immediate-source,

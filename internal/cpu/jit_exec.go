@@ -69,7 +69,7 @@ type cstep struct {
 
 // compileJITPlan lifts and binds every discovered superblock of p. Called
 // once per Program through Program.JITPlan; returns nil when discovery found
-// nothing (JIT off at build, or no compilable text).
+// nothing (no compilable text).
 func compileJITPlan(p *isa.Program) *jitPlan {
 	spans := p.BlockSpans()
 	if len(spans) == 0 {

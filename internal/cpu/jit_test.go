@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"amuletiso/internal/engine"
 	"amuletiso/internal/isa"
 	"amuletiso/internal/mem"
 	"amuletiso/internal/mpu"
@@ -37,8 +38,6 @@ type engineResult struct {
 // turns the profiler on for the runs that pin exactly that deferral.
 func runJIT(t *testing.T, jit bool, budget uint64, withTrace bool, prep func(*CPU), instrs ...isa.Instr) engineResult {
 	t.Helper()
-	defer isa.SetJIT(true)
-	isa.SetJIT(jit)
 	bus := mem.NewBus()
 	c := New(bus)
 	addr := uint16(0x4400)
@@ -50,9 +49,9 @@ func runJIT(t *testing.T, jit bool, budget uint64, withTrace bool, prep func(*CP
 	}
 	c.SetPC(0x4400)
 	c.SetSP(0x2400)
-	c.UseProgram(isa.Predecode(bus, []isa.TextRange{{Lo: 0x4400, Hi: addr}}))
-	if jit && c.jit == nil {
-		t.Fatal("JIT enabled but no block plan attached to the probe program")
+	c.UseProgram(isa.Predecode(bus, []isa.TextRange{{Lo: 0x4400, Hi: addr}}), engine.Engine{NoJIT: !jit})
+	if (c.jit != nil) != jit {
+		t.Fatalf("JIT %v, but block plan attached = %v", jit, c.jit != nil)
 	}
 	trace := ""
 	if withTrace {
@@ -294,8 +293,6 @@ func TestJITDefersToProfiler(t *testing.T) {
 // run limit is zero, which gates block execution off, so a bare Step
 // retires exactly one instruction even on a block head.
 func TestJITBareStepSingleInstruction(t *testing.T) {
-	defer isa.SetJIT(true)
-	isa.SetJIT(true)
 	c, _ := loadProgram(t, true, fetchProgram...)
 	if c.jit == nil {
 		t.Fatal("no block plan attached to the probe program")

@@ -3,6 +3,7 @@ package cpu
 import (
 	"testing"
 
+	"amuletiso/internal/engine"
 	"amuletiso/internal/isa"
 	"amuletiso/internal/mem"
 )
@@ -132,8 +133,6 @@ func TestThreadedMatchesSwitch(t *testing.T) {
 		accesses      []mem.Access
 	}
 	run := func(threaded bool) result {
-		defer isa.SetThreading(true)
-		isa.SetThreading(threaded)
 		bus := mem.NewBus()
 		c := New(bus)
 		addr := uint16(0x4400)
@@ -145,17 +144,15 @@ func TestThreadedMatchesSwitch(t *testing.T) {
 		}
 		c.SetPC(0x4400)
 		c.SetSP(0x2400)
-		c.UseProgram(isa.Predecode(bus, []isa.TextRange{{Lo: 0x4400, Hi: addr}}))
-		if threaded {
-			bound := false
-			for pc := uint16(0x4400); pc < addr; pc += 2 {
-				if e := c.Program().At(pc); e != nil && e.H != isa.HNone {
-					bound = true
-				}
+		c.UseProgram(isa.Predecode(bus, []isa.TextRange{{Lo: 0x4400, Hi: addr}}), engine.Engine{NoThread: !threaded})
+		bound := false
+		for pc := uint16(0x4400); pc < addr; pc += 2 {
+			if e := c.Program().At(pc); e != nil && e.H != isa.HNone {
+				bound = true
 			}
-			if !bound {
-				t.Fatal("threaded engine has no bound handlers")
-			}
+		}
+		if bound != threaded {
+			t.Fatalf("threaded %v, but handlers bound = %v", threaded, bound)
 		}
 		var accesses []mem.Access
 		c.Bus.OnAccess = func(a mem.Access) { accesses = append(accesses, a) }

@@ -8,16 +8,12 @@ import (
 	"amuletiso/internal/aft"
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
-	"amuletiso/internal/cpu"
-	"amuletiso/internal/isa"
 	"amuletiso/internal/kernel"
-	"amuletiso/internal/mem"
 )
 
-// BuildCache memoizes firmware builds by (app set, isolation mode, engine
-// configuration), so a fleet of N devices running the same scenario compiles
-// and links exactly once and every device boots from the shared immutable
-// image.
+// BuildCache memoizes firmware builds by (app set, isolation mode), so a
+// fleet of N devices running the same scenario compiles and links exactly
+// once and every device boots from the shared immutable image.
 //
 // The build includes the firmware's predecoded instruction cache
 // (aft.Firmware.Text): all N devices execute from the one shared decode of
@@ -27,11 +23,9 @@ import (
 //
 // Each entry also lazily holds a kernel.BootTemplate — the post-load memory
 // snapshot devices clone at boot instead of re-running the erased-FRAM fill
-// and firmware load (the "zero-cost boot" path). Keying on the engine
-// configuration (decode cache, threading, certificates, JIT) makes both
-// memoizations eviction-safe: flipping an escape hatch between runs in one
-// process gets a correctly built firmware and a matching template instead of
-// silently reusing artifacts built under different engine flags.
+// and firmware load (the "zero-cost boot" path). Builds and snapshots are
+// engine-free, so every engine shares them; runs pick theirs with
+// BootTemplate.WithEngine.
 //
 // The cache is safe for concurrent use; concurrent requests for the same key
 // coalesce onto a single build.
@@ -58,16 +52,12 @@ func NewBuildCache() *BuildCache {
 	return &BuildCache{entries: make(map[string]*cacheEntry)}
 }
 
-// cacheKey fingerprints an app set, mode and the engine flags the build
-// bakes in. Sources are included whole: two registries whose apps share a
-// name but differ in source must not collide. The engine flags matter
-// because Predecode consults them at build time — a firmware built with,
-// say, the JIT off must not be served to a run expecting it on.
+// cacheKey fingerprints an app set and mode. Sources are included whole:
+// two registries whose apps share a name but differ in source must not
+// collide.
 func cacheKey(list []apps.App, mode cc.Mode) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "mode=%d|dc=%t|thread=%t|cert=%t|jit=%t",
-		int(mode), cpu.DecodeCacheEnabled(), isa.ThreadingEnabled(),
-		mem.ExecCertsEnabled(), isa.JITEnabled())
+	fmt.Fprintf(&b, "mode=%d", int(mode))
 	for _, a := range list {
 		fmt.Fprintf(&b, "|%q;%q;%q;%d", a.Name, a.Source, a.RestrictedSource, a.StackBytes)
 	}
@@ -113,7 +103,8 @@ func (c *BuildCache) Get(list []apps.App, mode cc.Mode) (*aft.Firmware, error) {
 }
 
 // Template returns the boot template for the app set under the mode,
-// building the firmware and snapshotting its loaded image on first use.
+// building the firmware and snapshotting its loaded image on first use. Its
+// kernels boot on the production engine.
 // Like Get, concurrent requests for the same key coalesce.
 func (c *BuildCache) Template(list []apps.App, mode cc.Mode) (*kernel.BootTemplate, error) {
 	e := c.entry(cacheKey(list, mode))

@@ -1,0 +1,80 @@
+package fleet
+
+import (
+	"context"
+	"testing"
+
+	"amuletiso/internal/apps"
+	"amuletiso/internal/cc"
+	"amuletiso/internal/engine"
+)
+
+// TestBuildCacheSharedAcrossEngines: builds and boot snapshots are
+// engine-free, so runs on two engines share one firmware and one template,
+// and each boots its own machine from them — only the production engine
+// attaches the predecoded program and its superblocks.
+func TestBuildCacheSharedAcrossEngines(t *testing.T) {
+	cache := NewBuildCache()
+	sc := testScenario(2)
+	oracle := engine.Engine{NoDecodeCache: true}
+	for _, e := range []engine.Engine{{}, oracle} {
+		sc.Engine = e
+		if _, err := (&Runner{Workers: 1, Cache: cache}).Run(context.Background(), sc); err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+	}
+	if builds, _ := cache.Stats(); builds != 1 {
+		t.Fatalf("builds = %d, want 1 shared by both engines", builds)
+	}
+	if builds, _ := cache.TemplateStats(); builds != 1 {
+		t.Fatalf("templates = %d, want 1 shared by both engines", builds)
+	}
+	tmpl, err := cache.Template(sc.Apps, sc.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := cache.Get(sc.Apps, sc.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tmpl.WithEngine(oracle).Firmware() != fw {
+		t.Fatal("engine template does not share the cached firmware")
+	}
+	if p := tmpl.NewKernel(1).CPU.Program(); p != fw.Text || p.Blocks() == 0 {
+		t.Fatal("production boot did not attach the shared program and its superblocks")
+	}
+	if tmpl.WithEngine(oracle).NewKernel(1).CPU.Program() != nil {
+		t.Fatal("NoDecodeCache boot attached a predecoded program")
+	}
+}
+
+// TestTemplateStats checks the boot-template counters Runner surfaces:
+// first request builds, repeats hit, and the template tracks its entry's
+// engine configuration.
+func TestTemplateStats(t *testing.T) {
+	cache := NewBuildCache()
+	pedometer, _ := apps.ByName("pedometer")
+	list := []apps.App{pedometer}
+
+	t1, err := cache.Template(list, cc.ModeMPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := cache.Template(list, cc.ModeMPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t1 != t2 {
+		t.Fatal("template rebuilt for an unchanged configuration")
+	}
+	if builds, hits := cache.TemplateStats(); builds != 1 || hits != 1 {
+		t.Fatalf("template stats = %d builds, %d hits; want 1, 1", builds, hits)
+	}
+	fw, err := cache.Get(list, cc.ModeMPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t1.Firmware() != fw {
+		t.Fatal("template firmware differs from the cached build")
+	}
+}

@@ -27,6 +27,7 @@ import (
 
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/kernel"
 	"amuletiso/internal/mem"
 	"amuletiso/internal/obs"
@@ -101,6 +102,10 @@ type Scenario struct {
 	// before it reboots (default 500 ms). Only meaningful with
 	// BrownoutEveryMS.
 	BrownoutOffMS uint64
+
+	// Engine selects the execution layers every device boots on. Reports
+	// are byte-identical under every engine.
+	Engine engine.Engine
 }
 
 // validate rejects scenarios the runner cannot execute.
@@ -185,14 +190,7 @@ func (r *Runner) Run(ctx context.Context, sc Scenario) (*Report, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	cache := r.Cache
-	if cache == nil {
-		cache = NewBuildCache()
-	}
-	// Build up front: one compile+link per (app set, mode), shared by every
-	// device, plus the boot template every device clones its memory from.
-	// Both are immutable, so workers need no further locking.
-	tmpl, err := cache.Template(sc.Apps, sc.Mode)
+	tmpl, err := r.template(&sc)
 	if err != nil {
 		return nil, err
 	}
@@ -247,6 +245,22 @@ func DeviceSeed(fleetSeed uint64, device int) uint32 {
 		s = 0xA5A5A5A5
 	}
 	return s
+}
+
+// template builds up front, on the runner's cache, the firmware every
+// device shares — one compile+link per (app set, mode) — and the boot
+// template every device clones its memory from, bound to the scenario's
+// engine. Both are immutable, so workers need no further locking.
+func (r *Runner) template(sc *Scenario) (*kernel.BootTemplate, error) {
+	cache := r.Cache
+	if cache == nil {
+		cache = NewBuildCache()
+	}
+	tmpl, err := cache.Template(sc.Apps, sc.Mode)
+	if err != nil {
+		return nil, err
+	}
+	return tmpl.WithEngine(sc.Engine), nil
 }
 
 // simulate runs one device start to finish: clone a kernel from the shared

@@ -11,7 +11,6 @@ import (
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
 	"amuletiso/internal/kernel"
-	"amuletiso/internal/mem"
 )
 
 // poweredGolden is one powered scenario whose `amuletfleet -json` report is
@@ -76,11 +75,11 @@ func TestPoweredGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cow := range []bool{true, false} {
-			mem.SetCOW(cow)
-			t.Cleanup(func() { mem.SetCOW(true) })
+			sc := g.sc
+			sc.Engine.NoCOW = !cow
 			for _, workers := range []int{1, 4} {
 				r := &Runner{Workers: workers, Cache: NewBuildCache()}
-				rep, err := r.Run(context.Background(), g.sc)
+				rep, err := r.Run(context.Background(), sc)
 				if err != nil {
 					t.Fatalf("%s cow=%v workers=%d: %v", g.file, cow, workers, err)
 				}

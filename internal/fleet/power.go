@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"sync/atomic"
-
 	"amuletiso/internal/kernel"
 	"amuletiso/internal/obs"
 	"amuletiso/internal/power"
@@ -28,18 +26,6 @@ import (
 // no matter how the wear window is segmented, how many workers run the
 // fleet, or how often the campaign is checkpointed and resumed.
 
-// powerOff globally disables the intermittent-power model when set — the
-// -nopower escape hatch. With the model off, scenarios with power knobs run
-// exactly as if the knobs were absent.
-var powerOff atomic.Bool
-
-// SetPower enables or disables intermittent-power modeling process-wide. It
-// is consulted at device boot, so it may be toggled between runs.
-func SetPower(on bool) { powerOff.Store(!on) }
-
-// PowerEnabled reports whether fleet runs model intermittent power.
-func PowerEnabled() bool { return !powerOff.Load() }
-
 // PowerCheckMS is the charge-integration quantum: the supercapacitor state
 // is updated, and brownout/restart decisions taken, every this many virtual
 // milliseconds. Fixed (never scenario-tunable) so power event times are a
@@ -52,7 +38,7 @@ const defaultForcedOffMS = 500
 
 // powered reports whether this scenario models power for its devices.
 func (sc *Scenario) powered() bool {
-	return PowerEnabled() && (sc.PowerTrace != "" || sc.BrownoutEveryMS > 0)
+	return sc.PowerTrace != "" || sc.BrownoutEveryMS > 0
 }
 
 // powerState is one device's supercapacitor and brownout bookkeeping.

@@ -71,31 +71,6 @@ func TestHarvestTraceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestPowerHatchByteIdentity: with the power escape hatch thrown, a scenario
-// carrying power configuration must produce exactly the bytes of the same
-// scenario without any — the -nopower differential contract.
-func TestPowerHatchByteIdentity(t *testing.T) {
-	plain := testScenario(5)
-	want, err := Run(context.Background(), plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetPower(false)
-	defer SetPower(true)
-	for name, sc := range map[string]Scenario{
-		"trace":  func() Scenario { s := plain; s.PowerTrace = "solar"; return s }(),
-		"forced": poweredScenario(5),
-	} {
-		rep, err := Run(context.Background(), sc)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(marshal(t, rep), marshal(t, want)) {
-			t.Fatalf("%s: -nopower run differs from a run without power config", name)
-		}
-	}
-}
-
 // TestPoweredKilledAndResumedByteIdentity extends the PR 9 acceptance
 // property to intermittent power: interrupt a forced-brownout campaign
 // twice (JSON round-tripping the cut each time, dark-parked devices

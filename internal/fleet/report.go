@@ -124,7 +124,7 @@ type Report struct {
 
 	// TotalBrownouts / DevicesBrownedOut aggregate the intermittent-power
 	// model's power-loss faults; both stay zero (and omitted) on a stable
-	// supply, keeping -nopower reports byte-identical to power-less ones.
+	// supply, keeping those reports byte-identical to power-less ones.
 	TotalBrownouts    int `json:"totalBrownouts,omitempty"`
 	DevicesBrownedOut int `json:"devicesBrownedOut,omitempty"`
 

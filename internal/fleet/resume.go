@@ -202,11 +202,7 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 	if err := sc.validate(); err != nil {
 		return nil, nil, err
 	}
-	cache := r.Cache
-	if cache == nil {
-		cache = NewBuildCache()
-	}
-	tmpl, err := cache.Template(sc.Apps, sc.Mode)
+	tmpl, err := r.template(&sc)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -40,8 +40,6 @@ func (c *cancelAfter) Err() error {
 // back to the arena. The early returns in the old simulate skipped
 // ReleasePages, so every cancelled device leaked its pages permanently.
 func TestCancelledSimulateReleasesPages(t *testing.T) {
-	mem.SetCOW(true)
-	defer mem.SetCOW(true)
 	sc := testScenario(1)
 	cache := NewBuildCache()
 	tmpl, err := cache.Template(sc.Apps, sc.Mode)
@@ -66,8 +64,6 @@ func TestCancelledSimulateReleasesPages(t *testing.T) {
 // Runner path: after a cancelled Run on a warmed arena, every page borrowed
 // from the free list came back (free count did not shrink).
 func TestCancelledRunReleasesPages(t *testing.T) {
-	mem.SetCOW(true)
-	defer mem.SetCOW(true)
 	sc := testScenario(6)
 	r := &Runner{Workers: 2, Cache: NewBuildCache()}
 	if _, err := r.Run(context.Background(), sc); err != nil {

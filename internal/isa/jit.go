@@ -19,22 +19,6 @@ package isa
 // to the interpreter and a branch landing mid-block never executes compiled
 // code it did not enter at the head of.
 
-import "sync/atomic"
-
-// jitOff globally disables superblock discovery when set — the `-nojit`
-// escape hatch the CLIs expose (mirroring `-nothread`) so any run can be
-// replayed on the pure interpreter engines for differential checks.
-var jitOff atomic.Bool
-
-// SetJIT enables or disables superblock discovery process-wide. Like
-// SetThreading it is consulted when a Program is built
-// (Predecode), so set it once, before building firmware, as the CLIs do;
-// already-built programs keep whatever blocks they were built with.
-func SetJIT(on bool) { jitOff.Store(!on) }
-
-// JITEnabled reports whether Predecode discovers superblocks.
-func JITEnabled() bool { return !jitOff.Load() }
-
 // Block is one discovered superblock: N cacheable instructions, contiguous
 // in a single text range, of which only the last may transfer control.
 type Block struct {

@@ -39,8 +39,7 @@ type Program struct {
 	ins    []CachedInstr
 	ranges []TextRange
 	cached int
-	// blocks are the superblocks discovered for the block JIT (see jit.go);
-	// empty when SetJIT was off at build time.
+	// blocks are the superblocks discovered for the block JIT (see jit.go).
 	blocks []Block
 	// jitOnce/jitPlan hold the compiled executor plan a CPU package binds to
 	// this program (see JITPlan). The plan lives on the Program — not in a
@@ -49,6 +48,10 @@ type Program struct {
 	// this firmware.
 	jitOnce sync.Once
 	jitPlan any
+	// twinOnce/twin hold the handler-free twin Unthreaded derives, shared
+	// the same way.
+	twinOnce sync.Once
+	twin     *Program
 }
 
 // Predecode decodes every word-aligned offset of the given text ranges
@@ -84,7 +87,6 @@ func Predecode(r WordReader, ranges []TextRange) *Program {
 		ins:    make([]CachedInstr, (uint32(end)-uint32(base)+1)/2),
 		ranges: append([]TextRange(nil), ranges...),
 	}
-	thread := ThreadingEnabled()
 	for _, tr := range ranges {
 		// An odd Lo rounds UP: the partial word below it lies outside the
 		// watched range, so caching it could never be invalidated.
@@ -93,18 +95,28 @@ func Predecode(r WordReader, ranges []TextRange) *Program {
 			if err != nil || uint32(a)+uint32(size) > uint32(tr.Hi) {
 				continue // uncacheable: live decode handles it
 			}
-			e := CachedInstr{In: in, Size: size, Cost: uint16(Cycles(in))}
-			if thread {
-				e.H = HandlerFor(in)
-			}
-			p.ins[(a-base)>>1] = e
+			p.ins[(a-base)>>1] = CachedInstr{In: in, Size: size, Cost: uint16(Cycles(in)), H: HandlerFor(in)}
 			p.cached++
 		}
 	}
-	if JITEnabled() {
-		p.discoverBlocks()
-	}
+	p.discoverBlocks()
 	return p
+}
+
+// Unthreaded returns p's handler-free twin: the same slots and superblocks
+// with every handler left at HNone, so each cached instruction runs through
+// the CPU's switch executor (the `-nothread` oracle). Like JITPlan it is
+// derived once, on first use, and the twin carries its own plan.
+func (p *Program) Unthreaded() *Program {
+	p.twinOnce.Do(func() {
+		t := &Program{base: p.base, ins: append([]CachedInstr(nil), p.ins...),
+			ranges: p.ranges, cached: p.cached, blocks: p.blocks}
+		for i := range t.ins {
+			t.ins[i].H = HNone
+		}
+		p.twin = t
+	})
+	return p.twin
 }
 
 // At returns the cached slot for pc, or nil when pc lies outside the cached

@@ -14,29 +14,13 @@ package isa
 // computes it, but the handlers themselves are CPU methods: internal/cpu owns
 // a table indexed by HandlerID and asserts at test time that every ID is
 // bound. HNone (the zero value) means "unbound — execute through the classic
-// switch", which is both the escape hatch (`-nothread` leaves every slot at
-// HNone via SetThreading) and the enforcement oracle the equivalence battery
-// replays against.
-
-import "sync/atomic"
-
-// threadingOff globally disables handler binding when set — the `-nothread`
-// escape hatch the CLIs expose (mirroring `-nojit`) so any run can be
-// replayed on the switch-dispatch engine for differential checks.
-var threadingOff atomic.Bool
-
-// SetThreading enables or disables threaded-dispatch handler binding
-// process-wide. Like SetJIT it is consulted when a Program is built
-// (Predecode), so set it once, before building firmware, as the CLIs do;
-// already-built programs keep whatever binding they were built with.
-func SetThreading(on bool) { threadingOff.Store(!on) }
-
-// ThreadingEnabled reports whether Predecode binds dispatch handlers.
-func ThreadingEnabled() bool { return !threadingOff.Load() }
+// switch", which is both the escape hatch (`-nothread` runs a program's
+// Unthreaded twin, every slot at HNone) and the enforcement oracle the
+// equivalence battery replays against.
 
 // HandlerID indexes the CPU package's threaded-dispatch executor table.
-// The zero value HNone marks a slot with no bound handler (threading
-// disabled, or an instruction only the live decoder ever sees).
+// The zero value HNone marks a slot with no bound handler (an Unthreaded
+// twin, or an instruction only the live decoder ever sees).
 type HandlerID uint8
 
 // Handler IDs. Order is load-bearing in two places: the jump block mirrors
@@ -101,8 +85,7 @@ const (
 )
 
 // HandlerFor resolves the dispatch handler for a decoded instruction. It is
-// a pure function of the instruction shape; Predecode calls it once per slot
-// when threading is enabled.
+// a pure function of the instruction shape; Predecode calls it once per slot.
 func HandlerFor(in Instr) HandlerID {
 	switch {
 	case in.Op.IsJump():

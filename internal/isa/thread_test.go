@@ -48,10 +48,9 @@ func TestHandlerFor(t *testing.T) {
 	}
 }
 
-// TestPredecodeBindsHandlers checks handler binding is on by default and is
-// fully disabled by SetThreading(false).
+// TestPredecodeBindsHandlers checks Predecode binds every cached slot and
+// the Unthreaded twin binds none.
 func TestPredecodeBindsHandlers(t *testing.T) {
-	defer SetThreading(true)
 	mem := testWords{}
 	addr := uint16(0x4400)
 	prog := []Instr{
@@ -74,19 +73,17 @@ func TestPredecodeBindsHandlers(t *testing.T) {
 	}
 	for pc := uint16(0x4400); pc < addr; pc += 2 {
 		if e := p.At(pc); e != nil && e.H == HNone {
-			t.Errorf("pc=0x%04X: cached slot left unbound with threading on", pc)
+			t.Errorf("pc=0x%04X: cached slot left unbound", pc)
 		}
 	}
 
-	SetThreading(false)
-	p = Predecode(mem, ranges)
+	tw := p.Unthreaded()
+	if tw != p.Unthreaded() || tw.Blocks() != p.Blocks() {
+		t.Fatal("Unthreaded is not one shared twin with the program's superblocks")
+	}
 	for pc := uint16(0x4400); pc < addr; pc += 2 {
-		e := p.At(pc)
-		if e == nil {
-			continue
-		}
-		if e.H != HNone {
-			t.Errorf("pc=0x%04X: handler bound with threading off", pc)
+		if e := tw.At(pc); e != nil && e.H != HNone {
+			t.Errorf("pc=0x%04X: handler bound in the unthreaded twin", pc)
 		}
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"amuletiso/internal/mem"
 )
 
-// build assembles instrs at 0x4400 and predecodes them with superblock
-// discovery on, returning the program and its discovered spans.
+// build assembles instrs at 0x4400 and predecodes them, returning the
+// program and its discovered spans.
 func build(t *testing.T, instrs ...isa.Instr) (*isa.Program, []isa.Block) {
 	t.Helper()
-	defer isa.SetJIT(true)
-	isa.SetJIT(true)
 	bus := mem.NewBus()
 	addr := uint16(0x4400)
 	for _, in := range instrs {

@@ -6,7 +6,6 @@ import (
 	"amuletiso/internal/aft"
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
-	"amuletiso/internal/mem"
 )
 
 func buildTestFW(t *testing.T) *aft.Firmware {
@@ -77,12 +76,11 @@ func TestBootTemplateEquivalence(t *testing.T) {
 func TestBootTemplateIsolation(t *testing.T) {
 	fw := buildTestFW(t)
 	tmpl := NewBootTemplate(fw)
-	var before mem.BusImage
-	before = tmpl.img
+	before := *tmpl.ct.Image()
 
 	k1 := tmpl.NewKernel(1)
 	k1.RunUntil(2_000)
-	if tmpl.img != before {
+	if *tmpl.ct.Image() != before {
 		t.Fatal("running a clone mutated the boot template")
 	}
 	k2 := tmpl.NewKernel(1)

@@ -175,7 +175,7 @@ func (t *BootTemplate) Checkpoint(k *Kernel) *Checkpoint {
 	// never produce a patch.
 	for p, data := range k.Bus.PrivatePages {
 		lo := p * mem.PageSize
-		if string(data) == string(t.img[lo:lo+mem.PageSize]) {
+		if string(data) == string(t.ct.Image()[lo:lo+mem.PageSize]) {
 			continue
 		}
 		ck.Pages = append(ck.Pages, PagePatch{

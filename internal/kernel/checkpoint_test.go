@@ -8,6 +8,7 @@ import (
 	"amuletiso/internal/abi"
 	"amuletiso/internal/aft"
 	"amuletiso/internal/cc"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/mem"
 )
 
@@ -63,10 +64,9 @@ func ckJSON(t *testing.T, ck *Checkpoint) []byte {
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	const midMS, endMS = 2500, 6000
 	for _, cow := range []bool{true, false} {
-		mem.SetCOW(cow)
-		t.Cleanup(func() { mem.SetCOW(true) })
 		for _, mode := range []cc.Mode{cc.ModeMPU, cc.ModeNoIsolation} {
 			fw, tmpl := checkpointFirmware(t, mode)
+			tmpl = tmpl.WithEngine(engine.Engine{NoCOW: !cow})
 
 			golden := driveTo(tmpl, fw, nil, endMS)
 			want := ckJSON(t, tmpl.Checkpoint(golden))
@@ -105,7 +105,6 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 // different (dirty) arena and still matches, and the resumed device's pages
 // flow back to its arena on release.
 func TestCheckpointResumeAcrossArenas(t *testing.T) {
-	mem.SetCOW(true)
 	fw, tmpl := checkpointFirmware(t, cc.ModeMPU)
 
 	golden := driveTo(tmpl, fw, nil, 5000)

@@ -7,36 +7,55 @@ import (
 	"amuletiso/internal/aft"
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
-	"amuletiso/internal/cpu"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/mem"
 	"amuletiso/internal/mpu"
 )
 
-// buildSynthetic compiles the synthetic benchmark app for the default
-// engine (predecode cache, threaded dispatch, superblock JIT) or, with
-// cached false, with the decode cache off: the firmware then carries no
-// predecoded text and every kernel booted from it runs the live-decode
-// oracle.
-func buildSynthetic(t *testing.T, cached bool) *aft.Firmware {
+// buildSynthetic compiles the synthetic benchmark app. The build is
+// engine-free: the engine is chosen per kernel at boot.
+func buildSynthetic(t *testing.T) *aft.Firmware {
 	t.Helper()
-	defer cpu.SetDecodeCache(true)
-	cpu.SetDecodeCache(cached)
 	fw, err := aft.Build([]aft.AppSource{apps.Synthetic().AFT()}, cc.ModeMPU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (fw.Text != nil) != cached {
-		t.Fatalf("decode cache %v: firmware text cache attached = %v", cached, fw.Text != nil)
-	}
 	return fw
 }
 
-// dispatchFingerprint boots a kernel, delivers EvInit, then one (code, arg)
-// event under the given watchdog budget, and fingerprints everything the
-// engines must agree on: fault log, per-app accounting, CPU totals and the
-// PC the delivery stopped at, MPU violation count and the gate counter.
-func dispatchFingerprint(fw *aft.Firmware, code, arg uint16, budget uint64) string {
-	k := NewSeeded(fw, 7)
+// bootOn boots seed 7 of fw on engine e and checks every field of e reached
+// the machine: the shared program (none under NoDecodeCache, its
+// handler-free twin under NoThread), the MPU's certifier interfaces (hidden
+// under NoCert) and the bus backing (flat under NoCOW).
+func bootOn(t *testing.T, fw *aft.Firmware, e engine.Engine) *Kernel {
+	t.Helper()
+	k := NewBootTemplate(fw).WithEngine(e).NewKernel(7)
+	want := fw.Text
+	if e.NoThread {
+		want = want.Unthreaded()
+	}
+	if e.NoDecodeCache {
+		want = nil
+	}
+	if k.CPU.Program() != want {
+		t.Fatalf("%v: wrong predecoded program attached", e)
+	}
+	if _, certified := k.Bus.Checker().(*mpu.Unit); certified == e.NoCert {
+		t.Fatalf("%v: bus sees the MPU's certifiers = %v", e, certified)
+	}
+	if flat := k.Bus.DirtyPages() == 1<<16/mem.PageSize; flat != e.NoCOW {
+		t.Fatalf("%v: flat bus = %v", e, flat)
+	}
+	return k
+}
+
+// dispatchFingerprint boots a kernel on e, delivers EvInit, then one
+// (code, arg) event under the given watchdog budget, and fingerprints
+// everything the engines must agree on: fault log, per-app accounting, CPU
+// totals and the PC the delivery stopped at, MPU violation count and the
+// gate counter.
+func dispatchFingerprint(t *testing.T, fw *aft.Firmware, e engine.Engine, code, arg uint16, budget uint64) string {
+	k := bootOn(t, fw, e)
 	k.Policy = RestartPolicy{} // first fault is final: keep outcomes simple
 	k.Step()                   // EvInit
 	k.WatchdogBudget = budget
@@ -59,7 +78,7 @@ func dispatchFingerprint(fw *aft.Firmware, code, arg uint16, budget uint64) stri
 func gateOpsLandings(t *testing.T, fw *aft.Firmware) (pushes, mpuStores []uint64) {
 	t.Helper()
 	lo, hi := fw.Image.MustSym("os.gate.amulet_get_time"), fw.Image.MustSym("os.gate.fail")
-	k := NewSeeded(fw, 7)
+	k := bootOn(t, fw, engine.Engine{NoDecodeCache: true})
 	k.Policy = RestartPolicy{}
 	k.Step() // EvInit
 	k.Post(0, apps.EvGateOps, 2, 0)
@@ -86,41 +105,23 @@ func gateOpsLandings(t *testing.T, fw *aft.Firmware) (pushes, mpuStores []uint64
 	return pushes, mpuStores
 }
 
-// TestKernelEngineMatrix runs the same kernel workload on the default
-// engine and on the live-decode oracle, each with certificates on and off,
-// and demands identical dispatch results — the kernel-level gate-boundary
-// recertification property: the Go-side osPlan() Configure and the gates'
-// own MPU register writes both advance the certificate generation, so
-// certified execution across gate transitions must be invisible.
+// TestKernelEngineMatrix runs the same kernel workload in every
+// engine.Matrix cell and demands identical dispatch results — among them
+// the kernel-level gate-boundary recertification property: the Go-side
+// osPlan() Configure and the gates' own MPU register writes both advance the
+// certificate generation, so certified execution across gate transitions
+// must be invisible.
 func TestKernelEngineMatrix(t *testing.T) {
-	defer mem.SetExecCerts(true)
-	fwDefault := buildSynthetic(t, true)
-	fwOracle := buildSynthetic(t, false)
-	if fwDefault.Text.Blocks() == 0 {
-		t.Fatal("default firmware has no superblocks")
-	}
-
+	fw := buildSynthetic(t)
 	for _, ev := range []struct{ code, arg uint16 }{{apps.EvMemOps, 40}, {apps.EvGateOps, 8}} {
-		ref := ""
-		for _, cfg := range []struct {
-			name  string
-			fw    *aft.Firmware
-			certs bool
-		}{
-			{"default+certified", fwDefault, true},
-			{"default+perword", fwDefault, false},
-			{"livedecode+certified", fwOracle, true},
-			{"livedecode+perword", fwOracle, false},
-		} {
-			mem.SetExecCerts(cfg.certs)
-			fp := dispatchFingerprint(cfg.fw, ev.code, ev.arg, 50_000_000)
-			if ref == "" {
-				ref = fp
-				continue
-			}
-			if fp != ref {
-				t.Errorf("event %d: %s diverged:\n  want %s\n  got  %s", ev.code, cfg.name, ref, fp)
-			}
+		want := dispatchFingerprint(t, fw, engine.Engine{}, ev.code, ev.arg, 50_000_000)
+		for _, e := range engine.Matrix[1:] {
+			t.Run(fmt.Sprintf("ev%d/%v", ev.code, e), func(t *testing.T) {
+				t.Parallel()
+				if got := dispatchFingerprint(t, fw, e, ev.code, ev.arg, 50_000_000); got != want {
+					t.Errorf("diverged:\n  want %s\n  got  %s", want, got)
+				}
+			})
 		}
 	}
 }
@@ -129,14 +130,11 @@ func TestKernelEngineMatrix(t *testing.T) {
 // dispatch that crosses OS gates — before each PUSH of the gates' R4..R11
 // prologues and each MPU register store, which on the default engine fall
 // inside or between JIT segments, plus a spread of fixed budgets — and
-// demands the default engine dies exactly where the live-decode oracle
-// does, with certificates on and off: same stop PC, fault log, cycle totals
-// and MPU state.
+// demands every engine.Matrix cell dies exactly where the live-decode
+// oracle does: same stop PC, fault log, cycle totals and MPU state.
 func TestKernelWatchdogBudgetSweep(t *testing.T) {
-	defer mem.SetExecCerts(true)
-	fwDefault := buildSynthetic(t, true)
-	fwOracle := buildSynthetic(t, false)
-	pushes, stores := gateOpsLandings(t, fwOracle)
+	fw := buildSynthetic(t)
+	pushes, stores := gateOpsLandings(t, fw)
 	// Two pings: each gate saves R4..R11 on entry, and entry and exit each
 	// reprogram the MPU.
 	if len(pushes) < 16 || len(stores) < 4 {
@@ -145,20 +143,19 @@ func TestKernelWatchdogBudgetSweep(t *testing.T) {
 	budgets := append([]uint64{0, 1, 2, 3, 5, 7, 11, 19, 31, 53, 89, 144, 233, 377,
 		610, 987, 1597, 2584, 4181, 6765, 10946, 17711, 28657}, pushes...)
 	budgets = append(budgets, stores...)
-	for _, b := range budgets {
-		mem.SetExecCerts(true)
-		want := dispatchFingerprint(fwOracle, apps.EvGateOps, 2, b)
-		for _, certs := range []bool{true, false} {
-			mem.SetExecCerts(certs)
-			for _, cell := range []struct {
-				name string
-				fw   *aft.Firmware
-			}{{"default", fwDefault}, {"livedecode", fwOracle}} {
-				if got := dispatchFingerprint(cell.fw, apps.EvGateOps, 2, b); got != want {
-					t.Fatalf("budget %d: %s (certs=%v) diverged from the certified oracle\n  want: %s\n  got:  %s",
-						b, cell.name, certs, want, got)
+	want := make([]string, len(budgets))
+	for i, b := range budgets {
+		want[i] = dispatchFingerprint(t, fw, engine.Engine{NoDecodeCache: true}, apps.EvGateOps, 2, b)
+	}
+	for _, e := range engine.Matrix {
+		t.Run(e.String(), func(t *testing.T) {
+			t.Parallel()
+			for i, b := range budgets {
+				if got := dispatchFingerprint(t, fw, e, apps.EvGateOps, 2, b); got != want[i] {
+					t.Fatalf("budget %d diverged from the live-decode oracle\n  want: %s\n  got:  %s",
+						b, want[i], got)
 				}
 			}
-		}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"amuletiso/internal/cc"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/mem"
 )
 
@@ -23,7 +24,7 @@ func fullDiffPages(t *BootTemplate, k *Kernel) []PagePatch {
 	var out []PagePatch
 	for p := 0; p < len(img)/mem.PageSize; p++ {
 		lo, hi := p*mem.PageSize, (p+1)*mem.PageSize
-		if !bytes.Equal(img[lo:hi], t.img[lo:hi]) {
+		if !bytes.Equal(img[lo:hi], t.ct.Image()[lo:hi]) {
 			out = append(out, PagePatch{Page: p, Data: append([]byte(nil), img[lo:hi]...)})
 		}
 	}
@@ -52,10 +53,9 @@ func smudge(k *Kernel) {
 // written back to their template bytes (no patch) and rewritten text.
 func TestCheckpointPagesMatchFullDiff(t *testing.T) {
 	for _, cow := range []bool{true, false} {
-		mem.SetCOW(cow)
-		t.Cleanup(func() { mem.SetCOW(true) })
 		for _, mode := range []cc.Mode{cc.ModeMPU, cc.ModeNoIsolation} {
 			fw, tmpl := checkpointFirmware(t, mode)
+			tmpl = tmpl.WithEngine(engine.Engine{NoCOW: !cow})
 			for _, at := range []uint64{0, 2500, 4400} {
 				k := driveTo(tmpl, fw, nil, at)
 				smudge(k)
@@ -86,10 +86,9 @@ func TestCheckpointPagesMatchFullDiff(t *testing.T) {
 // through a second power cycle.
 func TestInPlacePowerCycleMatchesPureChain(t *testing.T) {
 	for _, cow := range []bool{true, false} {
-		mem.SetCOW(cow)
-		t.Cleanup(func() { mem.SetCOW(true) })
 		for _, mode := range []cc.Mode{cc.ModeMPU, cc.ModeNoIsolation} {
 			fw, tmpl := checkpointFirmware(t, mode)
+			tmpl = tmpl.WithEngine(engine.Engine{NoCOW: !cow})
 			for _, cutMS := range []uint64{500, 2300, 2500, 4400} {
 				tag := fmt.Sprintf("[cow=%v %v cut=%d]", cow, mode, cutMS)
 				arena := mem.NewPageArena()

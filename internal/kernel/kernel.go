@@ -20,6 +20,7 @@ import (
 	"amuletiso/internal/aft"
 	"amuletiso/internal/cc"
 	"amuletiso/internal/cpu"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/isa"
 	"amuletiso/internal/mem"
 	"amuletiso/internal/mpu"
@@ -251,7 +252,7 @@ func New(fw *aft.Firmware) *Kernel { return NewSeeded(fw, 0) }
 func NewSeeded(fw *aft.Firmware, seed uint32) *Kernel {
 	bus := mem.NewBus()
 	fw.Image.LoadInto(bus)
-	return bootKernel(fw, seed, bus)
+	return bootKernel(fw, seed, bus, engine.Engine{})
 }
 
 // BootTemplate captures the post-load memory state of a firmware once, so
@@ -261,32 +262,41 @@ func NewSeeded(fw *aft.Firmware, seed uint32) *Kernel {
 // NewBootTemplate and safe to share across goroutines; every kernel booted
 // from it owns a private bus clone, exactly as NewSeeded kernels do.
 type BootTemplate struct {
-	fw  *aft.Firmware
-	img mem.BusImage
-	// ct is img prepared for copy-on-write sharing (the canonical page
-	// table COW kernels start from); built once alongside the snapshot.
+	fw *aft.Firmware
+	// ct is the post-load snapshot prepared for copy-on-write sharing (the
+	// canonical page table COW kernels start from).
 	ct *mem.Template
+	// eng is the engine every kernel booted from this template runs on.
+	eng engine.Engine
 }
 
 // NewBootTemplate loads the firmware into a scratch bus and snapshots the
 // result. The snapshot is a pure function of the firmware image, so one
-// template serves every seed.
+// template serves every seed and, through WithEngine, every engine. Kernels
+// boot on the production engine.
 func NewBootTemplate(fw *aft.Firmware) *BootTemplate {
 	bus := mem.NewBus()
 	fw.Image.LoadInto(bus)
-	t := &BootTemplate{fw: fw}
-	bus.SnapshotData(&t.img)
-	t.ct = mem.NewTemplate(&t.img)
-	return t
+	img := new(mem.BusImage)
+	bus.SnapshotData(img)
+	return &BootTemplate{fw: fw, ct: mem.NewTemplate(img)}
+}
+
+// WithEngine returns a template sharing t's firmware and snapshot whose
+// kernels boot on e.
+func (t *BootTemplate) WithEngine(e engine.Engine) *BootTemplate {
+	c := *t
+	c.eng = e
+	return &c
 }
 
 // Firmware returns the firmware the template was built from.
 func (t *BootTemplate) Firmware() *aft.Firmware { return t.fw }
 
 // NewKernel boots a kernel from the template — observably identical to
-// NewSeeded(fw, seed). With COW enabled (the default) the device starts as
-// a zero-page view over the template and pays one page copy per first write;
-// with COW disabled it clones the full 64 KiB, the flat-memory oracle.
+// NewSeeded(fw, seed). On the production engine the device starts as a
+// zero-page view over the template and pays one page copy per first write;
+// under NoCOW it clones the full 64 KiB, the flat-memory oracle.
 func (t *BootTemplate) NewKernel(seed uint32) *Kernel {
 	return t.NewKernelArena(seed, nil)
 }
@@ -296,23 +306,16 @@ func (t *BootTemplate) NewKernel(seed uint32) *Kernel {
 // touching the allocator. A nil arena just allocates. The arena only matters
 // under COW; the flat oracle ignores it.
 func (t *BootTemplate) NewKernelArena(seed uint32, arena *mem.PageArena) *Kernel {
-	var bus *mem.Bus
-	if mem.COWEnabled() {
-		bus = mem.NewBusCOW(t.ct, arena)
-	} else {
-		bus = mem.NewBusFrom(&t.img)
-	}
-	return bootKernel(t.fw, seed, bus)
+	return bootKernel(t.fw, seed, t.ct.Boot(arena, t.eng), t.eng)
 }
 
-// bootKernel assembles a kernel around a bus that already holds the loaded
-// firmware image: machine devices, MPU, seeded noise sources, the shared
-// predecode cache, and an EvInit for every app at t=0.
-func bootKernel(fw *aft.Firmware, seed uint32, bus *mem.Bus) *Kernel {
+// bootKernel assembles a kernel on engine e around a bus that already holds
+// the loaded firmware image: machine devices, MPU, seeded noise sources, the
+// shared predecode cache, and an EvInit for every app at t=0.
+func bootKernel(fw *aft.Firmware, seed uint32, bus *mem.Bus, e engine.Engine) *Kernel {
 	c := cpu.New(bus)
 	u := mpu.New()
-	bus.Map(mpu.RegLo, mpu.RegHi, u)
-	bus.SetChecker(u)
+	u.Install(bus, e)
 
 	rng, stream := uint32(0x1234), uint32(1)
 	if seed != 0 {
@@ -340,7 +343,7 @@ func bootKernel(fw *aft.Firmware, seed uint32, bus *mem.Bus) *Kernel {
 	// EvInit over the same loaded text, so there is nothing to rebuild, and
 	// any code word an app managed to overwrite stays (correctly) routed to
 	// the live decoder on this device only.
-	c.UseProgram(fw.Text)
+	c.UseProgram(fw.Text, e)
 	c.OnSyscall = k.service
 	if obs.TracingEnabled() {
 		k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))

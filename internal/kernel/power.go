@@ -165,7 +165,7 @@ func (t *BootTemplate) RebootImage(cut *Checkpoint, restartMS uint64) *Checkpoin
 // parked until Reboot; like Checkpoint, call it only between events.
 func (t *BootTemplate) Brownout(k *Kernel, brownoutMS uint64) {
 	k.AttachRecorder(nil)
-	k.Bus.RevertVolatile(&t.img)
+	k.Bus.RevertVolatile(t.ct.Image())
 	// The CPU restore replaces any dirty marks the revert just added with
 	// the surviving set, as Resume does after loading pages.
 	k.CPU.SetState(persistentCPU(k.CPU.State()))

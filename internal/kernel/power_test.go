@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"amuletiso/internal/cc"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/mem"
 )
 
@@ -14,10 +15,9 @@ import (
 // reboot path may never disagree. Checked under COW and the flat oracle.
 func TestRebootImageFixedPoint(t *testing.T) {
 	for _, cow := range []bool{true, false} {
-		mem.SetCOW(cow)
-		t.Cleanup(func() { mem.SetCOW(true) })
 		for _, mode := range []cc.Mode{cc.ModeMPU, cc.ModeNoIsolation} {
 			fw, tmpl := checkpointFirmware(t, mode)
+			tmpl = tmpl.WithEngine(engine.Engine{NoCOW: !cow})
 			for _, cutMS := range []uint64{500, 2500, 4400} {
 				k := driveTo(tmpl, fw, nil, cutMS)
 				cut := tmpl.PersistentCut(tmpl.Checkpoint(k), cutMS)

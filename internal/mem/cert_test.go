@@ -173,25 +173,21 @@ func TestCertDroppedByWritesIntoWatchedCode(t *testing.T) {
 	}
 }
 
-// TestSetExecCerts checks the global escape hatch: with certificates off,
-// every fetch consults the checker per word, with identical observables.
-func TestSetExecCerts(t *testing.T) {
-	defer SetExecCerts(true)
-	SetExecCerts(false)
-	if ExecCertsEnabled() {
-		t.Fatal("ExecCertsEnabled after SetExecCerts(false)")
-	}
+// TestCheckOnlyCheckerPerWord checks the -nocert engine's bus: a checker
+// seen only through CheckAccess (its certifier interfaces hidden) is
+// consulted on every fetched word, and no certificate forms.
+func TestCheckOnlyCheckerPerWord(t *testing.T) {
 	b := NewBus()
 	ck := &certChecker{denyLo: 0xF000, denyHi: 0xFFFF}
-	b.SetChecker(ck)
+	b.SetChecker(struct{ Checker }{ck})
 	if v := b.FetchWords(0x4400, 6); v != nil {
 		t.Fatal(v)
 	}
 	if ck.checks != 3 {
-		t.Fatalf("with certs off, CheckAccess ran %d times, want 3", ck.checks)
+		t.Fatalf("check-only checker: CheckAccess ran %d times, want 3", ck.checks)
 	}
 	if _, _, ok := b.ExecCert(); ok {
-		t.Fatal("certificate established while disabled")
+		t.Fatal("certificate established through a check-only checker")
 	}
 }
 

@@ -82,8 +82,8 @@ func TestDataCertificateSkipsChecker(t *testing.T) {
 }
 
 // TestDataCertificateInvalidation checks that a generation bump, Map,
-// WatchCode, the certificate switch and an access profiler all take effect
-// on the very next access.
+// WatchCode, a swap to a check-only checker and an access profiler all take
+// effect on the very next access.
 func TestDataCertificateInvalidation(t *testing.T) {
 	b, ck := newDataBus(t)
 	probe := func(addr uint16) bool { // did a Read16 consult the checker?
@@ -117,17 +117,17 @@ func TestDataCertificateInvalidation(t *testing.T) {
 		t.Fatal("write into newly watched text skipped the checker")
 	}
 
-	SetExecCerts(false)
+	b.SetChecker(struct{ Checker }{ck}) // the -nocert view: CheckAccess only
 	off := probe(0x8000)
 	before = ck.checks
 	b.Write16(0x0200, 1)
 	offDev := ck.checks != before
-	SetExecCerts(true)
+	b.SetChecker(ck)
 	if !off {
-		t.Fatal("certificates off, but a read skipped the checker")
+		t.Fatal("check-only checker, but a read skipped the checker")
 	}
 	if !offDev {
-		t.Fatal("certificates off, but an unchecked device store skipped the checker")
+		t.Fatal("check-only checker, but an unchecked device store skipped the checker")
 	}
 	b.OnAccess = func(Access) {}
 	if !probe(0x8000) {

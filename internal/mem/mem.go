@@ -13,37 +13,9 @@ package mem
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
+
+	"amuletiso/internal/engine"
 )
-
-// execCertsOff globally disables the certificate fast paths when set: every
-// FetchWords takes the per-word execute oracle and every Read16/Write16 the
-// checked path. The equivalence test battery toggles it to assert the
-// certified and per-word engines are observably identical.
-var execCertsOff atomic.Bool
-
-// SetExecCerts enables or disables the execute and data-access certificate
-// fast paths process-wide. Unlike the JIT and decode-cache switches it is
-// consulted on every access, so it may be toggled between runs without
-// rebuilding.
-func SetExecCerts(on bool) { execCertsOff.Store(!on) }
-
-// ExecCertsEnabled reports whether the bus may use execute and data-access
-// certificates.
-func ExecCertsEnabled() bool { return !execCertsOff.Load() }
-
-// cowOff globally disables copy-on-write device memory when set: template
-// boots (kernel.BootTemplate, cc.Program.Load) fall back to flat 64 KiB
-// clones — the memory-oracle path behind the `-nocow` escape hatch. Like the
-// other hatches it is a boot-time property: buses already constructed keep
-// their backing.
-var cowOff atomic.Bool
-
-// SetCOW enables or disables copy-on-write template boots process-wide.
-func SetCOW(on bool) { cowOff.Store(!on) }
-
-// COWEnabled reports whether template boots use copy-on-write views.
-func COWEnabled() bool { return !cowOff.Load() }
 
 // MSP430FR5969-style memory map. All bounds are inclusive.
 const (
@@ -425,6 +397,16 @@ func NewTemplate(img *BusImage) *Template {
 // Image returns the template's underlying snapshot (for flat-oracle boots).
 func (t *Template) Image() *BusImage { return t.img }
 
+// Boot returns a bus holding the template's bytes for engine e: a flat
+// clone (NewBusFrom) under e.NoCOW, else a COW view (NewBusCOW) drawing
+// pages from arena.
+func (t *Template) Boot(arena *PageArena, e engine.Engine) *Bus {
+	if e.NoCOW {
+		return NewBusFrom(t.img)
+	}
+	return NewBusCOW(t, arena)
+}
+
 // NewBusCOW returns a bus whose memory is a page-granular copy-on-write view
 // over the template: it allocates no data pages at all — it even shares the
 // template's page-pointer table until the first fault — every read is served
@@ -772,12 +754,11 @@ func (b *Bus) observe(a Access) {
 
 // dataFast reports whether a word access to addr may skip the checker:
 // addr's page is on mask (fastR or fastW), the mask is current for the
-// checker's generation, no profiling hook observes accesses, and
-// certificates are enabled. It is small enough to inline into the access
-// paths; recertify handles every miss.
+// checker's generation, and no profiling hook observes accesses. It is
+// small enough to inline into the access paths; recertify handles every
+// miss.
 func (b *Bus) dataFast(mask *PageSet, addr uint16) bool {
-	return mask.Has(int(addr>>pageShift)) && *b.dataGenRef == b.dataGen &&
-		b.OnAccess == nil && !execCertsOff.Load()
+	return mask.Has(int(addr>>pageShift)) && *b.dataGenRef == b.dataGen && b.OnAccess == nil
 }
 
 // recertify is dataFast's miss path: after a generation change it re-derives
@@ -789,8 +770,7 @@ func (b *Bus) dataFast(mask *PageSet, addr uint16) bool {
 // dataFast never reads a missing generation counter.
 func (b *Bus) recertify(mask *PageSet, addr uint16) bool {
 	p := int(addr >> pageShift)
-	if b.dataEC == nil || b.OnAccess != nil || execCertsOff.Load() ||
-		*b.dataGenRef == b.dataGen || b.devSet.Has(p) {
+	if b.dataEC == nil || b.OnAccess != nil || *b.dataGenRef == b.dataGen || b.devSet.Has(p) {
 		return false
 	}
 	r, w := b.dataEC.DataPages()
@@ -810,8 +790,7 @@ func (b *Bus) recertify(mask *PageSet, addr uint16) bool {
 // call plus the counters, whatever the configuration generation.
 func (b *Bus) deviceCertified(addr uint16) bool {
 	p := int(addr >> pageShift)
-	return b.devW.Has(p) && b.dataEC != nil && b.OnAccess == nil &&
-		!execCertsOff.Load() && b.dataEC.Unchecked().Has(p)
+	return b.devW.Has(p) && b.dataEC != nil && b.OnAccess == nil && b.dataEC.Unchecked().Has(p)
 }
 
 // Read16 performs a checked word read. On a page the checker has certified
@@ -981,17 +960,13 @@ func (b *Bus) execCertified(addr, size uint16) bool {
 // ExecCertifiedSpan reports whether a compiled block's whole fetch span
 // [addr, addr+size) is covered by a valid execute certificate AND the
 // certificate fast path is actually in force — no profiling hook observing
-// accesses and certificates not disabled. It is the entry (and post-write
-// re-probe) gate for the block JIT: when it returns true, every
-// per-instruction FetchWords inside the span would take the counter-only
-// fast path, so a block executor may batch that accounting; when false the
-// block deopts and the interpreter's per-word oracle does whatever it would
-// have done anyway.
+// accesses. It is the entry (and post-write re-probe) gate for the block
+// JIT: when it returns true, every per-instruction FetchWords inside the
+// span would take the counter-only fast path, so a block executor may batch
+// that accounting; when false the block deopts and the interpreter's
+// per-word oracle does whatever it would have done anyway.
 func (b *Bus) ExecCertifiedSpan(addr, size uint16) bool {
-	if b.OnAccess != nil || execCertsOff.Load() {
-		return false
-	}
-	return b.execCertified(addr, size)
+	return b.OnAccess == nil && b.execCertified(addr, size)
 }
 
 // AddFetchWords advances the fetch counter by n words without checks or
@@ -1051,7 +1026,7 @@ func (b *Bus) Fetch16(addr uint16) (uint16, *Violation) {
 // (OnAccess needs per-word values), uncertifiable checkers, dropped
 // certificates and spans the certifier refuses.
 func (b *Bus) FetchWords(addr, size uint16) *Violation {
-	if b.OnAccess == nil && !execCertsOff.Load() && b.execCertified(addr, size) {
+	if b.OnAccess == nil && b.execCertified(addr, size) {
 		b.fetches += uint64(size >> 1)
 		return nil
 	}

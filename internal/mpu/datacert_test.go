@@ -5,15 +5,9 @@ import (
 	"fmt"
 	"testing"
 
+	"amuletiso/internal/engine"
 	"amuletiso/internal/mem"
 )
-
-// checkOnly hides every certifier method of the unit: a bus whose checker it
-// is must take the per-access path for every read, write and fetch — the
-// oracle the data-access certificate is compared against.
-type checkOnly struct{ u *Unit }
-
-func (c checkOnly) CheckAccess(a mem.Access) *mem.Violation { return c.u.CheckAccess(a) }
 
 // regDevice is a plain word register file standing in for a peripheral.
 // log is a running checksum of every write it received, in order.
@@ -52,16 +46,13 @@ var certTemplate = func() *mem.Template {
 
 func newCertRig(certify bool) *certRig {
 	r := &certRig{bus: mem.NewBusCOW(certTemplate, nil), u: New()}
-	r.bus.Map(RegLo, RegHi, r.u)
+	// The uncertified side is the -nocert engine: every read, write and
+	// fetch takes the per-access oracle path.
+	r.u.Install(r.bus, engine.Engine{NoCert: !certify})
 	for _, w := range [][2]uint16{{0x6000, 0x6003}, {0x0200, 0x0203}, {0x4470, 0x4473}} {
 		d := &regDevice{regs: map[uint16]uint16{}}
 		r.devs = append(r.devs, d)
 		r.bus.Map(w[0], w[1], d)
-	}
-	if certify {
-		r.bus.SetChecker(r.u)
-	} else {
-		r.bus.SetChecker(checkOnly{r.u})
 	}
 	r.bus.WatchCode([]mem.CodeRange{{Lo: 0x4400, Hi: 0x4480}, {Lo: 0x9000, Hi: 0x9300}},
 		func(lo, hi uint16) { r.watch = append(r.watch, fmt.Sprintf("%04x-%04x", lo, hi)) })

@@ -18,6 +18,7 @@ package mpu
 import (
 	"fmt"
 
+	"amuletiso/internal/engine"
 	"amuletiso/internal/mem"
 )
 
@@ -162,6 +163,19 @@ type Unit struct {
 // New returns a disabled MPU with open access rights.
 func New() *Unit {
 	return &Unit{sam: 0x7777, cur: openPlan}
+}
+
+// Install maps u's registers onto bus and makes u its access checker. Under
+// e.NoCert the bus sees only CheckAccess, never the certifier interfaces, so
+// no certificate forms and every fetch and data access takes the per-word
+// oracle path.
+func (u *Unit) Install(bus *mem.Bus, e engine.Engine) {
+	bus.Map(RegLo, RegHi, u)
+	if e.NoCert {
+		bus.SetChecker(struct{ mem.Checker }{u})
+	} else {
+		bus.SetChecker(u)
+	}
 }
 
 // DeviceName implements mem.Device.

@@ -34,9 +34,8 @@ func SetMetrics(on bool) { metricsOff.Store(!on) }
 func MetricsEnabled() bool { return !metricsOff.Load() }
 
 // tracingOn arms the flight recorder: kernels booted while it is set attach
-// a ring recorder automatically. Like the JIT/threading switches it is a
-// boot-time property — already-booted kernels keep whatever recorder they
-// have.
+// a ring recorder automatically. It is a boot-time property —
+// already-booted kernels keep whatever recorder they have.
 var tracingOn atomic.Bool
 
 // SetTracing arms or disarms automatic flight-recorder attachment for

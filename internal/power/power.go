@@ -91,8 +91,10 @@ func Parse(spec string) (Profile, error) {
 	}
 	if hasPeak {
 		mw, err := strconv.ParseFloat(peakStr, 64)
-		if err != nil || mw <= 0 || mw > 1000 {
-			return Profile{}, fmt.Errorf("power: bad peak %q in trace %q (want milliwatts in (0, 1000])", peakStr, spec)
+		// The negated range test rejects NaN too; a peak below 1e-6 mW
+		// would round to 0 pJ/ms.
+		if err != nil || !(mw > 0 && mw <= 1000) || uint64(mw*1e6) == 0 {
+			return Profile{}, fmt.Errorf("power: bad peak %q in trace %q (want milliwatts in [1e-6, 1000])", peakStr, spec)
 		}
 		p.PeakPJPerMS = uint64(mw * 1e6)
 	}

@@ -85,10 +85,12 @@ func TestSolarNightIsDark(t *testing.T) {
 	}
 }
 
-// TestParseRejectsBadSpecs covers the validation surface the Scenario and
-// CLI flags rely on.
+// TestParseRejectsBadSpecs covers the validation surface the Scenario, the
+// CLI flags and fleetd's powerTrace job field rely on: NaN and peaks that
+// round to 0 pJ/ms are rejected like any other out-of-range peak.
 func TestParseRejectsBadSpecs(t *testing.T) {
-	for _, spec := range []string{"", "wind", "solar:", "solar:0", "solar:-1", "solar:1001", "solar:xyz"} {
+	for _, spec := range []string{"", "wind", "solar:", "solar:0", "solar:-1", "solar:1001", "solar:xyz",
+		"solar:NaN", "kinetic:nan", "recorded:+Inf", "kinetic:1e-7", "solar:0x1p-30"} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
@@ -100,6 +102,20 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	if p.Kind != "recorded" || p.PeakPJPerMS != 5_000_000 {
 		t.Fatalf("recorded:5 parsed to %+v", p)
 	}
+}
+
+// FuzzParse: Parse never panics, and every spec it accepts has a peak in
+// (0, 1e9] pJ/ms — the range HarvestPJ's arithmetic is sized for.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{"solar", "kinetic:3", "recorded:0.5", "solar:NaN", "kinetic:1e-7", "solar:1000", "solar:1e-6"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err == nil && (p.PeakPJPerMS == 0 || p.PeakPJPerMS > 1e9) {
+			t.Fatalf("Parse(%q) accepted peak %d pJ/ms", spec, p.PeakPJPerMS)
+		}
+	})
 }
 
 // TestDefaultSupercapHysteresis: the thresholds must order brownout <

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"amuletiso/internal/aft"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/kernel"
 )
 
@@ -29,7 +30,7 @@ const brownoutOffMS = 500
 
 // executeBrownout runs one crash-consistency case across the hosted mode
 // matrix.
-func executeBrownout(c *Case, out *Outcome) {
+func executeBrownout(c *Case, e engine.Engine, out *Outcome) {
 	out.Expected = map[string]Layer{}
 	out.Observed = map[string]Layer{}
 	// Seed-determined first cut point, at a coarse boundary so some EvInit
@@ -41,7 +42,7 @@ func executeBrownout(c *Case, out *Outcome) {
 			out.fail("compile-error", fmt.Sprintf("%v: %v", mode, err))
 			return
 		}
-		tmpl := kernel.NewBootTemplate(fw)
+		tmpl := kernel.NewBootTemplate(fw).WithEngine(e)
 		k := tmpl.NewKernel(uint32(c.Seed) | 1)
 		k.WatchdogBudget = hostedWatchdog
 		// Restart-friendly policy: the attack's fault must not permanently

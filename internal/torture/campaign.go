@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"amuletiso/internal/engine"
 	"amuletiso/internal/fleet"
 	"amuletiso/internal/obs"
 )
@@ -36,6 +37,9 @@ type Config struct {
 	// Shrink minimizes failing cases to their smallest reproducer before
 	// reporting them.
 	Shrink bool
+	// Engine selects the execution layers every case runs on. Reports are
+	// byte-identical under every engine.
+	Engine engine.Engine
 }
 
 // DefaultConfig returns the canonical campaign configuration for a kind.
@@ -109,7 +113,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		restricted := cfg.Kind != KindHosted && cfg.Kind != KindBrownout &&
 			cfg.RestrictedEvery > 0 && gi%cfg.RestrictedEvery == 0
 		c, p := buildCaseProg(cfg.Kind, caseSeed(cfg.Seed, gi), restricted)
-		out := Execute(c)
+		out := execute(c, cfg.Engine)
 		mCases.Inc()
 		out.Index = gi
 		if !out.Pass {
@@ -117,7 +121,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			out.Attack = c.Attack
 			out.Restricted = c.Restricted
 			if cfg.Shrink && p != nil {
-				out.Source = shrinkFailure(p, c, out.Category)
+				out.Source = shrinkFailure(p, c, out.Category, cfg.Engine)
 			}
 		}
 		results[i] = out

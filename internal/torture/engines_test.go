@@ -12,48 +12,10 @@ import (
 	"amuletiso/internal/abi"
 	"amuletiso/internal/cc"
 	"amuletiso/internal/cpu"
-	"amuletiso/internal/isa"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/mem"
 	"amuletiso/internal/obs"
 )
-
-// engineCfg is one cell of the engine matrix: the production engine with
-// any subset of the escape hatches flipped. Threading, the superblock JIT and
-// the decode cache are build-time properties (they shape the predecode cache
-// and the compiled block plan); certificates and COW device memory are
-// run-time ones.
-type engineCfg struct {
-	name                                          string
-	noThread, noCert, noJIT, noCOW, noDecodeCache bool
-}
-
-// engineMatrix is the default engine, each remaining hatch flipped alone,
-// and the all-off oracle. Every hatch replaces exactly one layer with its
-// oracle, so flipping it alone tests that layer; the oracle (live decode,
-// per-word checks, flat memory) pins the whole stack at once. Live decode
-// already implies switch dispatch and no JIT, so the oracle leaves those
-// toggles alone. engineMatrix[0] is the production engine.
-var engineMatrix = []engineCfg{
-	{name: "default"},
-	{name: "nothread", noThread: true},
-	{name: "nocert", noCert: true},
-	{name: "nojit", noJIT: true},
-	{name: "nocow", noCOW: true},
-	{name: "nodecodecache", noDecodeCache: true},
-	{name: "oracle", noDecodeCache: true, noCert: true, noCOW: true},
-}
-
-// apply flips the process-global engine toggles to this cell.
-func (c engineCfg) apply() {
-	isa.SetThreading(!c.noThread)
-	mem.SetExecCerts(!c.noCert)
-	isa.SetJIT(!c.noJIT)
-	mem.SetCOW(!c.noCOW)
-	cpu.SetDecodeCache(!c.noDecodeCache)
-}
-
-// resetEngines restores the production configuration.
-func resetEngines() { engineMatrix[0].apply() }
 
 // engineFP is everything one standalone run exposes: exit state, cycle and
 // instruction counts, bus statistics, MPU violation state, final global
@@ -71,21 +33,18 @@ type engineFP struct {
 	trace   uint64
 }
 
-// fingerprintStandalone compiles src under one engine configuration and runs
-// it to completion. withTrace attaches a bus profiling hook hashing every
-// access in order (which lawfully bypasses the certificate fast path and
-// block execution, so trace comparisons exercise the interpreter layers while
-// stats comparisons exercise every layer).
-func fingerprintStandalone(t *testing.T, src string, mode cc.Mode, cfg engineCfg, withTrace bool) engineFP {
+// fingerprintStandalone compiles src and runs it to completion on engine e.
+// withTrace attaches a bus profiling hook hashing every access in order
+// (which lawfully bypasses the certificate fast path and block execution, so
+// trace comparisons exercise the interpreter layers while stats comparisons
+// exercise every layer).
+func fingerprintStandalone(t *testing.T, src string, mode cc.Mode, e engine.Engine, withTrace bool) engineFP {
 	t.Helper()
-	defer resetEngines()
-	cfg.apply()
-
 	p, err := cc.CompileProgram(unitName, src, cc.ProgramOptions{
-		Mode: mode, EnableMPU: mode == cc.ModeMPU,
+		Mode: mode, EnableMPU: mode == cc.ModeMPU, Engine: e,
 	})
 	if err != nil {
-		t.Fatalf("%v/%s: %v\n%s", mode, cfg.name, err, src)
+		t.Fatalf("%v/%v: %v\n%s", mode, e, err, src)
 	}
 	m := p.Load()
 	h := fnv.New64a()
@@ -128,19 +87,24 @@ func fingerprintStandalone(t *testing.T, src string, mode cc.Mode, cfg engineCfg
 
 // TestEngineEquivalenceBattery is the engine lockdown: generated torture
 // programs — benign differential ones and fault-injecting adversarial ones —
-// must be byte-identical in every engineMatrix cell under every isolation
+// must be byte-identical in every engine.Matrix cell under every isolation
 // mode: exit state, cycle counts, instruction counts, bus statistics, MPU
 // violation state, final global bytes, and the complete access trace
 // (compared across the certified cells; the certificate fast path is only
 // taken when no profiler observes accesses, so traces cannot compare the
 // certificate axis).
 func TestEngineEquivalenceBattery(t *testing.T) {
-	defer resetEngines()
 	nDiff, nAdv := 20, 12
 	if testing.Short() {
 		nDiff, nAdv = 6, 4
 	}
-	run := func(kind string, n int, seedBase uint64) {
+	type probe struct {
+		name, src  string
+		mode       cc.Mode
+		ref, trace engineFP
+	}
+	var probes []probe
+	build := func(kind string, n int, seedBase uint64) {
 		for i := 0; i < n; i++ {
 			restricted := i%4 == 1
 			c := BuildCase(kind, caseSeed(seedBase, i), restricted)
@@ -149,48 +113,47 @@ func TestEngineEquivalenceBattery(t *testing.T) {
 				modes = advModes(restricted)
 			}
 			for _, mode := range modes {
-				var ref engineFP
-				for j, cfg := range engineMatrix {
-					fp := fingerprintStandalone(t, c.Source, mode, cfg, false)
-					if j == 0 {
-						ref = fp
-						continue
-					}
-					if fp != ref {
-						t.Fatalf("%s case %d %v: %s diverged from %s\n  ref: %+v\n  got: %+v\n%s",
-							kind, i, mode, cfg.name, engineMatrix[0].name, ref, fp, c.Source)
-					}
+				probes = append(probes, probe{
+					name: fmt.Sprintf("%s case %d %v", kind, i, mode), src: c.Source, mode: mode,
+					ref:   fingerprintStandalone(t, c.Source, mode, engine.Engine{}, false),
+					trace: fingerprintStandalone(t, c.Source, mode, engine.Engine{}, true),
+				})
+			}
+		}
+	}
+	build(KindDifferential, nDiff, 0x5EED)
+	build(KindAdversarial, nAdv, 0xA77C)
+	for _, e := range engine.Matrix[1:] {
+		t.Run(e.String(), func(t *testing.T) {
+			t.Parallel()
+			for _, p := range probes {
+				if fp := fingerprintStandalone(t, p.src, p.mode, e, false); fp != p.ref {
+					t.Fatalf("%s diverged from the production engine\n  ref: %+v\n  got: %+v\n%s",
+						p.name, p.ref, fp, p.src)
 				}
 				// Trace pass under the profiling hook: every certified cell
 				// must produce the identical access stream. (A profiler
 				// lawfully disables both the certificate fast path and block
 				// execution, so this also proves the jit entry check defers
 				// to the profiler.)
-				ref = fingerprintStandalone(t, c.Source, mode, engineMatrix[0], true)
-				for j, cfg := range engineMatrix {
-					if j == 0 || cfg.noCert {
-						continue
-					}
-					b := fingerprintStandalone(t, c.Source, mode, cfg, true)
-					if ref != b {
-						t.Fatalf("%s case %d %v: access traces diverged\n  %s: %+v\n  %s: %+v\n%s",
-							kind, i, mode, engineMatrix[0].name, ref, cfg.name, b, c.Source)
-					}
+				if e.NoCert {
+					continue
+				}
+				if fp := fingerprintStandalone(t, p.src, p.mode, e, true); fp != p.trace {
+					t.Fatalf("%s: access traces diverged\n  ref: %+v\n  got: %+v\n%s",
+						p.name, p.trace, fp, p.src)
 				}
 			}
-		}
+		})
 	}
-	run(KindDifferential, nDiff, 0x5EED)
-	run(KindAdversarial, nAdv, 0xA77C)
 }
 
 // TestCampaignByteIdenticalAcrossEngines is the campaign-level guardrail
-// behind the CI escape-hatch legs: whole differential, adversarial and
-// hosted campaigns serialize to the same bytes in every engineMatrix cell —
-// each hatch alone and the live-decode oracle — and with observability armed
-// or off, so every hatch stays byte-identical forever.
+// behind the CI escape-hatch job: whole differential, adversarial and
+// hosted campaigns serialize to the same bytes in every engine.Matrix cell
+// and with observability armed or off, so every hatch stays byte-identical
+// forever.
 func TestCampaignByteIdenticalAcrossEngines(t *testing.T) {
-	defer resetEngines()
 	for _, kind := range []string{KindDifferential, KindAdversarial, KindHosted} {
 		n := 40
 		if kind == KindHosted {
@@ -199,10 +162,10 @@ func TestCampaignByteIdenticalAcrossEngines(t *testing.T) {
 		if testing.Short() {
 			n = n/4 + 1 // keep the -race -short CI job cheap
 		}
-		var ref string
-		check := func(name string) {
+		report := func(t *testing.T, e engine.Engine) string {
 			cfg := DefaultConfig(kind)
 			cfg.Programs = n
+			cfg.Engine = e
 			rep, err := Run(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -211,67 +174,76 @@ func TestCampaignByteIdenticalAcrossEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ref == "" {
-				ref = string(b)
-				return
-			}
-			if string(b) != ref {
-				t.Errorf("%s: %s report differs from %s", kind, name, engineMatrix[0].name)
-			}
+			return string(b)
 		}
-		for _, cfg := range engineMatrix {
-			cfg.apply()
-			check(cfg.name)
-		}
-		resetEngines()
-		// The {obs, noobs} axis: campaign bytes must not depend on whether
-		// flight recorders are armed or metrics enabled. Tracing only touches
-		// kernel-hosted paths, so the production engine cell suffices.
+		want := report(t, engine.Engine{})
+		t.Run(kind, func(t *testing.T) {
+			for _, e := range engine.Matrix[1:] {
+				t.Run(e.String(), func(t *testing.T) {
+					t.Parallel()
+					if report(t, e) != want {
+						t.Error("report differs from the production engine's")
+					}
+				})
+			}
+		})
+		// The {obs, noobs} axis is process-global, so it runs serially once
+		// the engine cells are done: campaign bytes must not depend on
+		// whether flight recorders are armed or metrics enabled. Tracing
+		// only touches kernel-hosted paths, so the production engine
+		// suffices.
 		obs.SetTracing(true)
-		check("obs")
+		traced := report(t, engine.Engine{})
 		obs.SetTracing(false)
 		obs.SetMetrics(false)
-		check("noobs")
+		quiet := report(t, engine.Engine{})
 		obs.SetMetrics(true)
+		if traced != want || quiet != want {
+			t.Errorf("%s: report differs with tracing armed (%v) or metrics off (%v)",
+				kind, traced != want, quiet != want)
+		}
 	}
 }
 
 // TestCorpusReplayAcrossEngines replays every committed corpus case —
 // including the branch-ladder and superblock reproducers — in every
-// engineMatrix cell, asserting identical serialized outcomes.
+// engine.Matrix cell, asserting identical serialized outcomes.
 func TestCorpusReplayAcrossEngines(t *testing.T) {
-	defer resetEngines()
 	cases, err := LoadCorpus("testdata")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cases {
-		var ref string
-		replay := func(name string) {
-			out := Execute(c)
-			b, err := json.Marshal(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == "" {
-				ref = string(b)
-				return
-			}
-			if string(b) != ref {
-				t.Errorf("corpus %s: outcome under %s differs:\n  ref: %s\n  got: %s",
-					c.Name, name, ref, b)
-			}
+	outcome := func(t *testing.T, c *Case, e engine.Engine) string {
+		b, err := json.Marshal(execute(c, e))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, cfg := range engineMatrix {
-			cfg.apply()
-			replay(cfg.name)
+		return string(b)
+	}
+	want := make([]string, len(cases))
+	for i, c := range cases {
+		want[i] = outcome(t, c, engine.Engine{})
+	}
+	t.Run("engines", func(t *testing.T) {
+		for _, e := range engine.Matrix[1:] {
+			t.Run(e.String(), func(t *testing.T) {
+				t.Parallel()
+				for i, c := range cases {
+					if got := outcome(t, c, e); got != want[i] {
+						t.Errorf("corpus %s: outcome differs:\n  ref: %s\n  got: %s", c.Name, want[i], got)
+					}
+				}
+			})
 		}
-		resetEngines()
-		// Tracing-armed replay: identical outcomes, and hosted cases
-		// additionally run the flight-recorder second-witness check inside
-		// executeHosted (a recorder/oracle disagreement fails the case).
-		obs.SetTracing(true)
-		replay("obs")
-		obs.SetTracing(false)
+	})
+	// Tracing-armed replay: identical outcomes, and hosted cases
+	// additionally run the flight-recorder second-witness check inside
+	// executeHosted (a recorder/oracle disagreement fails the case).
+	obs.SetTracing(true)
+	defer obs.SetTracing(false)
+	for i, c := range cases {
+		if got := outcome(t, c, engine.Engine{}); got != want[i] {
+			t.Errorf("corpus %s: outcome differs with tracing armed:\n  ref: %s\n  got: %s", c.Name, want[i], got)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"amuletiso/internal/abi"
 	"amuletiso/internal/cc"
 	"amuletiso/internal/cpu"
+	"amuletiso/internal/engine"
 )
 
 // unitName is the compilation-unit name every standalone torture program
@@ -72,18 +73,21 @@ func (o *Outcome) fail(category, reason string) {
 	}
 }
 
-// Execute runs a case under its kind's rules.
-func Execute(c *Case) *Outcome {
+// Execute runs a case under its kind's rules on the production engine.
+func Execute(c *Case) *Outcome { return execute(c, engine.Engine{}) }
+
+// execute runs a case under its kind's rules on engine e.
+func execute(c *Case, e engine.Engine) *Outcome {
 	out := &Outcome{Seed: c.Seed, Kind: c.Kind, Pass: true}
 	switch c.Kind {
 	case KindDifferential:
-		executeDifferential(c, out)
+		executeDifferential(c, e, out)
 	case KindAdversarial:
-		executeAdversarial(c, out)
+		executeAdversarial(c, e, out)
 	case KindHosted:
-		executeHosted(c, out)
+		executeHosted(c, e, out)
 	case KindBrownout:
-		executeBrownout(c, out)
+		executeBrownout(c, e, out)
 	default:
 		out.fail("bad-kind", fmt.Sprintf("unknown case kind %q", c.Kind))
 	}
@@ -121,11 +125,12 @@ func advModes(restricted bool) []cc.Mode {
 }
 
 // runStandalone compiles the source as a standalone program under one mode
-// and runs it to completion.
-func runStandalone(src string, mode cc.Mode) (*runResult, error) {
+// and runs it to completion on engine e.
+func runStandalone(src string, mode cc.Mode, e engine.Engine) (*runResult, error) {
 	p, err := cc.CompileProgram(unitName, src, cc.ProgramOptions{
 		Mode:      mode,
 		EnableMPU: mode == cc.ModeMPU,
+		Engine:    e,
 	})
 	if err != nil {
 		return nil, err
@@ -171,11 +176,11 @@ func runStandalone(src string, mode cc.Mode) (*runResult, error) {
 // with the same exit code and identical global state, with the baseline
 // never costing more cycles than an instrumented build — the paper's
 // "isolation preserves semantics, costs only overhead" claim.
-func executeDifferential(c *Case, out *Outcome) {
+func executeDifferential(c *Case, e engine.Engine, out *Outcome) {
 	out.ModeCycles = map[string]uint64{}
 	var base *runResult
 	for _, mode := range diffModes(c.Restricted) {
-		res, err := runStandalone(c.Source, mode)
+		res, err := runStandalone(c.Source, mode, e)
 		if err != nil {
 			out.fail("compile-error", fmt.Sprintf("%v: %v", mode, err))
 			return
@@ -248,7 +253,7 @@ func classifyStandalone(res *runResult) Layer {
 // injected violation exactly as the oracle predicts — trapped by the
 // attributed layer, or (for explicit probes of the modeled hardware holes)
 // demonstrably escaping.
-func executeAdversarial(c *Case, out *Outcome) {
+func executeAdversarial(c *Case, e engine.Engine, out *Outcome) {
 	if c.Attack == nil {
 		out.fail("bad-case", "adversarial case without attack metadata")
 		return
@@ -256,7 +261,7 @@ func executeAdversarial(c *Case, out *Outcome) {
 	out.Expected = map[string]Layer{}
 	out.Observed = map[string]Layer{}
 	for _, mode := range advModes(c.Restricted) {
-		res, err := runStandalone(c.Source, mode)
+		res, err := runStandalone(c.Source, mode, e)
 		if err != nil {
 			out.fail("compile-error", fmt.Sprintf("%v: %v", mode, err))
 			return

@@ -6,6 +6,7 @@ import (
 	"amuletiso/internal/abi"
 	"amuletiso/internal/aft"
 	"amuletiso/internal/cc"
+	"amuletiso/internal/engine"
 	"amuletiso/internal/kernel"
 	"amuletiso/internal/obs"
 )
@@ -56,7 +57,7 @@ func lastFaultClass(evs []obs.DumpEvent) (kernel.FaultClass, bool) {
 // attribution matches the oracle. This is the path that exercises the layer
 // standalone programs cannot reach: the OS gates' pointer-argument
 // validation, and the watchdog.
-func executeHosted(c *Case, out *Outcome) {
+func executeHosted(c *Case, e engine.Engine, out *Outcome) {
 	if c.Attack == nil {
 		out.fail("bad-case", "hosted case without attack metadata")
 		return
@@ -82,9 +83,7 @@ func executeHosted(c *Case, out *Outcome) {
 		}
 		expected := c.Attack.predict(mode.String(), lay, arrAddr)
 
-		// Template boot (not NewSeeded) so adversarial campaigns run on the
-		// COW bus by default and the -nocow hatch leg exercises a real diff.
-		k := kernel.NewBootTemplate(fw).NewKernel(uint32(c.Seed) | 1)
+		k := kernel.NewBootTemplate(fw).WithEngine(e).NewKernel(uint32(c.Seed) | 1)
 		k.WatchdogBudget = hostedWatchdog
 		k.Policy = kernel.RestartPolicy{} // first fault is final
 		k.Step()                          // deliver EvInit — the attack runs here

@@ -8,6 +8,8 @@ package torture
 // bounded, so a given (program, predicate) always shrinks to the same
 // minimum.
 
+import "amuletiso/internal/engine"
+
 // maxShrinkEvals bounds predicate evaluations per shrink (each evaluation
 // compiles and runs the candidate under every relevant mode).
 const maxShrinkEvals = 1500
@@ -182,11 +184,11 @@ func programCase(p *program, tmpl *Case) *Case {
 	}
 }
 
-// shrinkFailure minimizes a failing case's program, preserving the failure
-// category, and returns the minimal reproducer source.
-func shrinkFailure(p *program, tmpl *Case, category string) string {
+// shrinkFailure minimizes a failing case's program on engine e, preserving
+// the failure category, and returns the minimal reproducer source.
+func shrinkFailure(p *program, tmpl *Case, category string, e engine.Engine) string {
 	min := shrinkProgram(p, func(cand *program) bool {
-		o := Execute(programCase(cand, tmpl))
+		o := execute(programCase(cand, tmpl), e)
 		return !o.Pass && o.Category == category
 	})
 	return min.render()

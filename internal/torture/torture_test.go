@@ -8,6 +8,7 @@ import (
 
 	"amuletiso/internal/cc"
 	"amuletiso/internal/cpu"
+	"amuletiso/internal/engine"
 )
 
 // TestDifferentialCampaign is the harness's core claim, in miniature: a
@@ -154,7 +155,7 @@ func TestShrinkerPreservesFailureCategory(t *testing.T) {
 	if out.Pass {
 		t.Skip("attack escaped under differential modes; pick another seed")
 	}
-	shrunk := shrinkFailure(p, c, out.Category)
+	shrunk := shrinkFailure(p, c, out.Category, engine.Engine{})
 	if len(shrunk) >= len(c.Source) {
 		t.Errorf("shrinker did not reduce: %d -> %d bytes", len(c.Source), len(shrunk))
 	}
@@ -215,7 +216,7 @@ int main() {
     return 7;
 }
 `
-	res, err := runStandalone(src, cc.ModeMPU)
+	res, err := runStandalone(src, cc.ModeMPU, engine.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ int main() {
 		t.Fatalf("MPU mode: expected the vector-table store to escape, got stop=%v exit=0x%04X fault=%v",
 			res.stop, res.exit, res.fault)
 	}
-	res, err = runStandalone(src, cc.ModeSoftwareOnly)
+	res, err = runStandalone(src, cc.ModeSoftwareOnly, engine.Engine{})
 	if err != nil {
 		t.Fatal(err)
 	}
