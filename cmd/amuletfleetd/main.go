@@ -35,8 +35,8 @@ func main() {
 	parallel := flag.Int("parallel", 0, "simulation worker goroutines (0 = all cores)")
 	shard := flag.Int("shard-devices", 25, "devices per sequentially scheduled, checkpointable shard (0 = whole fleet at once)")
 	shardProgs := flag.Int("shard-programs", 250, "torture programs per sequentially scheduled, mergeable shard (0 = whole campaign at once)")
-	segment := flag.Uint64("segment-ms", 5000, "virtual milliseconds between in-flight device snapshot refreshes")
-	flush := flag.Duration("flush", 2*time.Second, "real-time interval between checkpoint writes while a job runs")
+	segment := flag.Uint64("segment-ms", 5000, "most virtual milliseconds a running device advances before it snapshots for a pending checkpoint write")
+	flush := flag.Duration("flush", 2*time.Second, "real-time interval between checkpoint writes while a job runs; each write asks running devices for fresh snapshots, so a cut is at most one flush plus one segment stale")
 	flag.Parse()
 
 	if *state != "" {

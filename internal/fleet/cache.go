@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"fmt"
-	"strings"
+	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 
 	"amuletiso/internal/aft"
@@ -31,7 +31,7 @@ import (
 // coalesce onto a single build.
 type BuildCache struct {
 	mu         sync.Mutex
-	entries    map[string]*cacheEntry
+	entries    map[buildKey]*cacheEntry
 	builds     int
 	hits       int
 	tmplBuilds int
@@ -49,24 +49,40 @@ type cacheEntry struct {
 
 // NewBuildCache returns an empty cache.
 func NewBuildCache() *BuildCache {
-	return &BuildCache{entries: make(map[string]*cacheEntry)}
+	return &BuildCache{entries: make(map[buildKey]*cacheEntry)}
 }
 
-// cacheKey fingerprints an app set and mode. Sources are included whole:
-// two registries whose apps share a name but differ in source must not
-// collide.
-func cacheKey(list []apps.App, mode cc.Mode) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "mode=%d", int(mode))
-	for _, a := range list {
-		fmt.Fprintf(&b, "|%q;%q;%q;%d", a.Name, a.Source, a.RestrictedSource, a.StackBytes)
+// buildKey is the SHA-256 digest of an app set and mode.
+type buildKey [sha256.Size]byte
+
+// keyScratch holds the buffers cacheKey serializes into before hashing.
+var keyScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// cacheKey fingerprints an app set and mode. Sources are hashed whole, so
+// two registries whose apps share a name but differ in source do not
+// collide; every string is length-prefixed, so no two lists serialize alike.
+func cacheKey(list []apps.App, mode cc.Mode) buildKey {
+	buf := keyScratch.Get().(*[]byte)
+	b := binary.LittleEndian.AppendUint64((*buf)[:0], uint64(mode))
+	str := func(s string) {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+		b = append(b, s...)
 	}
-	return b.String()
+	for _, a := range list {
+		str(a.Name)
+		str(a.Source)
+		str(a.RestrictedSource)
+		b = binary.LittleEndian.AppendUint64(b, uint64(a.StackBytes))
+	}
+	key := buildKey(sha256.Sum256(b))
+	*buf = b
+	keyScratch.Put(buf)
+	return key
 }
 
 // entry returns (creating if needed) the cache slot for the key, counting a
 // hit when the slot already existed.
-func (c *BuildCache) entry(key string) *cacheEntry {
+func (c *BuildCache) entry(key buildKey) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]

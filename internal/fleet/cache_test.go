@@ -78,3 +78,43 @@ func TestTemplateStats(t *testing.T) {
 		t.Fatal("template firmware differs from the cached build")
 	}
 }
+
+// TestCacheKeySeparatesSources: two app lists with the same names but
+// different sources get different keys, and so separate builds; shifting a
+// byte across a field boundary changes the key too.
+func TestCacheKeySeparatesSources(t *testing.T) {
+	pedometer, _ := apps.ByName("pedometer")
+	variant := pedometer
+	variant.Source += "\n// variant\n"
+	orig, changed := []apps.App{pedometer}, []apps.App{variant}
+	if cacheKey(orig, cc.ModeMPU) == cacheKey(changed, cc.ModeMPU) {
+		t.Fatal("same names, different sources: keys collide")
+	}
+	if cacheKey(orig, cc.ModeMPU) != cacheKey([]apps.App{pedometer}, cc.ModeMPU) {
+		t.Fatal("equal lists hash to different keys")
+	}
+	if cacheKey(orig, cc.ModeMPU) == cacheKey(orig, cc.ModeNoIsolation) {
+		t.Fatal("modes collide")
+	}
+	ab := apps.App{Name: "ab", Source: "c"}
+	a := apps.App{Name: "a", Source: "bc"}
+	if cacheKey([]apps.App{ab}, cc.ModeMPU) == cacheKey([]apps.App{a}, cc.ModeMPU) {
+		t.Fatal("a byte moved between name and source: keys collide")
+	}
+
+	cache := NewBuildCache()
+	fw1, err := cache.Get(orig, cc.ModeMPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw2, err := cache.Get(changed, cc.ModeMPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fw1 == fw2 {
+		t.Fatal("lists with different sources share one build")
+	}
+	if builds, hits := cache.Stats(); builds != 2 || hits != 0 {
+		t.Fatalf("stats = %d builds, %d hits; want 2, 0", builds, hits)
+	}
+}

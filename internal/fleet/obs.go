@@ -14,6 +14,8 @@ var (
 		"Simulated instructions retired across all devices.")
 	mWearMS = obs.Default.Counter(obs.MetricWearMS,
 		"Virtual wear-window milliseconds simulated across all devices.")
+	mSnapshots = obs.Default.Counter(obs.MetricSnapshots,
+		"In-flight device snapshots parked by resumable runs.")
 
 	mCacheHits = obs.Default.Counter(obs.MetricBuildCacheHits,
 		"Firmware build-cache hits.")

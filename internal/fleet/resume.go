@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"amuletiso/internal/kernel"
@@ -131,13 +132,18 @@ func resumeDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageAre
 
 // ResumableOptions tunes RunResumable's snapshot behavior.
 type ResumableOptions struct {
-	// SegmentMS is the virtual-time interval between per-device snapshot
-	// refreshes. 0 snapshots only at cancellation — cheapest, but a killed
-	// process reruns interrupted devices from boot.
+	// SegmentMS bounds the virtual time a running device advances before it
+	// answers a snapshot request: devices park a fresh snapshot only at
+	// segment boundaries, and only when a Sink cut since their last one
+	// asked for it. 0 snapshots only at cancellation — cheapest, but a
+	// killed process reruns interrupted devices from boot.
 	SegmentMS uint64
 	// Sink, when set, receives periodic consistent cuts every Flush of real
 	// time (and does not receive the final cut — RunResumable returns that).
-	// Calls are serialized; the cut is the callback's to keep.
+	// Calls are serialized; the cut is the callback's to keep. Each cut
+	// requests fresh snapshots for the next one, so a cut's in-flight
+	// devices are at most one Flush plus one segment stale. Without a Sink
+	// no device is snapshotted until cancellation.
 	Sink  func(*CampaignCheckpoint)
 	Flush time.Duration
 }
@@ -146,6 +152,12 @@ type ResumableOptions struct {
 // flusher coordinate through, keyed by global device index.
 type campaignState struct {
 	sc *Scenario
+
+	// requests counts the snapshot requests the flusher made, one after each
+	// Sink cut. A worker parks its device at a segment boundary only while a
+	// request it has not answered is pending, so a run nobody cuts takes no
+	// snapshots.
+	requests atomic.Uint64
 
 	mu       sync.Mutex
 	done     map[int]DeviceResult
@@ -179,6 +191,7 @@ func (st *campaignState) cut() *CampaignCheckpoint {
 }
 
 func (st *campaignState) park(dc *DeviceCheckpoint) {
+	mSnapshots.Inc()
 	st.mu.Lock()
 	st.inflight[dc.Device] = dc
 	st.mu.Unlock()
@@ -209,7 +222,7 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 
 	st := &campaignState{
 		sc:       &sc,
-		done:     make(map[int]DeviceResult),
+		done:     make(map[int]DeviceResult, sc.Devices),
 		inflight: make(map[int]*DeviceCheckpoint),
 	}
 	snapshots := !sc.FaultTrace
@@ -247,6 +260,7 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 				select {
 				case <-tick.C:
 					opt.Sink(st.cut())
+					st.requests.Add(1)
 				case <-stop:
 					return
 				}
@@ -276,6 +290,9 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 			d = newDeviceSim(&sc, tmpl, arena, g)
 		}
 		defer d.close()
+		// answered is the last snapshot request this device parked for. A
+		// device that starts after a request still owes it a snapshot.
+		var answered uint64
 		for !d.finished() {
 			if err := d.advance(ctx, d.now+segment); err != nil {
 				// Park the interrupted device so the final cut saves its
@@ -286,8 +303,9 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 				}
 				return err
 			}
-			if snapshots && !d.finished() {
+			if req := st.requests.Load(); snapshots && req > answered && !d.finished() {
 				st.park(d.checkpoint())
+				answered = req
 			}
 		}
 		st.finish(g, d.result())

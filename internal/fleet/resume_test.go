@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"amuletiso/internal/mem"
 )
@@ -95,9 +98,15 @@ func TestRunResumableMatchesRun(t *testing.T) {
 	}
 	for _, seg := range []uint64{0, 300, 1250, 10000} {
 		r := &Runner{Workers: 2, Cache: NewBuildCache()}
+		before := mSnapshots.Value()
 		rep, cut, err := r.RunResumable(context.Background(), sc, nil, ResumableOptions{SegmentMS: seg})
 		if err != nil {
 			t.Fatalf("seg=%d: %v", seg, err)
+		}
+		// Nothing cut the run and nothing cancelled it: no device owed a
+		// snapshot.
+		if n := mSnapshots.Value() - before; n != 0 {
+			t.Fatalf("seg=%d: run without a sink took %d snapshots", seg, n)
 		}
 		if cut != nil {
 			t.Fatalf("seg=%d: successful run returned a cut", seg)
@@ -209,5 +218,136 @@ func TestRunResumableRejectsForeignCut(t *testing.T) {
 		if _, _, err := r.RunResumable(context.Background(), sc, &bad, ResumableOptions{}); err == nil {
 			t.Errorf("%s-mutated cut accepted", name)
 		}
+	}
+}
+
+// slowCtx never cancels, but every every-th poll sleeps: workers poll
+// between event batches, so it stretches a run over enough wall time for
+// many flushes.
+type slowCtx struct {
+	context.Context
+	every int64
+	polls atomic.Int64
+}
+
+func (c *slowCtx) Err() error {
+	if c.polls.Add(1)%c.every == 0 {
+		time.Sleep(200 * time.Microsecond)
+	}
+	return nil
+}
+
+// periodicCuts runs sc resumably, slowed down and with a tiny Flush, and
+// returns every cut the sink received, JSON round-tripped as a daemon
+// persists them, plus the finished report.
+func periodicCuts(t *testing.T, sc Scenario, workers int, segment uint64, every int64) ([]*CampaignCheckpoint, *Report) {
+	t.Helper()
+	var wires [][]byte
+	opt := ResumableOptions{
+		SegmentMS: segment,
+		Flush:     time.Millisecond,
+		Sink: func(c *CampaignCheckpoint) {
+			wire, err := json.Marshal(c)
+			if err != nil {
+				panic(err)
+			}
+			wires = append(wires, wire)
+		},
+	}
+	r := &Runner{Workers: workers, Cache: NewBuildCache()}
+	ctx := &slowCtx{Context: context.Background(), every: every}
+	start := time.Now()
+	rep, _, err := r.RunResumable(ctx, sc, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s: %d polls, %v, %d cuts", sc.Name, ctx.polls.Load(), time.Since(start), len(wires))
+	cuts := make([]*CampaignCheckpoint, len(wires))
+	for i, wire := range wires {
+		cuts[i] = new(CampaignCheckpoint)
+		if err := json.Unmarshal(wire, cuts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cuts, rep
+}
+
+// TestPeriodicCutsCarryInFlight: snapshots are taken on request, so a run
+// cut often enough must still hand its sink cuts with in-flight devices,
+// and resuming such a cut must reproduce Run's bytes.
+func TestPeriodicCutsCarryInFlight(t *testing.T) {
+	sc := testScenario(4)
+	sc.DurationMS = 60_000
+	want, err := Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mSnapshots.Value()
+	cuts, rep := periodicCuts(t, sc, 2, 200, 8)
+	if !bytes.Equal(marshal(t, rep), marshal(t, want)) {
+		t.Fatal("flushed resumable run differs from Run")
+	}
+	var last *CampaignCheckpoint
+	for _, c := range cuts {
+		if len(c.InFlight) > 0 {
+			last = c
+		}
+	}
+	if last == nil {
+		t.Fatalf("none of %d periodic cuts carries an in-flight device", len(cuts))
+	}
+	if mSnapshots.Value() == before {
+		t.Fatal("in-flight cuts but the snapshot counter did not move")
+	}
+	rep, _, err = (&Runner{Workers: 3, Cache: NewBuildCache()}).RunResumable(context.Background(), sc, last, ResumableOptions{SegmentMS: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshal(t, rep), marshal(t, want)) {
+		t.Fatal("campaign resumed from a periodic cut differs from Run")
+	}
+}
+
+// TestPoweredPeriodicCutsParkDark is the powered variant: some periodic cut
+// of each powered golden must park a device dark (no kernel, FRAM state in
+// Power.Cut), and resuming every such cut must reproduce the golden.
+func TestPoweredPeriodicCutsParkDark(t *testing.T) {
+	for _, g := range poweredGoldens(t) {
+		want, err := os.ReadFile("testdata/" + g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Workers poll about once per 50 device-milliseconds here: sleep on
+		// ~300 polls whatever the golden's length, so even with exact
+		// 200 µs sleeps the run spans dozens of flushes.
+		every := int64(g.sc.DurationMS*uint64(g.sc.Devices)/15_000) + 1
+		cuts, rep := periodicCuts(t, g.sc, 1, 50, every)
+		if got := cliJSON(t, rep); !bytes.Equal(got, want) {
+			t.Fatalf("%s: flushed resumable run differs from the golden", g.file)
+		}
+		var dark []int
+		for i, c := range cuts {
+			for _, dc := range c.InFlight {
+				if dc.Kernel == nil && dc.Power != nil && dc.Power.Cut != nil {
+					dark = append(dark, i)
+					break
+				}
+			}
+		}
+		if len(dark) == 0 {
+			t.Fatalf("%s: none of %d periodic cuts parked a dark device", g.file, len(cuts))
+		}
+		// Resume the first, middle and last of them.
+		for _, i := range []int{dark[0], dark[len(dark)/2], dark[len(dark)-1]} {
+			c := cuts[i]
+			rep, _, err := (&Runner{Workers: 2, Cache: NewBuildCache()}).RunResumable(context.Background(), g.sc, c, ResumableOptions{SegmentMS: 50})
+			if err != nil {
+				t.Fatalf("%s cut %d: resume: %v", g.file, i, err)
+			}
+			if got := cliJSON(t, rep); !bytes.Equal(got, want) {
+				t.Fatalf("%s cut %d: resumed report differs from the golden", g.file, i)
+			}
+		}
+		t.Logf("%s: %d cuts, %d with a dark device", g.file, len(cuts), len(dark))
 	}
 }

@@ -496,6 +496,7 @@ func TestMetricsOnSameMux(t *testing.T) {
 		"amulet_fleetd_persist_bytes_total",
 		"amulet_fleetd_persist_latency_us_bucket",
 		"amulet_fleetd_state_files_corrupt_total",
+		"amulet_fleet_snapshots_total",
 	} {
 		if !strings.Contains(buf.String(), metric) {
 			t.Errorf("metrics page missing %s", metric)
@@ -888,4 +889,72 @@ func TestSubmitBodyBounded(t *testing.T) {
 	if len(s.Jobs()) != 0 {
 		t.Fatal("oversized body registered a job")
 	}
+}
+
+// TestTerminalLineBytes: the terminal stream line, spliced from the compact
+// final merge, is exactly what json.Marshal makes of its streamEvent — for a
+// finished fleet job, a finished torture job, a failed job with an error
+// and no report, and a job whose name Marshal HTML-escapes — and /report
+// still serves the CLI's bytes.
+func TestTerminalLineBytes(t *testing.T) {
+	s := newTestServer(t, "")
+	s.Start()
+	defer s.Stop()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	bad := testSpec()
+	bad.FaultApp = 7 // passes submit-time validation, fails when the fleet runs
+	named := testSpec()
+	named.Name = "<fleet & co>"
+	specs := []JobSpec{testSpec(), tortureSpec(), bad, named}
+	wantState := []string{StateDone, StateDone, StateFailed, StateDone}
+
+	for i, spec := range specs {
+		id := postJob(t, ts, spec)
+		if state := waitTerminal(t, s, id); state != wantState[i] {
+			t.Fatalf("%s: state %s, want %s", id, state, wantState[i])
+		}
+		v := func() JobView { j, _ := s.Job(id); return j.view() }()
+		ev := streamEvent{V: streamVersion, Job: id, State: v.State, Done: v.Done, Total: v.Total, Error: v.Error}
+		var report []byte
+		switch {
+		case spec.Type == TypeTorture:
+			ev.Torture = compact(t, tortureBytes(t, spec))
+			report = tortureBytes(t, spec)
+		case v.State == StateDone:
+			rep := oneShot(t, spec)
+			ev.Report = compact(t, cliBytes(t, rep))
+			report = cliBytes(t, rep)
+		}
+		if v.State == StateFailed && v.Error == "" {
+			t.Fatalf("%s: failed job carries no error", id)
+		}
+		want, err := json.Marshal(&ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, err := streamLines(ts, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lines[len(lines)-1]; !bytes.Equal(got, want) {
+			t.Fatalf("%s: terminal line\n%s\nwant\n%s", id, got, want)
+		}
+		if report != nil {
+			if got := getReport(t, ts, id); !bytes.Equal(got, report) {
+				t.Fatalf("%s: /report differs from the CLI's bytes", id)
+			}
+		}
+	}
+}
+
+// compact undoes the CLIs' indentation, leaving what json.Marshal gives.
+func compact(t *testing.T, indented []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, indented); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

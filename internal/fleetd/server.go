@@ -76,11 +76,14 @@ type Server struct {
 	// sequentially-scheduled, mergeable campaign shard. <= 0 runs each
 	// campaign as a single shard.
 	ShardPrograms int
-	// SegmentMS is the virtual-time interval between in-shard device
-	// snapshot refreshes (0 = 1000).
+	// SegmentMS bounds the virtual time a running device advances before
+	// it answers a pending snapshot request (0 = 1000).
 	SegmentMS uint64
 	// FlushEvery is the real-time cadence of mid-shard checkpoint writes
-	// (0 = 500ms).
+	// (0 = 500ms). Each write requests fresh snapshots of the shard's
+	// running devices for the next one, so a persisted cut is at most one
+	// flush period plus one segment stale; a shard that finishes between
+	// writes takes no snapshots at all.
 	FlushEvery time.Duration
 
 	// files takes every journal and cut write.
@@ -579,24 +582,35 @@ func (s *Server) finalOf(j *Job) ([]byte, error) {
 	return encodeFinal(jr.merged, jr.torture)
 }
 
-// terminalLine is a terminal job's last stream line. A cold job whose
-// journal cannot be replayed still gets its line, without the report.
-func (s *Server) terminalLine(j *Job) []byte {
+// terminalLine is a terminal job's last stream line, in parts to write in
+// order. A cold job whose journal cannot be replayed still gets its line,
+// without the report.
+//
+// The parts are the bytes json.Marshal gives the line's streamEvent, with
+// the final merge spliced in as it is, uncopied: final came from
+// json.Marshal, so it is already compact and HTML-escaped, which is all
+// Marshal would do to it.
+func (s *Server) terminalLine(j *Job) [][]byte {
 	j.mu.Lock()
-	ev := streamEvent{V: streamVersion, Job: j.ID, State: j.state, Done: j.done,
-		Total: j.total, Error: j.errMsg}
+	head := deltaLine(j.ID, j.state, j.done, j.total)
+	errMsg := j.errMsg
 	j.mu.Unlock()
-	if final, err := s.finalOf(j); err == nil {
+	// The running-line fields, reopened: the closing brace comes last.
+	line := [][]byte{head[:len(head)-1]}
+	if final, err := s.finalOf(j); err == nil && len(final) > 0 {
+		field := `,"report":`
 		if j.Spec.kind() == TypeTorture {
-			ev.Torture = final
-		} else {
-			ev.Report = final
+			field = `,"torture":`
 		}
+		line = append(line, []byte(field), final)
 	}
-	// final came from json.Marshal, so the raw report is valid JSON and
-	// Marshal cannot fail.
-	line, _ := json.Marshal(&ev)
-	return line
+	var tail []byte
+	if errMsg != "" {
+		// A string: Marshal cannot fail.
+		msg, _ := json.Marshal(errMsg)
+		tail = append([]byte(`,"error":`), msg...)
+	}
+	return append(line, append(tail, '}'))
 }
 
 // Handler returns the daemon's HTTP surface: the job API plus the obs
@@ -693,9 +707,21 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if err == nil && final == nil {
 		err = fmt.Errorf("fleetd: job %s has no report", j.ID)
 	}
-	var buf bytes.Buffer
+	var buf *bytes.Buffer
+	select {
+	case buf = <-indentBufs:
+		buf.Reset()
+	default:
+		buf = new(bytes.Buffer)
+	}
+	defer func() {
+		select {
+		case indentBufs <- buf:
+		default:
+		}
+	}()
 	if err == nil {
-		err = json.Indent(&buf, final, "", "  ")
+		err = json.Indent(buf, final, "", "  ")
 	}
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
@@ -705,6 +731,11 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(buf.Bytes())
 }
+
+// indentBufs recycles the buffers /report indents final merges into. Not a
+// sync.Pool: a pool empties at every GC, and serving a job allocates enough
+// to collect every few jobs, so pooled buffers were mostly regrown.
+var indentBufs = make(chan *bytes.Buffer, 4)
 
 // handleStream serves the job's NDJSON progress stream: all history so far,
 // then live lines until the job reaches a terminal state. One JSON object
@@ -726,18 +757,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		terminal := j.terminalLocked()
 		changed := j.changed
 		j.mu.Unlock()
-		if terminal {
-			lines = append(lines[:len(lines):len(lines)], s.terminalLine(j))
-		}
 		for _, line := range lines {
-			if _, err := w.Write(line); err != nil {
-				return
-			}
-			if _, err := w.Write([]byte{'\n'}); err != nil {
+			if !writeLine(w, line) {
 				return
 			}
 		}
-		if len(lines) > 0 && flusher != nil {
+		if terminal && !writeLine(w, s.terminalLine(j)...) {
+			return
+		}
+		if (len(lines) > 0 || terminal) && flusher != nil {
 			flusher.Flush()
 		}
 		if terminal {
@@ -749,4 +777,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// writeLine writes one stream line, given in parts, and its newline. It
+// reports whether every write succeeded.
+func writeLine(w http.ResponseWriter, parts ...[]byte) bool {
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return false
+		}
+	}
+	_, err := w.Write([]byte{'\n'})
+	return err == nil
 }

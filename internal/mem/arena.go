@@ -12,12 +12,16 @@ const poisonByte = 0xA5
 // one arena shared by all its workers: finished devices push their dirty
 // pages back, and the next boot's write-faults pull from the free list
 // instead of the Go allocator. Steady-state page traffic then costs zero
-// allocations regardless of fleet size.
+// allocations regardless of fleet size. The arena recycles the 2 KiB
+// page-pointer tables COW buses privatize on their first fault the same way.
 type PageArena struct {
 	mu   sync.Mutex
 	free []*dataPage
 	gets uint64
 	puts uint64
+
+	tables               []*[numPages]*dataPage
+	tableGets, tablePuts uint64
 }
 
 // NewPageArena returns an empty arena.
@@ -49,6 +53,32 @@ func (a *PageArena) put(pg *dataPage) {
 	a.puts++
 	a.mu.Unlock()
 	mPagesRecycled.Inc()
+}
+
+// getTable pops a recycled page table, or returns nil when none is parked.
+// Its slots are stale: the caller overwrites all of them.
+func (a *PageArena) getTable() *[numPages]*dataPage {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := len(a.tables)
+	if n == 0 {
+		return nil
+	}
+	t := a.tables[n-1]
+	a.tables[n-1] = nil
+	a.tables = a.tables[:n-1]
+	a.tableGets++
+	return t
+}
+
+// putTable clears a retired page table, so a parked table pins no
+// template, and returns it to the free list.
+func (a *PageArena) putTable(t *[numPages]*dataPage) {
+	*t = [numPages]*dataPage{}
+	a.mu.Lock()
+	a.tables = append(a.tables, t)
+	a.tablePuts++
+	a.mu.Unlock()
 }
 
 // FreePages reports how many recycled pages are currently parked in the

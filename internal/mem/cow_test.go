@@ -228,6 +228,56 @@ func TestCOWTableSharing(t *testing.T) {
 	if tmpl.table[0x12] != (*dataPage)(tmpl.Image()[0x1200:0x1300]) {
 		t.Fatal("fault mutated the template's canonical table")
 	}
+	b.ReleasePages()
+	if b.ownTable || b.mem != &tmpl.table {
+		t.Fatal("released COW bus does not alias the template's table again")
+	}
+}
+
+// TestCOWTableRecycledAcrossTemplates: a page table released by a bus on one
+// template serves the first fault of a bus on another template sharing the
+// arena, and that bus is byte-for-byte the flat oracle of its own template.
+func TestCOWTableRecycledAcrossTemplates(t *testing.T) {
+	tmplA := cowFixture()
+	imgB := new(BusImage)
+	for i := range imgB {
+		imgB[i] = byte(i>>8) + 3*byte(i) + 0x5C
+	}
+	tmplB := NewTemplate(imgB)
+	arena := NewPageArena()
+
+	a := NewBusCOW(tmplA, arena)
+	for off := uint16(0); off < PageSize; off++ {
+		a.Poke8(0x3000+off, 0xEE)
+	}
+	a.Poke16(0xC000, 0xBEEF)
+	a.ReleasePages()
+	if gets, puts := arena.tableGets, arena.tablePuts; gets != 0 || puts != 1 {
+		t.Fatalf("after release: table gets=%d puts=%d, want 0 and 1", gets, puts)
+	}
+
+	b := NewBusCOW(tmplB, arena)
+	oracle := NewBusFrom(tmplB.Image())
+	for _, bus := range []*Bus{b, oracle} {
+		bus.Poke16(0x4410, 0x1234)
+		bus.Poke8(0x3005, 0x77)
+	}
+	if gets, puts := arena.tableGets, arena.tablePuts; gets != 1 || puts != 1 {
+		t.Fatalf("after B's fault: table gets=%d puts=%d, want 1 and 1", gets, puts)
+	}
+	var got, want BusImage
+	b.SnapshotData(&got)
+	oracle.SnapshotData(&want)
+	if got != want {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("recycled table: byte %#04x is %#02x, oracle has %#02x", i, got[i], want[i])
+			}
+		}
+	}
+	if b.DirtyPages() != 2 {
+		t.Fatalf("bus on template B dirtied %d pages, want 2", b.DirtyPages())
+	}
 }
 
 // TestFlatBusReleaseIsNoop locks the fleet runner's unconditional

@@ -434,10 +434,19 @@ func (b *Bus) writablePage(addr uint16) *dataPage {
 // faultIn replaces shared page p with a private copy of its current (template)
 // contents. The copy fully overwrites the incoming page, so arena-recycled
 // pages can never leak a prior device's bytes. The very first fault also
-// privatizes the page-pointer table the bus was sharing with its template.
+// privatizes the page-pointer table the bus was sharing with its template,
+// drawing it from the arena when one is parked there: the copy overwrites
+// all its slots, so a table another template's bus released is as good as
+// a fresh one.
 func (b *Bus) faultIn(p uint16) *dataPage {
 	if !b.ownTable {
-		nt := new([numPages]*dataPage)
+		var nt *[numPages]*dataPage
+		if b.arena != nil {
+			nt = b.arena.getTable()
+		}
+		if nt == nil {
+			nt = new([numPages]*dataPage)
+		}
 		*nt = *b.mem
 		b.mem = nt
 		b.ownTable = true
@@ -467,11 +476,12 @@ func (b *Bus) DirtyPages() int {
 	return b.dirtied
 }
 
-// ReleasePages detaches a COW bus from its private pages, handing them to
-// the arena (when one is attached) for later devices to reuse, and reverts
-// the bus to a clean view of its template. Finished fleet devices call it so
-// a million-device run cycles a bounded page working set. The caller must
-// treat the bus as retired afterwards. Flat buses ignore the call.
+// ReleasePages detaches a COW bus from its private pages and page table,
+// handing them to the arena (when one is attached) for later devices to
+// reuse, and reverts the bus to a clean view of its template: it aliases the
+// template's table again. Finished fleet devices call it so a million-device
+// run cycles a bounded working set. The caller must treat the bus as retired
+// afterwards. Flat buses ignore the call.
 func (b *Bus) ReleasePages() {
 	if b.tmpl == nil {
 		return
@@ -480,15 +490,19 @@ func (b *Bus) ReleasePages() {
 		for bw != 0 {
 			p := uint16(w*64 + bits.TrailingZeros64(bw))
 			bw &= bw - 1
-			pg := b.mem[p]
-			b.mem[p] = b.tmpl.table[p]
 			if b.arena != nil {
-				b.arena.put(pg)
+				b.arena.put(b.mem[p])
 			}
 		}
 		b.priv[w] = 0
 	}
 	b.dirtied = 0
+	if b.ownTable {
+		if b.arena != nil {
+			b.arena.putTable(b.mem)
+		}
+		b.mem, b.ownTable = &b.tmpl.table, false
+	}
 }
 
 // PrivatePages visits the bus's private pages in ascending page order: the

@@ -78,6 +78,7 @@ const (
 	MetricDevicesCompleted = "amulet_fleet_devices_completed_total"
 	MetricInstrSimulated   = "amulet_fleet_instr_simulated_total"
 	MetricWearMS           = "amulet_fleet_wear_ms_total"
+	MetricSnapshots        = "amulet_fleet_snapshots_total"
 
 	MetricJITBlocksCompiled = "amulet_jit_blocks_compiled"
 	MetricJITStepsCompiled  = "amulet_jit_steps_compiled"
