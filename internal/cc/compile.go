@@ -205,7 +205,8 @@ func (p *Program) Load() *Machine {
 		p.bootTmpl = mem.NewTemplate(img)
 	})
 	e := p.Options.Engine
-	bus := p.bootTmpl.Boot(nil, e)
+	bus := new(mem.Bus)
+	p.bootTmpl.Boot(bus, nil, e)
 	c := cpu.New(bus)
 	u := mpu.New()
 	u.Install(bus, e)

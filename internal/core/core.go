@@ -60,7 +60,7 @@ func (s *System) RunFor(ms uint64) int {
 }
 
 // App returns the kernel state of the i-th application.
-func (s *System) App(i int) *kernel.AppState { return s.Kernel.Apps[i] }
+func (s *System) App(i int) *kernel.AppState { return &s.Kernel.Apps[i] }
 
 // measureEvent dispatches one event to app 0 and returns the active cycles
 // it consumed (including gates and services, excluding queue idle time).

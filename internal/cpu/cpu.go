@@ -72,7 +72,7 @@ type CPU struct {
 
 	// OnSyscall is invoked when code writes the syscall port. The handler
 	// may modify registers (return values), charge Cycles, or halt.
-	OnSyscall func(id uint16)
+	OnSyscall SyscallHandler
 
 	// Halted latches after a halt-port write; ExitCode carries the value.
 	Halted   bool
@@ -110,10 +110,17 @@ type CPU struct {
 	// allocates on the per-instruction path).
 	slow slowFetch
 
-	// timer/mpy are the peripheral devices New maps onto the bus, kept so
-	// State/SetState can checkpoint their registers alongside the core.
-	timer *TimerA
-	mpy   *MPY32
+	// timerCtl/timerBias are the Timer_A registers and mpy the MPY32 unit:
+	// the peripherals Init maps onto the bus, kept here so State/SetState
+	// can checkpoint their registers alongside the core.
+	timerCtl  uint16
+	timerBias uint64
+	mpy       MPY32
+}
+
+// SyscallHandler services writes to the syscall port (see CPU.OnSyscall).
+type SyscallHandler interface {
+	Syscall(id uint16)
 }
 
 // slowFetch feeds the decoder through the checked bus fetch path, latching
@@ -141,14 +148,20 @@ func (s *slowFetch) ReadCodeWord(addr uint16) uint16 {
 // New returns a CPU attached to bus with PC/SP zeroed. Callers must set PC
 // (and usually SP) before Run.
 func New(bus *mem.Bus) *CPU {
-	c := &CPU{Bus: bus}
-	c.slow.bus = bus
-	c.timer = &TimerA{c: c}
-	c.mpy = &MPY32{}
-	bus.Map(portBase, portLimit, &portDevice{c})
-	bus.Map(TimerBase, TimerBase+0x1E, c.timer)
-	bus.Map(MPYBase, MPYResHi+1, c.mpy)
+	c := new(CPU)
+	c.Init(bus)
 	return c
+}
+
+// Init attaches the zero CPU c to bus, as New does, without allocating: it
+// maps the debug ports, Timer_A and the MPY32 unit, all of which are views
+// of c itself.
+func (c *CPU) Init(bus *mem.Bus) {
+	c.Bus = bus
+	c.slow.bus = bus
+	bus.Map(portBase, portLimit, (*portDevice)(c))
+	bus.Map(TimerBase, TimerBase+0x1E, (*TimerA)(c))
+	bus.Map(MPYBase, MPYResHi+1, &c.mpy)
 }
 
 // Register accessors; PC and SP keep architectural alignment.
@@ -239,12 +252,7 @@ func (c *CPU) UseProgram(p *isa.Program, e engine.Engine) {
 		p = p.Unthreaded()
 	}
 	c.prog = p
-	watch := make([]mem.CodeRange, p.NumRanges())
-	for i := range watch {
-		r := p.RangeAt(i)
-		watch[i] = mem.CodeRange{Lo: r.Lo, Hi: r.Hi}
-	}
-	c.Bus.WatchCode(watch, c.invalidateCode)
+	c.Bus.WatchCode(p.Watch(), (*codeWatch)(c))
 	if e.NoJIT {
 		return
 	}
@@ -255,6 +263,12 @@ func (c *CPU) UseProgram(p *isa.Program, e engine.Engine) {
 
 // Program returns the attached predecode cache, if any.
 func (c *CPU) Program() *isa.Program { return c.prog }
+
+// codeWatch is the CPU as the bus's code writer (see mem.CodeWriter).
+type codeWatch CPU
+
+// CodeWritten implements mem.CodeWriter.
+func (w *codeWatch) CodeWritten(lo, hi uint16) { (*CPU)(w).invalidateCode(lo, hi) }
 
 // invalidateCode marks every word of the overwritten byte span [lo, hi]
 // dirty; Step routes dirty PCs to the live decoder so the new bytes execute.

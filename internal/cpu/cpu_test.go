@@ -342,11 +342,11 @@ func TestSyscallHook(t *testing.T) {
 		isa.Instr{Op: isa.MOV, Src: isa.Imm(0), Dst: isa.Abs(PortHalt)},
 	)
 	var gotID uint16
-	c.OnSyscall = func(id uint16) {
+	c.OnSyscall = syscallFunc(func(id uint16) {
 		gotID = id
 		c.Regs[isa.R12] = 0x1234 // service return value
 		c.Cycles += 100          // modeled service cost
-	}
+	})
 	reason, f := c.Run(1000)
 	if f != nil || reason != StopHalt {
 		t.Fatalf("reason=%v f=%v", reason, f)
@@ -358,6 +358,11 @@ func TestSyscallHook(t *testing.T) {
 		t.Fatal("service cycles not charged")
 	}
 }
+
+// syscallFunc adapts a function to SyscallHandler.
+type syscallFunc func(id uint16)
+
+func (f syscallFunc) Syscall(id uint16) { f(id) }
 
 func TestTimerPrescale(t *testing.T) {
 	c := load(t,

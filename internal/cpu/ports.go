@@ -15,33 +15,35 @@ const (
 	portLimit = PortCycleHi + 1
 )
 
-// portDevice implements the debug/OS ports.
-type portDevice struct{ c *CPU }
+// portDevice is the CPU seen through its debug/OS ports.
+type portDevice CPU
 
 func (p *portDevice) DeviceName() string { return "ports" }
 
 func (p *portDevice) ReadWord(addr uint16) uint16 {
+	c := (*CPU)(p)
 	switch addr {
 	case PortCycleLo:
-		return uint16(p.c.Cycles)
+		return uint16(c.Cycles)
 	case PortCycleHi:
-		return uint16(p.c.Cycles >> 16)
+		return uint16(c.Cycles >> 16)
 	case PortHalt:
-		return p.c.ExitCode
+		return c.ExitCode
 	}
 	return 0
 }
 
 func (p *portDevice) WriteWord(addr uint16, v uint16) {
+	c := (*CPU)(p)
 	switch addr {
 	case PortHalt:
-		p.c.Halted = true
-		p.c.ExitCode = v
+		c.Halted = true
+		c.ExitCode = v
 	case PortConsole:
-		p.c.Console = append(p.c.Console, byte(v))
+		c.Console = append(c.Console, byte(v))
 	case PortSyscall:
-		if p.c.OnSyscall != nil {
-			p.c.OnSyscall(v)
+		if c.OnSyscall != nil {
+			c.OnSyscall.Syscall(v)
 		}
 	}
 }

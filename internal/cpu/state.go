@@ -47,8 +47,8 @@ func (c *CPU) State() State {
 		Insns:     c.Insns,
 		Halted:    c.Halted,
 		ExitCode:  c.ExitCode,
-		TimerCTL:  c.timer.ctl,
-		TimerBias: c.timer.bias,
+		TimerCTL:  c.timerCtl,
+		TimerBias: c.timerBias,
 		MPYOp1:    c.mpy.op1,
 		MPYSigned: c.mpy.signed,
 		MPYRes:    c.mpy.res,
@@ -84,8 +84,8 @@ func (c *CPU) SetState(s State) {
 			c.dirty[a] = struct{}{}
 		}
 	}
-	c.timer.ctl = s.TimerCTL
-	c.timer.bias = s.TimerBias
+	c.timerCtl = s.TimerCTL
+	c.timerBias = s.TimerBias
 	c.mpy.op1 = s.MPYOp1
 	c.mpy.signed = s.MPYSigned
 	c.mpy.res = s.MPYRes

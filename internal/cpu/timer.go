@@ -26,37 +26,37 @@ const (
 	TimerCtlDiv1 uint16 = 1 << 0 // run at CPU clock (no prescale)
 )
 
-// TimerA implements mem.Device.
-type TimerA struct {
-	c    *CPU
-	ctl  uint16
-	bias uint64 // cycle count at last reset, so TAR can be zeroed
-}
+// TimerA is the CPU seen through its Timer_A register block; it implements
+// mem.Device. The registers live in the CPU (timerCtl, and timerBias: the
+// cycle count at the last TAR reset, so TAR can be zeroed).
+type TimerA CPU
 
 // DeviceName implements mem.Device.
 func (t *TimerA) DeviceName() string { return "timer_a" }
 
 // ReadWord implements mem.Device.
 func (t *TimerA) ReadWord(addr uint16) uint16 {
+	c := (*CPU)(t)
 	switch addr {
 	case TimerTACTL:
-		return t.ctl
+		return c.timerCtl
 	case TimerTAR:
 		div := uint64(TimerPrescale)
-		if t.ctl&TimerCtlDiv1 != 0 {
+		if c.timerCtl&TimerCtlDiv1 != 0 {
 			div = 1
 		}
-		return uint16((t.c.Cycles - t.bias) / div)
+		return uint16((c.Cycles - c.timerBias) / div)
 	}
 	return 0
 }
 
 // WriteWord implements mem.Device. Writing TAR resets the count (any value).
 func (t *TimerA) WriteWord(addr uint16, v uint16) {
+	c := (*CPU)(t)
 	switch addr {
 	case TimerTACTL:
-		t.ctl = v
+		c.timerCtl = v
 	case TimerTAR:
-		t.bias = t.c.Cycles
+		c.timerBias = c.Cycles
 	}
 }

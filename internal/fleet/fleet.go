@@ -108,8 +108,10 @@ type Scenario struct {
 	Engine engine.Engine
 }
 
-// validate rejects scenarios the runner cannot execute.
-func (sc *Scenario) validate() error {
+// Validate rejects scenarios the runner cannot execute. Run and
+// RunResumable call it first; a service accepting scenarios calls it at the
+// door, so it never acknowledges work that can only fail.
+func (sc *Scenario) Validate() error {
 	if len(sc.Apps) == 0 {
 		return fmt.Errorf("fleet: scenario has no apps")
 	}
@@ -155,10 +157,11 @@ type Runner struct {
 	// app set under several modes still builds once per mode).
 	Cache *BuildCache
 
-	// arena recycles COW data pages between devices: finished devices hand
-	// their dirty pages back, the next boot's write-faults reuse them. One
-	// arena per runner, shared by all workers and across Run calls, so a
-	// long soak settles into zero page allocations per device.
+	// arena recycles COW data pages and kernels between devices: finished
+	// devices hand their dirty pages and their kernel back, the next boot
+	// reuses the kernel and its write-faults the pages. One arena per
+	// runner, shared by all workers and across Run calls, so a long soak
+	// settles into zero page and kernel allocations per device.
 	arenaOnce sync.Once
 	arena     *mem.PageArena
 }
@@ -187,7 +190,7 @@ func (r *Runner) workerCount() int {
 // Run simulates the scenario's fleet and aggregates the per-device results.
 // It returns early with ctx's error when cancelled.
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*Report, error) {
-	if err := sc.validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	tmpl, err := r.template(&sc)
@@ -271,9 +274,10 @@ func (r *Runner) template(sc *Scenario) (*kernel.BootTemplate, error) {
 // what one RunUntil per segment would deliver.
 func simulate(ctx context.Context, sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena, device int) (DeviceResult, error) {
 	d := newDeviceSim(sc, tmpl, arena, device)
-	// The deferred close releases the device's COW pages on EVERY exit —
-	// including the cancellation returns inside advance, which used to skip
-	// the release and leak the cancelled device's dirty pages for good.
+	// The deferred close releases the device's kernel and COW pages on
+	// EVERY exit — including the cancellation returns inside advance, which
+	// used to skip the release and leak the cancelled device's dirty pages
+	// for good.
 	defer d.close()
 	if err := d.advance(ctx, sc.DurationMS); err != nil {
 		return DeviceResult{}, err
@@ -423,10 +427,14 @@ func (d *deviceSim) result() DeviceResult {
 		Faults:     len(k.Faults),
 		Latency:    k.Latency,
 	}
-	for _, a := range k.Apps {
-		if a.Alive {
+	for i := range k.Apps {
+		if k.Apps[i].Alive {
 			res.AppsAlive++
 		}
+	}
+	if len(k.Faults) > 0 {
+		res.FaultReasons = make([]string, 0, len(k.Faults))
+		res.FaultClasses = make([]string, 0, len(k.Faults))
 	}
 	for _, f := range k.Faults {
 		res.FaultReasons = append(res.FaultReasons, f.Reason)
@@ -447,9 +455,10 @@ func (d *deviceSim) result() DeviceResult {
 	return res
 }
 
-// close hands the device's dirty COW pages back to the arena (no-op on a
-// flat oracle bus). Idempotent, so callers defer it unconditionally.
-func (d *deviceSim) close() { d.k.Bus.ReleasePages() }
+// close retires the device's kernel: its dirty COW pages, and the kernel
+// itself for the next boot to reuse, go back to the runner's arena. The
+// device must not be used afterwards, so callers defer close once.
+func (d *deviceSim) close() { d.k.Release() }
 
 // faultTraceWindow is how many trailing flight-recorder events a faulting
 // device's DeviceResult carries when Scenario.FaultTrace is set.

@@ -212,7 +212,7 @@ func (st *campaignState) finish(device int, res DeviceResult) {
 // FaultTrace scenarios (the flight-recorder ring is not serializable, so a
 // resumed trace would differ): those devices always rerun from boot.
 func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignCheckpoint, opt ResumableOptions) (*Report, *CampaignCheckpoint, error) {
-	if err := sc.validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, nil, err
 	}
 	tmpl, err := r.template(&sc)

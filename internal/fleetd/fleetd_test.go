@@ -447,6 +447,11 @@ func TestSubmitValidation(t *testing.T) {
 		"unknown mode": {Mode: "ring0"},
 		"unknown type": {Type: "cron"},
 		"unknown kind": {Type: TypeTorture, Kind: "gentle"},
+		// Specs that resolve to a scenario the fleet runner rejects.
+		"negative devices":        {Devices: -5},
+		"unparsable power trace":  {PowerTrace: "moonlight"},
+		"fault app out of range":  {FaultEveryMS: 3000, FaultApp: 9},
+		"power trace + brownouts": {PowerTrace: "solar", BrownoutEveryMS: 400},
 	} {
 		body, _ := json.Marshal(spec)
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
@@ -610,7 +615,7 @@ func TestStreamsEndWithTerminalLine(t *testing.T) {
 	defer ts.Close()
 
 	bad := testSpec()
-	bad.FaultApp = 7 // passes submit-time validation, fails when the fleet runs
+	bad.Apps = []string{"hr", "hr"} // passes submit-time validation, fails when the firmware builds
 	long := testSpec()
 	long.Devices = 20
 	long.DurationMS = 600_000
@@ -904,7 +909,7 @@ func TestTerminalLineBytes(t *testing.T) {
 	defer ts.Close()
 
 	bad := testSpec()
-	bad.FaultApp = 7 // passes submit-time validation, fails when the fleet runs
+	bad.Apps = []string{"hr", "hr"} // passes submit-time validation, fails when the firmware builds
 	named := testSpec()
 	named.Name = "<fleet & co>"
 	specs := []JobSpec{testSpec(), tortureSpec(), bad, named}

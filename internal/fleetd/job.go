@@ -184,12 +184,16 @@ func (s *JobSpec) tortureConfig(workers int) (torture.Config, error) {
 	return cfg, nil
 }
 
-// validate rejects specs the scheduler could not run, without building.
+// validate rejects specs the scheduler could not run, without building: a
+// fleet spec must resolve to a scenario the runner's own Validate accepts.
 func (s *JobSpec) validate() error {
 	switch s.kind() {
 	case TypeFleet:
-		_, err := s.scenario()
-		return err
+		sc, err := s.scenario()
+		if err != nil {
+			return err
+		}
+		return sc.Validate()
 	case TypeTorture:
 		cfg, err := s.tortureConfig(0)
 		if err != nil {

@@ -108,7 +108,7 @@ func TestRestoredJobsServeStreams(t *testing.T) {
 	s1.Start()
 	ts1 := httptest.NewServer(s1.Handler())
 	bad := testSpec()
-	bad.FaultApp = 7 // fails when the fleet runs
+	bad.Apps = []string{"hr", "hr"} // fails when the firmware builds
 	long := testSpec()
 	long.Devices = 20
 	long.DurationMS = 600_000
@@ -360,19 +360,26 @@ func (f *faultFS) appendAt(path string, off int64, data []byte) error {
 
 // faultCase is one job family for the crash and ENOSPC sweeps.
 type faultCase struct {
-	name string
-	spec JobSpec
-	want []byte // the one-shot CLI report
+	name  string
+	spec  JobSpec
+	want  []byte        // the one-shot CLI report
+	flush time.Duration // the daemon's FlushEvery during the sweep
 }
 
 func faultCases(t *testing.T) []faultCase {
-	// Shards long enough for the flusher to write cuts between shard
-	// records.
 	fleetSpec := testSpec()
 	fleetSpec.DurationMS = 20_000
+	start := time.Now()
+	want := cliBytes(t, oneShot(t, fleetSpec))
+	// The flusher must write cuts between the fleet job's shard records on
+	// any host: a fixed period either lets a fast run finish before the
+	// first tick or, under the race detector, turns most writes into cuts,
+	// each one more crash point. A period of an eighth of the one-shot run
+	// gives a handful of cuts per run at any speed.
+	flush := max(time.Since(start)/8, 100*time.Microsecond)
 	return []faultCase{
-		{"fleet", fleetSpec, cliBytes(t, oneShot(t, fleetSpec))},
-		{"torture", tortureSpec(), tortureBytes(t, tortureSpec())},
+		{"fleet", fleetSpec, want, flush},
+		{"torture", tortureSpec(), tortureBytes(t, tortureSpec()), time.Millisecond},
 	}
 }
 
@@ -417,7 +424,7 @@ func TestCrashAtEveryWrite(t *testing.T) {
 				ffs := &faultFS{at: at, mode: mode, crashed: make(chan struct{})}
 				s := newTestServer(t, dir)
 				s.files = ffs
-				s.FlushEvery = time.Millisecond
+				s.FlushEvery = c.flush
 				s.Start()
 				id, err := s.Submit(c.spec)
 				acked := err == nil
@@ -470,7 +477,7 @@ func TestENOSPCAtEveryWrite(t *testing.T) {
 				ffs := &faultFS{at: at, mode: faultENOSPC, span: span}
 				s := newTestServer(t, dir)
 				s.files = ffs
-				s.FlushEvery = time.Millisecond
+				s.FlushEvery = c.flush
 				s.Start()
 				ts := httptest.NewServer(s.Handler())
 				id, err := s.Submit(c.spec)

@@ -15,7 +15,11 @@ package isa
 // the CPU's job: it tracks overwritten code words and falls back to the live
 // decoder for them (see cpu.UseProgram).
 
-import "sync"
+import (
+	"sync"
+
+	"amuletiso/internal/mem"
+)
 
 // TextRange is one executable text span [Lo, Hi) of an image. Ranges must
 // not wrap the address space.
@@ -38,6 +42,9 @@ type Program struct {
 	base   uint16
 	ins    []CachedInstr
 	ranges []TextRange
+	// watch is the bus code watch over ranges, built once here and
+	// referenced by every machine that attaches this cache.
+	watch  *mem.CodeWatch
 	cached int
 	// blocks are the superblocks discovered for the block JIT (see jit.go).
 	blocks []Block
@@ -82,10 +89,15 @@ func Predecode(r WordReader, ranges []TextRange) *Program {
 		}
 	}
 	base &^= 1
+	watch := make([]mem.CodeRange, len(ranges))
+	for i, tr := range ranges {
+		watch[i] = mem.CodeRange{Lo: tr.Lo, Hi: tr.Hi}
+	}
 	p := &Program{
 		base:   base,
 		ins:    make([]CachedInstr, (uint32(end)-uint32(base)+1)/2),
-		ranges: append([]TextRange(nil), ranges...),
+		ranges: ranges,
+		watch:  mem.NewCodeWatch(watch),
 	}
 	for _, tr := range ranges {
 		// An odd Lo rounds UP: the partial word below it lies outside the
@@ -110,7 +122,7 @@ func Predecode(r WordReader, ranges []TextRange) *Program {
 func (p *Program) Unthreaded() *Program {
 	p.twinOnce.Do(func() {
 		t := &Program{base: p.base, ins: append([]CachedInstr(nil), p.ins...),
-			ranges: p.ranges, cached: p.cached, blocks: p.blocks}
+			ranges: p.ranges, watch: p.watch, cached: p.cached, blocks: p.blocks}
 		for i := range t.ins {
 			t.ins[i].H = HNone
 		}
@@ -136,20 +148,12 @@ func (p *Program) At(pc uint16) *CachedInstr {
 	return e
 }
 
-// Ranges returns the text ranges the cache covers (the spans a bus watch
-// must guard against writes). The slice is a fresh copy on EVERY call — the
-// Program is shared read-only across machines, so callers must not be able
-// to mutate the backing array, and memoizing one copy would just move the
-// aliasing hazard to whichever caller got it first. Allocation-sensitive
-// callers (per-device boot paths) should iterate with NumRanges/RangeAt
-// instead of calling this in a loop.
-func (p *Program) Ranges() []TextRange { return append([]TextRange(nil), p.ranges...) }
+// Watch returns the bus code watch over the cache's text ranges: the spans
+// a bus must guard against writes. It is shared and immutable, like the
+// cache.
+func (p *Program) Watch() *mem.CodeWatch { return p.watch }
 
-// NumRanges returns how many text ranges the cache covers.
-func (p *Program) NumRanges() int { return len(p.ranges) }
-
-// RangeAt returns the i-th text range — the allocation-free companion to
-// Ranges for hot boot paths.
+// RangeAt returns the i-th text range the cache covers.
 func (p *Program) RangeAt(i int) TextRange { return p.ranges[i] }
 
 // Cached returns how many instruction slots decoded successfully —

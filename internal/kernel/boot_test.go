@@ -140,13 +140,11 @@ func TestRunBatchMatchesRunUntil(t *testing.T) {
 }
 
 // BenchmarkBoot prices the two boot paths side by side: the full NewSeeded
-// sequence (erased-FRAM fill + firmware load) against a template clone.
+// sequence (erased-FRAM fill + firmware load) against a template clone, for
+// the synthetic app; TemplateChurn prices the template boot of the
+// pedometer/hr/clock firmware fleetd churn jobs run.
 func BenchmarkBoot(b *testing.B) {
-	app := apps.Synthetic()
-	fw, err := aft.Build([]aft.AppSource{app.AFT()}, cc.ModeMPU)
-	if err != nil {
-		b.Fatal(err)
-	}
+	fw := buildApps(b, "synthetic")
 	b.Run("NewSeeded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			NewSeeded(fw, uint32(i+1))
@@ -156,6 +154,12 @@ func BenchmarkBoot(b *testing.B) {
 	b.Run("Template", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tmpl.NewKernel(uint32(i + 1))
+		}
+	})
+	churn := NewBootTemplate(buildApps(b, "pedometer", "hr", "clock"))
+	b.Run("TemplateChurn", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			churn.NewKernel(uint32(i + 1))
 		}
 	})
 }

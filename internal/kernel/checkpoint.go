@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"amuletiso/internal/cpu"
@@ -142,7 +144,8 @@ func (t *BootTemplate) Checkpoint(k *Kernel) *Checkpoint {
 	})
 
 	ck.Apps = make([]AppCheckpoint, len(k.Apps))
-	for i, a := range k.Apps {
+	for i := range k.Apps {
+		a := &k.Apps[i]
 		ac := AppCheckpoint{
 			Alive: a.Alive, Faults: a.Faults, Dispatches: a.Dispatches,
 			Syscalls: a.Syscalls, Cycles: a.Cycles, RestartAt: a.restartAt,
@@ -186,15 +189,64 @@ func (t *BootTemplate) Checkpoint(k *Kernel) *Checkpoint {
 	return ck
 }
 
+// validate rejects a checkpoint no run of a firmware with apps apps can
+// produce, before anything is booted from it: an app count that does not
+// match, a queued event or fault record naming an app the firmware lacks
+// (the fault log's App -1 is the brownout record), a negative count, a
+// display row no 16-bit row argument can name, an app charged more faults
+// than the whole log holds, or a malformed page patch. Each would otherwise
+// surface later as a panic or a report no run can produce.
+func (ck *Checkpoint) validate(apps int) error {
+	if len(ck.Apps) != apps {
+		return fmt.Errorf("kernel: checkpoint has %d apps, firmware has %d", len(ck.Apps), apps)
+	}
+	if ck.Policy.MaxFaults < 0 {
+		return fmt.Errorf("kernel: checkpoint policy has negative MaxFaults %d", ck.Policy.MaxFaults)
+	}
+	for _, e := range ck.Queue {
+		if e.App < 0 || e.App >= apps {
+			return fmt.Errorf("kernel: queued event (seq %d) targets app %d of %d", e.Seq, e.App, apps)
+		}
+	}
+	for _, f := range ck.Faults {
+		if (f.App < 0 || f.App >= apps) && !(f.App == -1 && f.Class == FaultBrownout) {
+			return fmt.Errorf("kernel: fault record at %d ms names app %d of %d", f.AtMS, f.App, apps)
+		}
+	}
+	for i, a := range ck.Apps {
+		if a.Faults < 0 || a.Faults > len(ck.Faults) {
+			return fmt.Errorf("kernel: app %d has %d faults, fault log has %d records", i, a.Faults, len(ck.Faults))
+		}
+	}
+	d := ck.Display
+	if d.Clears < 0 || d.Draws < 0 || d.Texts < 0 {
+		return fmt.Errorf("kernel: negative display counters (%d clears, %d draws, %d texts)", d.Clears, d.Draws, d.Texts)
+	}
+	for r := range d.Rows {
+		if r < 0 || r > 0xFFFF {
+			return fmt.Errorf("kernel: display row %d out of range", r)
+		}
+	}
+	for _, p := range ck.Pages {
+		const pages = (1 << 16) / mem.PageSize
+		if p.Page < 0 || p.Page >= pages || len(p.Data) != mem.PageSize {
+			return fmt.Errorf("kernel: malformed page patch (page %d, %d bytes)", p.Page, len(p.Data))
+		}
+	}
+	return nil
+}
+
 // Resume boots a kernel from a checkpoint taken against this template,
-// recycling COW pages through arena when one is supplied (nil allocates, as
+// recycling through arena when one is supplied (nil allocates, as
 // NewKernelArena). The resumed kernel is observably identical to the one the
 // checkpoint was taken from: re-checkpointing it yields byte-identical JSON.
+// A checkpoint no run of the template's firmware can produce is rejected
+// before anything boots (see validate).
 func (t *BootTemplate) Resume(ck *Checkpoint, arena *mem.PageArena) (*Kernel, error) {
-	k := t.NewKernelArena(ck.Seed, arena)
-	if len(ck.Apps) != len(k.Apps) {
-		return nil, fmt.Errorf("kernel: checkpoint has %d apps, firmware has %d", len(ck.Apps), len(k.Apps))
+	if err := ck.validate(len(t.fw.Apps)); err != nil {
+		return nil, err
 	}
+	k := t.NewKernelArena(ck.Seed, arena)
 
 	// Memory first: LoadBytes runs the raw loader path (no device dispatch,
 	// no access profiling) and trips the code watch for any patched text, so
@@ -202,10 +254,6 @@ func (t *BootTemplate) Resume(ck *Checkpoint, arena *mem.PageArena) (*Kernel, er
 	// restore below then replaces the accumulated dirty set with the
 	// checkpoint's own — the authoritative one.
 	for _, p := range ck.Pages {
-		const pages = (1 << 16) / mem.PageSize
-		if p.Page < 0 || p.Page >= pages || len(p.Data) != mem.PageSize {
-			return nil, fmt.Errorf("kernel: malformed page patch (page %d, %d bytes)", p.Page, len(p.Data))
-		}
 		k.Bus.LoadBytes(uint16(p.Page*mem.PageSize), p.Data)
 	}
 	k.CPU.SetState(ck.CPU)
@@ -223,44 +271,47 @@ func (t *BootTemplate) Resume(ck *Checkpoint, arena *mem.PageArena) (*Kernel, er
 	k.Latency = ck.Latency
 	k.Faults = append([]FaultRecord(nil), ck.Faults...)
 
-	// Replace the boot-posted EvInit queue wholesale. The checkpoint's queue
-	// is sorted by (Due, Seq), and a (Due, seq)-sorted array already
-	// satisfies the min-heap invariant, so it can back the heap directly.
-	q := make(eventQueue, 0, len(ck.Queue))
-	evs := append([]EventCheckpoint(nil), ck.Queue...)
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].Due != evs[j].Due {
-			return evs[i].Due < evs[j].Due
-		}
-		return evs[i].Seq < evs[j].Seq
-	})
-	for _, e := range evs {
+	// Replace the boot-posted EvInit queue wholesale, in the kernel's own
+	// backing array. Sorted by (Due, seq), the array already satisfies the
+	// min-heap invariant, so it can back the heap directly.
+	q := k.queue[:0]
+	for _, e := range ck.Queue {
 		q = append(q, Event{
 			Due: e.Due, App: e.App, Code: e.Code, Arg: e.Arg,
 			Period: e.Period, seq: e.Seq, postCycles: e.PostCycles,
 		})
 	}
+	slices.SortFunc(q, func(a, b Event) int {
+		if c := cmp.Compare(a.Due, b.Due); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 	k.queue = q
 
 	for i, ac := range ck.Apps {
-		app := k.Apps[i]
+		app := &k.Apps[i]
 		app.Alive = ac.Alive
 		app.Faults = ac.Faults
 		app.Dispatches = ac.Dispatches
 		app.Syscalls = ac.Syscalls
 		app.Cycles = ac.Cycles
 		app.restartAt = ac.RestartAt
-		app.Subs = make(map[uint16]uint64, len(ac.Subs))
-		for s, p := range ac.Subs {
-			app.Subs[s] = p
+		if len(ac.Subs) > 0 {
+			app.Subs = make(map[uint16]uint64, len(ac.Subs))
+			for s, p := range ac.Subs {
+				app.Subs[s] = p
+			}
 		}
 		app.Log = append([]byte(nil), ac.Log...)
 		app.LogValues = append([]TaggedValue(nil), ac.LogValues...)
 	}
 
-	k.Display.Rows = make(map[int]string, len(ck.Display.Rows))
-	for r, s := range ck.Display.Rows {
-		k.Display.Rows[r] = s
+	if len(ck.Display.Rows) > 0 {
+		k.Display.Rows = make(map[int]string, len(ck.Display.Rows))
+		for r, s := range ck.Display.Rows {
+			k.Display.Rows[r] = s
+		}
 	}
 	k.Display.Clears = ck.Display.Clears
 	k.Display.Draws = ck.Display.Draws

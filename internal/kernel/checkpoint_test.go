@@ -188,3 +188,70 @@ func TestResumeRejectsMalformedCheckpoints(t *testing.T) {
 		t.Error("resume accepted an out-of-range page index")
 	}
 }
+
+// TestResumeRejectsImpossibleCheckpoints mutates a real checkpoint — one
+// with isolation faults, a brownout record (App -1) and display rows — into
+// states no run can reach, each of which Resume must refuse before booting.
+// The app-99 event is the cut that used to resume and then panic RunUntil
+// with an index out of range.
+func TestResumeRejectsImpossibleCheckpoints(t *testing.T) {
+	fw, tmpl := checkpointFirmware(t, cc.ModeMPU)
+	k := driveTo(tmpl, fw, nil, 2500)
+	tmpl.Brownout(k, 2500)
+	tmpl.Reboot(k, 2600)
+	k.RunUntil(4200)
+	k.Display.Text(3, "row")
+	wire := ckJSON(t, tmpl.Checkpoint(k))
+	fresh := func() *Checkpoint {
+		ck := new(Checkpoint)
+		if err := json.Unmarshal(wire, ck); err != nil {
+			t.Fatal(err)
+		}
+		return ck
+	}
+	base := fresh()
+	if len(base.Queue) == 0 || len(base.Faults) < 2 || base.Faults[0].App < 0 {
+		t.Fatalf("fixture lacks queued events or isolation faults: %d events, faults %+v", len(base.Queue), base.Faults)
+	}
+	brownout := false
+	for _, f := range base.Faults {
+		brownout = brownout || f.App == -1
+	}
+	if !brownout {
+		t.Fatal("fixture lacks a brownout record")
+	}
+
+	for _, c := range []struct {
+		name   string
+		mutate func(*Checkpoint)
+	}{
+		{"event for app 99", func(ck *Checkpoint) { ck.Queue[0].App = 99 }},
+		{"event for app 3 of 3", func(ck *Checkpoint) { ck.Queue[0].App = len(ck.Apps) }},
+		{"event for app -1", func(ck *Checkpoint) { ck.Queue[0].App = -1 }},
+		{"fault record for app 99", func(ck *Checkpoint) { ck.Faults[0].App = 99 }},
+		{"fault record for app -2", func(ck *Checkpoint) { ck.Faults[0].App = -2 }},
+		{"app -1 fault that is not a brownout", func(ck *Checkpoint) { ck.Faults[0].App = -1 }},
+		{"negative MaxFaults", func(ck *Checkpoint) { ck.Policy.MaxFaults = -1 }},
+		{"negative app fault count", func(ck *Checkpoint) { ck.Apps[0].Faults = -3 }},
+		{"more app faults than records", func(ck *Checkpoint) { ck.Apps[1].Faults = len(ck.Faults) + 1 }},
+		{"negative display clears", func(ck *Checkpoint) { ck.Display.Clears = -1 }},
+		{"negative display texts", func(ck *Checkpoint) { ck.Display.Texts = -1 }},
+		{"display row past 16 bits", func(ck *Checkpoint) { ck.Display.Rows[1<<20] = "x" }},
+		{"negative display row", func(ck *Checkpoint) { ck.Display.Rows[-1] = "x" }},
+		{"page index past the bus", func(ck *Checkpoint) { ck.Pages[0].Page = 256 }},
+		{"short page patch", func(ck *Checkpoint) { ck.Pages[0].Data = ck.Pages[0].Data[:1] }},
+	} {
+		ck := fresh()
+		c.mutate(ck)
+		if _, err := tmpl.Resume(ck, nil); err == nil {
+			t.Errorf("%s: Resume accepted the checkpoint", c.name)
+		}
+	}
+
+	// The unmutated cut, brownout record included, resumes and runs.
+	r, err := tmpl.Resume(base, nil)
+	if err != nil {
+		t.Fatalf("Resume rejected a real checkpoint: %v", err)
+	}
+	r.RunUntil(8000)
+}

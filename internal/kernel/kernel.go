@@ -170,7 +170,7 @@ type AppState struct {
 	Syscalls   uint64
 	Cycles     uint64 // active cycles consumed by this app's dispatches
 
-	Subs map[uint16]uint64 // sensor -> period ms
+	Subs map[uint16]uint64 // sensor -> period ms; nil until the first subscribe
 
 	Log       []byte
 	LogValues []TaggedValue
@@ -178,14 +178,16 @@ type AppState struct {
 	restartAt uint64
 }
 
-// Kernel is the OS instance.
+// Kernel is the OS instance. A booted Kernel is one allocation: the CPU,
+// bus, MPU, display and sensors its pointer fields name live inside it (see
+// machine), so a Kernel must not be copied.
 type Kernel struct {
 	FW  *aft.Firmware
 	CPU *cpu.CPU
 	Bus *mem.Bus
 	MPU *mpu.Unit
 
-	Apps   []*AppState
+	Apps   []AppState
 	NowMS  uint64
 	Policy RestartPolicy
 
@@ -216,25 +218,57 @@ type Kernel struct {
 	dispatchC0 uint64 // cycle count at dispatch start (for in-event time)
 	nowCycles  uint64 // cycle count when NowMS last advanced
 	rec        *obs.Recorder
+	// arena is the page arena the kernel was booted with, where Release
+	// parks it for reuse.
+	arena *mem.PageArena
+
+	m machine
 }
 
-// kernelPorts is the kernel's memory-mapped device (fault/yield ports).
-type kernelPorts struct{ k *Kernel }
+// Inline capacities of a machine: app sets up to inlineApps keep their
+// AppStates inside the Kernel, and the event queue grows out of its inline
+// array only past inlineEvents queued events.
+const (
+	inlineApps   = 4
+	inlineEvents = 8
+)
+
+// machine is the hardware and OS state a Kernel's pointer fields name,
+// held inline so a boot allocates one struct. Devices reach their state
+// through it: each bus device is a view of the CPU, MPU or Kernel itself,
+// bound at boot, not a separately allocated object.
+type machine struct {
+	cpu     cpu.CPU
+	mpu     mpu.Unit
+	bus     mem.Bus
+	display Display
+	sensors Sensors
+	apps    [inlineApps]AppState
+	queue   [inlineEvents]Event
+}
+
+// kernelPorts is the Kernel seen through its memory-mapped fault/yield ports
+// and the CPU's syscall port.
+type kernelPorts Kernel
 
 func (p *kernelPorts) DeviceName() string { return "os-ports" }
 
 func (p *kernelPorts) ReadWord(addr uint16) uint16 { return 0 }
 
 func (p *kernelPorts) WriteWord(addr uint16, v uint16) {
+	k := (*Kernel)(p)
 	switch addr {
 	case abi.PortFault:
-		p.k.faultMsg = fmt.Sprintf("isolation check fault (port value 0x%04X)", v)
-		p.k.faultPort = v
-		p.k.CPU.Halted = true
+		k.faultMsg = fmt.Sprintf("isolation check fault (port value 0x%04X)", v)
+		k.faultPort = v
+		k.CPU.Halted = true
 	case abi.PortYield:
-		p.k.yielded = true
+		k.yielded = true
 	}
 }
+
+// Syscall implements cpu.SyscallHandler.
+func (p *kernelPorts) Syscall(id uint16) { (*Kernel)(p).service(id) }
 
 // New boots a kernel around the firmware: machine assembly, image load, MPU
 // plan, and an EvInit for every app at t=0. It uses the historical default
@@ -250,9 +284,17 @@ func New(fw *aft.Firmware) *Kernel { return NewSeeded(fw, 0) }
 // private bus, so one built Firmware may back any number of concurrently
 // running kernels.
 func NewSeeded(fw *aft.Firmware, seed uint32) *Kernel {
-	bus := mem.NewBus()
-	fw.Image.LoadInto(bus)
-	return bootKernel(fw, seed, bus, engine.Engine{})
+	return bootLoaded(fw, seed, engine.Engine{})
+}
+
+// bootLoaded boots a kernel on engine e over a private erased bus holding a
+// fresh load of the firmware image.
+func bootLoaded(fw *aft.Firmware, seed uint32, e engine.Engine) *Kernel {
+	k := new(Kernel)
+	k.m.bus.InitFlat(nil)
+	fw.Image.LoadInto(&k.m.bus)
+	k.boot(fw, seed, e)
+	return k
 }
 
 // BootTemplate captures the post-load memory state of a firmware once, so
@@ -266,20 +308,24 @@ type BootTemplate struct {
 	// ct is the post-load snapshot prepared for copy-on-write sharing (the
 	// canonical page table COW kernels start from).
 	ct *mem.Template
+	// layout is the device map every kernel booted from the template
+	// shares: its buses bind their own devices to it.
+	layout *mem.Layout
 	// eng is the engine every kernel booted from this template runs on.
 	eng engine.Engine
 }
 
-// NewBootTemplate loads the firmware into a scratch bus and snapshots the
-// result. The snapshot is a pure function of the firmware image, so one
-// template serves every seed and, through WithEngine, every engine. Kernels
-// boot on the production engine.
+// NewBootTemplate boots one kernel the NewSeeded way and keeps its memory
+// snapshot and device layout. Boot writes no memory, so the snapshot is the
+// loaded image: a pure function of the firmware, so one template serves
+// every seed and, through WithEngine, every engine. The prototype attaches
+// no predecode cache, leaving the JIT plan to the first kernel whose engine
+// uses one. Kernels boot on the production engine.
 func NewBootTemplate(fw *aft.Firmware) *BootTemplate {
-	bus := mem.NewBus()
-	fw.Image.LoadInto(bus)
+	proto := bootLoaded(fw, 0, engine.Engine{NoDecodeCache: true})
 	img := new(mem.BusImage)
-	bus.SnapshotData(img)
-	return &BootTemplate{fw: fw, ct: mem.NewTemplate(img)}
+	proto.Bus.SnapshotData(img)
+	return &BootTemplate{fw: fw, ct: mem.NewTemplate(img), layout: proto.Bus.Layout()}
 }
 
 // WithEngine returns a template sharing t's firmware and snapshot whose
@@ -301,60 +347,74 @@ func (t *BootTemplate) NewKernel(seed uint32) *Kernel {
 	return t.NewKernelArena(seed, nil)
 }
 
-// NewKernelArena boots like NewKernel but recycles COW pages through arena
-// when one is supplied: write-faults pull retired pages from it before
-// touching the allocator. A nil arena just allocates. The arena only matters
-// under COW; the flat oracle ignores it.
+// NewKernelArena boots like NewKernel but recycles through arena when one
+// is supplied: the kernel reuses a machine Release parked there, and
+// write-faults pull retired COW pages from it before touching the
+// allocator. A nil arena just allocates. Pages only matter under COW; the
+// flat oracle ignores them.
 func (t *BootTemplate) NewKernelArena(seed uint32, arena *mem.PageArena) *Kernel {
-	return bootKernel(t.fw, seed, t.ct.Boot(arena, t.eng), t.eng)
+	k, _ := arena.TakeMachine().(*Kernel)
+	if k == nil {
+		k = new(Kernel)
+	}
+	t.ct.Boot(&k.m.bus, arena, t.eng)
+	k.m.bus.UseLayout(t.layout)
+	k.boot(t.fw, seed, t.eng)
+	k.arena = arena
+	return k
 }
 
-// bootKernel assembles a kernel on engine e around a bus that already holds
-// the loaded firmware image: machine devices, MPU, seeded noise sources, the
-// shared predecode cache, and an EvInit for every app at t=0.
-func bootKernel(fw *aft.Firmware, seed uint32, bus *mem.Bus, e engine.Engine) *Kernel {
-	c := cpu.New(bus)
-	u := mpu.New()
-	u.Install(bus, e)
+// Release retires k: its private COW pages and page table go back to the
+// arena it was booted with, and k itself is zeroed and parked there for the
+// next boot from any template to reuse. Without an arena only the pages are
+// dropped. k must not be used afterwards, so call Release once.
+func (k *Kernel) Release() {
+	k.Bus.ReleasePages()
+	if a := k.arena; a != nil {
+		*k = Kernel{}
+		a.PutMachine(k)
+	}
+}
 
-	rng, stream := uint32(0x1234), uint32(1)
-	if seed != 0 {
-		rng = seed*2654435761 + 0x9E3779B9
-		if rng == 0 {
-			rng = 0x1234
-		}
-		stream = seed
-	}
-	k := &Kernel{
-		FW:             fw,
-		CPU:            c,
-		Bus:            bus,
-		MPU:            u,
-		Policy:         RestartPolicy{MaxFaults: 3, BackoffMS: 1000},
-		WatchdogBudget: 50_000_000,
-		Display:        NewDisplay(),
-		Sensors:        NewSensors(stream),
-		rng:            rng,
-	}
-	bus.Map(abi.PortFault, abi.PortSvcExtra+1, &kernelPorts{k})
+// boot assembles the zero kernel k on engine e around its bus, which already
+// holds the loaded firmware image: machine devices, MPU, seeded noise
+// sources, the shared predecode cache, and an EvInit for every app at t=0.
+// It is the one machine assembly every boot path runs.
+func (k *Kernel) boot(fw *aft.Firmware, seed uint32, e engine.Engine) {
+	m := &k.m
+	k.FW, k.CPU, k.Bus, k.MPU = fw, &m.cpu, &m.bus, &m.mpu
+	k.Display, k.Sensors = &m.display, &m.sensors
+	k.Policy = RestartPolicy{MaxFaults: 3, BackoffMS: 1000}
+	k.WatchdogBudget = 50_000_000
+	k.rng = bootRNG(seed)
+	m.sensors = *NewSensors(seed)
+
+	m.cpu.Init(&m.bus)
+	m.mpu.Init()
+	m.mpu.Install(&m.bus, e)
+	m.bus.Map(abi.PortFault, abi.PortSvcExtra+1, (*kernelPorts)(k))
 	// Attach the firmware's shared predecode cache after the image lands on
 	// the bus (the load itself must not count as self-modification). The
 	// cache survives watchdog kills and app restarts: restarts re-deliver
 	// EvInit over the same loaded text, so there is nothing to rebuild, and
 	// any code word an app managed to overwrite stays (correctly) routed to
 	// the live decoder on this device only.
-	c.UseProgram(fw.Text, e)
-	c.OnSyscall = k.service
+	m.cpu.UseProgram(fw.Text, e)
+	m.cpu.OnSyscall = (*kernelPorts)(k)
 	if obs.TracingEnabled() {
 		k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
 	}
 
+	if n := len(fw.Apps); n <= inlineApps {
+		k.Apps = m.apps[:n]
+	} else {
+		k.Apps = make([]AppState, n)
+	}
+	k.queue = m.queue[:0]
 	for i, info := range fw.Apps {
-		app := &AppState{Info: info, Alive: true, Subs: map[uint16]uint64{}}
-		k.Apps = append(k.Apps, app)
+		k.Apps[i] = AppState{Info: info, Alive: true}
 		k.post(Event{Due: 0, App: i, Code: abi.EvInit})
 	}
-	return k
 }
 
 // post enqueues an event.
@@ -392,7 +452,8 @@ func (k *Kernel) InjectFault(app int, reason string) {
 // Totals sums the per-app accounting — the aggregation hook for multi-device
 // runners that fold many kernels into one report.
 func (k *Kernel) Totals() (dispatches, syscalls, cycles uint64) {
-	for _, a := range k.Apps {
+	for i := range k.Apps {
+		a := &k.Apps[i]
 		dispatches += a.Dispatches
 		syscalls += a.Syscalls
 		cycles += a.Cycles
@@ -402,8 +463,8 @@ func (k *Kernel) Totals() (dispatches, syscalls, cycles uint64) {
 
 // InjectButton delivers a button event to every app subscribed to buttons.
 func (k *Kernel) InjectButton(button uint16) {
-	for i, a := range k.Apps {
-		if _, ok := a.Subs[abi.SensorButton]; ok {
+	for i := range k.Apps {
+		if _, ok := k.Apps[i].Subs[abi.SensorButton]; ok {
 			k.post(Event{Due: k.NowMS, App: i, Code: abi.EvButton, Arg: button})
 		}
 	}
@@ -451,7 +512,7 @@ func (k *Kernel) stepUntil(deadline uint64) bool {
 			k.NowMS = e.Due
 			k.nowCycles = k.CPU.Cycles
 		}
-		app := k.Apps[e.App]
+		app := &k.Apps[e.App]
 		if !app.Alive {
 			if app.restartAt != 0 && k.NowMS >= app.restartAt && app.Faults <= k.Policy.MaxFaults {
 				app.Alive = true
@@ -545,7 +606,7 @@ func (k *Kernel) RunBatch(deadlineMS uint64, max int) (delivered int, more bool)
 
 // deliver runs one event through the dispatch veneer.
 func (k *Kernel) deliver(appIdx int, code, arg uint16) {
-	app := k.Apps[appIdx]
+	app := &k.Apps[appIdx]
 	info := app.Info
 	k.curApp = appIdx
 	k.yielded = false
@@ -627,7 +688,7 @@ func (k *Kernel) deliver(appIdx int, code, arg uint16) {
 
 // recordFault applies the restart policy to a faulting app.
 func (k *Kernel) recordFault(appIdx int, reason string, class FaultClass) {
-	app := k.Apps[appIdx]
+	app := &k.Apps[appIdx]
 	app.Faults++
 	app.Alive = false
 	k.Faults = append(k.Faults, FaultRecord{App: appIdx, AtMS: k.NowMS, Reason: reason, Class: class})

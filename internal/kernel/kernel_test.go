@@ -83,7 +83,7 @@ func TestTimerDrivenApp(t *testing.T) {
 	for _, mode := range cc.Modes {
 		k := build(t, mode, aft.AppSource{Name: "counter", Source: counterApp})
 		k.RunUntil(1050)
-		app := k.Apps[0]
+		app := &k.Apps[0]
 		if !app.Alive {
 			t.Fatalf("[%v] app died: %+v", mode, k.Faults)
 		}
@@ -107,7 +107,7 @@ func TestTimerDrivenApp(t *testing.T) {
 func TestSensorSubscription(t *testing.T) {
 	k := build(t, cc.ModeMPU, aft.AppSource{Name: "hr", Source: hrApp})
 	k.RunUntil(2000)
-	app := k.Apps[0]
+	app := &k.Apps[0]
 	if !app.Alive {
 		t.Fatalf("app died: %+v", k.Faults)
 	}

@@ -36,9 +36,8 @@ import (
 // brownoutReason is the fault-log entry text for a power-loss fault.
 const brownoutReason = "brownout: supply fell below threshold"
 
-// bootRNG derives the amulet_rand LCG's boot position from the device seed,
-// exactly as bootKernel does — the LCG state lives in SRAM and is re-seeded
-// by the OS on every boot.
+// bootRNG derives the amulet_rand LCG's boot position from the device seed.
+// The LCG state lives in SRAM, so the OS re-seeds it on every boot.
 func bootRNG(seed uint32) uint32 {
 	if seed == 0 {
 		return 0x1234
@@ -178,7 +177,8 @@ func (t *BootTemplate) Brownout(k *Kernel, brownoutMS uint64) {
 	k.nowCycles = 0
 	k.dispatchC0 = 0
 	k.curApp, k.yielded, k.faultMsg, k.faultPort = 0, false, "", 0
-	for _, app := range k.Apps {
+	for i := range k.Apps {
+		app := &k.Apps[i]
 		// Apps that exhausted the restart policy stay dead; a pending
 		// restart's wake-up was in the (lost) queue.
 		app.Alive = app.Faults <= k.Policy.MaxFaults
@@ -209,8 +209,8 @@ func (t *BootTemplate) Reboot(k *Kernel, restartMS uint64) {
 	} else {
 		k.AttachRecorder(nil)
 	}
-	for i, app := range k.Apps {
-		if app.Alive {
+	for i := range k.Apps {
+		if k.Apps[i].Alive {
 			k.post(Event{Due: restartMS, App: i, Code: abi.EvInit})
 		}
 	}

@@ -149,27 +149,25 @@ func (s *Sensors) Steps(t uint64) uint16 {
 
 // Display models the wristband's small matrix display: it records the
 // current text rows and counts draw operations, enough for applications to
-// be observable in tests and examples.
+// be observable in tests and examples. The zero value is a blank display.
 type Display struct {
-	Rows   map[int]string
+	Rows   map[int]string // nil until the first text
 	Clears int
 	Draws  int
 	Texts  int
 }
 
-// NewDisplay returns an empty display model.
-func NewDisplay() *Display {
-	return &Display{Rows: make(map[int]string)}
-}
-
 // Clear blanks the display.
 func (d *Display) Clear() {
-	d.Rows = make(map[int]string)
+	clear(d.Rows)
 	d.Clears++
 }
 
 // Text places a string on a row.
 func (d *Display) Text(row int, s string) {
+	if d.Rows == nil {
+		d.Rows = make(map[int]string)
+	}
 	d.Rows[row] = s
 	d.Texts++
 }

@@ -45,7 +45,7 @@ const MaxLogArg = 64
 // service implements the syscall port: the gate has already switched to the
 // OS stack (and, in MPU mode, the OS plan); arguments are still in R12-R15.
 func (k *Kernel) service(id uint16) {
-	app := k.Apps[k.curApp]
+	app := &k.Apps[k.curApp]
 	app.Syscalls++
 	mSyscalls.Inc()
 	cost := svcCycles(id)
@@ -135,6 +135,9 @@ func (k *Kernel) service(id uint16) {
 			period = 1000
 		}
 		if _, dup := app.Subs[sensor]; !dup {
+			if app.Subs == nil {
+				app.Subs = make(map[uint16]uint64)
+			}
 			app.Subs[sensor] = period
 			if sensor != abi.SensorButton {
 				k.post(Event{

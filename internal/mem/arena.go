@@ -13,7 +13,9 @@ const poisonByte = 0xA5
 // pages back, and the next boot's write-faults pull from the free list
 // instead of the Go allocator. Steady-state page traffic then costs zero
 // allocations regardless of fleet size. The arena recycles the 2 KiB
-// page-pointer tables COW buses privatize on their first fault the same way.
+// page-pointer tables COW buses privatize on their first fault the same way,
+// and parks whole retired machines (a kernel's one allocation, opaque here)
+// for the next boot.
 type PageArena struct {
 	mu   sync.Mutex
 	free []*dataPage
@@ -22,6 +24,33 @@ type PageArena struct {
 
 	tables               []*[numPages]*dataPage
 	tableGets, tablePuts uint64
+
+	machines []any
+}
+
+// PutMachine parks a retired machine for TakeMachine to hand out again.
+func (a *PageArena) PutMachine(m any) {
+	a.mu.Lock()
+	a.machines = append(a.machines, m)
+	a.mu.Unlock()
+}
+
+// TakeMachine pops a parked machine, or returns nil when none is parked or
+// a is nil.
+func (a *PageArena) TakeMachine() any {
+	if a == nil {
+		return nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := len(a.machines)
+	if n == 0 {
+		return nil
+	}
+	m := a.machines[n-1]
+	a.machines[n-1] = nil
+	a.machines = a.machines[:n-1]
+	return m
 }
 
 // NewPageArena returns an empty arena.

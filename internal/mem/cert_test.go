@@ -133,7 +133,7 @@ func TestCertDroppedByWritesIntoWatchedCode(t *testing.T) {
 			b := NewBus()
 			ck := &certChecker{denyLo: 0xF000, denyHi: 0xFFFF}
 			b.SetChecker(ck)
-			b.WatchCode([]CodeRange{{Lo: 0x4400, Hi: 0x4800}}, func(lo, hi uint16) {})
+			b.WatchCode(NewCodeWatch([]CodeRange{{Lo: 0x4400, Hi: 0x4800}}), codeWriteFunc(func(lo, hi uint16) {}))
 
 			if v := b.FetchWords(0x4400, 4); v != nil {
 				t.Fatal(v)

@@ -38,7 +38,7 @@ func newDataBus(t *testing.T) (*Bus, *dataChecker) {
 	b.Map(0x6000, 0x6001, &fakeDev{})
 	b.Map(0x0200, 0x0201, &fakeDev{})
 	b.SetChecker(ck)
-	b.WatchCode([]CodeRange{{Lo: 0x4400, Hi: 0x4480}}, func(lo, hi uint16) {})
+	b.WatchCode(NewCodeWatch([]CodeRange{{Lo: 0x4400, Hi: 0x4480}}), codeWriteFunc(func(lo, hi uint16) {}))
 	return b, ck
 }
 
@@ -110,7 +110,7 @@ func TestDataCertificateInvalidation(t *testing.T) {
 	if !probe(0xA000) {
 		t.Fatal("page mapped after certification skipped the checker")
 	}
-	b.WatchCode([]CodeRange{{Lo: 0xB000, Hi: 0xB010}}, func(lo, hi uint16) {})
+	b.WatchCode(NewCodeWatch([]CodeRange{{Lo: 0xB000, Hi: 0xB010}}), codeWriteFunc(func(lo, hi uint16) {}))
 	before := ck.checks
 	b.Write16(0xB000, 1)
 	if ck.checks == before {

@@ -93,11 +93,6 @@ type Device interface {
 	WriteWord(addr uint16, v uint16)
 }
 
-type devEntry struct {
-	lo, hi uint16
-	dev    Device
-}
-
 // pageShift/PageSize/numPages size both the device dispatch table and the
 // data backing: 256 pages of 256 bytes each cover the 64 KiB space. The page
 // is also the copy-on-write unit — the first write to a template-shared page
@@ -143,6 +138,42 @@ type dataPage [PageSize]byte
 // WatchCode).
 type CodeRange struct {
 	Lo, Hi uint16
+}
+
+// CodeWatch is the executable text a predecode cache covers: its ranges and
+// the bitmap of the pages they overlap, which keeps the per-write cost off
+// the watched ranges at a couple of bit tests. It is immutable once built:
+// the cache owns it (isa.Program.Watch) and every bus watching that cache
+// references it.
+type CodeWatch struct {
+	ranges []CodeRange
+	pages  PageSet
+}
+
+// noCode is the watch of a bus with no predecode cache attached.
+var noCode = &CodeWatch{}
+
+// NewCodeWatch builds the watch over a copy of ranges. Empty ranges
+// (Hi <= Lo) cover nothing.
+func NewCodeWatch(ranges []CodeRange) *CodeWatch {
+	w := &CodeWatch{ranges: append([]CodeRange(nil), ranges...)}
+	for _, r := range ranges {
+		if r.Hi <= r.Lo {
+			continue
+		}
+		for p := int(r.Lo >> pageShift); p <= int((r.Hi-1)>>pageShift); p++ {
+			w.pages.Add(p)
+		}
+	}
+	return w
+}
+
+// CodeWriter is told of every write that lands inside watched text (see
+// WatchCode).
+type CodeWriter interface {
+	// CodeWritten receives the overwritten byte span [lo, hi] (inclusive),
+	// clamped to one watched range.
+	CodeWritten(lo, hi uint16)
 }
 
 // Checker vets an access before it is performed. A nil return allows the
@@ -214,7 +245,12 @@ type dataCertifier interface {
 // so an idle device costs O(dirty pages) instead of 64 KiB. Reads never
 // fault; writes through every path (checked, poke, loader) do.
 //
-// The zero value is not usable; call NewBus, NewBusFrom or NewBusCOW.
+// Devices dispatch through a Layout (see Map) that a bus may share with
+// every other bus booted from the same template; the bus itself holds only
+// its own Device values.
+//
+// The zero value is not usable; call NewBus, NewBusFrom or NewBusCOW, or
+// InitFlat or InitCOW on a zero Bus embedded in a larger machine.
 type Bus struct {
 	// mem is the page-granular data view. Entries with a clear priv bit
 	// alias the shared template (COW buses) and must never be written
@@ -238,26 +274,21 @@ type Bus struct {
 	// last ReleasePages) — the COW bus's data footprint in pages.
 	dirtied int
 
-	devs []devEntry
-	// devPages/devLists form the precomputed device dispatch table:
-	// devPages[addr>>8] is 1+index into devLists for pages overlapped by
-	// any device (0 otherwise), so the common case (plain memory, no
-	// device) is one table load. Per-page lists preserve registration
-	// order. The indirection keeps the in-struct cost at two bytes per
-	// page: the Bus struct itself is part of the per-device footprint.
-	devPages [numPages]uint16
-	devLists [][]devEntry
+	// layout is the device map, possibly shared with other buses; devs
+	// holds this bus's devices at the layout's indices, ndev of them bound.
+	layout *Layout
+	devs   [maxDevices]Device
+	ndev   int
 
-	// Code-write watch: the predecode cache's invalidation hook. codePages
-	// is a bitmap marking pages overlapping any watched text range so the
-	// per-write cost off the watched ranges is a couple of bit tests.
-	codeRanges  []CodeRange
-	codePages   PageSet
-	onCodeWrite func(lo, hi uint16)
-	// devSet marks the pages overlapped by any device; devW those of them
-	// with no watched text and outside the BSL ROM — the pages where a store
-	// the checker leaves unchecked is a device-handler call (see Write16).
-	devSet, devW PageSet
+	// Code-write watch: the predecode cache's invalidation hook. watch is
+	// the cache's own (never nil; noCode when no cache is attached) and
+	// onCodeWrite the writer told of hits.
+	watch       *CodeWatch
+	onCodeWrite CodeWriter
+	// devW marks the device pages with no watched text and outside the BSL
+	// ROM — the pages where a store the checker leaves unchecked is a
+	// device-handler call (see Write16).
+	devW PageSet
 
 	// Execute-certificate state (see FetchWords). certLo/certHi is the span
 	// the checker last certified execute-allowed end to end, certGen the
@@ -307,10 +338,24 @@ type Bus struct {
 	reads, writes, fetches uint64
 }
 
-// initFlat points every page of the bus into the private slab and marks them
-// owned: the flat backing NewBus and NewBusFrom produce, and the oracle the
-// COW backing is tested against.
-func (b *Bus) initFlat(slab *BusImage) {
+// InitFlat makes the zero bus b a flat bus owning a private 64 KiB slab
+// holding a copy of img, or erased memory (every byte 0xFF) when img is nil,
+// with no devices, checker or watches. Every page is marked owned: the
+// flat backing NewBus and NewBusFrom produce, and the oracle the COW backing
+// is tested against.
+func (b *Bus) InitFlat(img *BusImage) {
+	slab := new(BusImage)
+	if img != nil {
+		*slab = *img
+	} else {
+		// Unmapped memory reads as 0xFF (erased FRAM convention). Doubling
+		// copies fill the 64 KiB in 16 memmoves instead of 64 Ki byte
+		// stores.
+		slab[0] = 0xFF
+		for i := 1; i < len(slab); i *= 2 {
+			copy(slab[i:], slab[:i])
+		}
+	}
 	b.mem = new([numPages]*dataPage)
 	b.ownTable = true
 	for p := 0; p < numPages; p++ {
@@ -319,29 +364,13 @@ func (b *Bus) initFlat(slab *BusImage) {
 	for i := range b.priv {
 		b.priv[i] = ^uint64(0)
 	}
-}
-
-// initDispatch presizes the device-registration slices: every kernel maps a
-// handful of peripherals at boot, and boot-path allocations are multiplied by
-// fleet size.
-func (b *Bus) initDispatch() {
-	b.devs = make([]devEntry, 0, 8)
-	b.devLists = make([][]devEntry, 0, 8)
+	b.layout, b.watch = noDevices, noCode
 }
 
 // NewBus returns a bus with the FR5969 region map and no devices.
 func NewBus() *Bus {
-	b := &Bus{}
-	// Unmapped memory reads as 0xFF (erased FRAM convention). Doubling
-	// copies fill the 64 KiB in 16 memmoves instead of 64 Ki byte stores —
-	// bus construction is on the per-device boot path at fleet scale.
-	slab := new(BusImage)
-	slab[0] = 0xFF
-	for i := 1; i < len(slab); i *= 2 {
-		copy(slab[i:], slab[:i])
-	}
-	b.initFlat(slab)
-	b.initDispatch()
+	b := new(Bus)
+	b.InitFlat(nil)
 	return b
 }
 
@@ -367,11 +396,8 @@ func (b *Bus) SnapshotData(dst *BusImage) {
 // template's loader history would have produced, at memmove cost. It is the
 // flat-memory oracle the `-nocow` escape hatch falls back to.
 func NewBusFrom(img *BusImage) *Bus {
-	b := &Bus{}
-	slab := new(BusImage)
-	*slab = *img
-	b.initFlat(slab)
-	b.initDispatch()
+	b := new(Bus)
+	b.InitFlat(img)
 	return b
 }
 
@@ -397,14 +423,15 @@ func NewTemplate(img *BusImage) *Template {
 // Image returns the template's underlying snapshot (for flat-oracle boots).
 func (t *Template) Image() *BusImage { return t.img }
 
-// Boot returns a bus holding the template's bytes for engine e: a flat
-// clone (NewBusFrom) under e.NoCOW, else a COW view (NewBusCOW) drawing
-// pages from arena.
-func (t *Template) Boot(arena *PageArena, e engine.Engine) *Bus {
+// Boot makes the zero bus b hold the template's bytes for engine e: a flat
+// clone (InitFlat) under e.NoCOW, else a COW view (InitCOW) drawing pages
+// from arena.
+func (t *Template) Boot(b *Bus, arena *PageArena, e engine.Engine) {
 	if e.NoCOW {
-		return NewBusFrom(t.img)
+		b.InitFlat(t.img)
+		return
 	}
-	return NewBusCOW(t, arena)
+	b.InitCOW(t, arena)
 }
 
 // NewBusCOW returns a bus whose memory is a page-granular copy-on-write view
@@ -415,9 +442,16 @@ func (t *Template) Boot(arena *PageArena, e engine.Engine) *Bus {
 // Observably identical to NewBusFrom(t.Image()) — same bytes, same checks,
 // same stats — at O(dirty pages) memory cost instead of 64 KiB.
 func NewBusCOW(t *Template, arena *PageArena) *Bus {
-	b := &Bus{tmpl: t, arena: arena, mem: &t.table}
-	b.initDispatch()
+	b := new(Bus)
+	b.InitCOW(t, arena)
 	return b
+}
+
+// InitCOW makes the zero bus b a copy-on-write view over t, as NewBusCOW
+// does, without allocating.
+func (b *Bus) InitCOW(t *Template, arena *PageArena) {
+	b.tmpl, b.arena, b.mem = t, arena, &t.table
+	b.layout, b.watch = noDevices, noCode
 }
 
 // writablePage returns a page the bus may write in place, faulting in a
@@ -556,83 +590,24 @@ func (b *Bus) RevertVolatile(img *BusImage) {
 	}
 }
 
-// Map registers a peripheral device over [lo, hi]. Later registrations take
-// priority over earlier ones, allowing tests to interpose. The page table is
-// maintained incrementally, so Map stays cheap enough for per-test buses.
-func (b *Bus) Map(lo, hi uint16, d Device) {
-	e := devEntry{lo, hi, d}
-	b.devs = append(b.devs, e)
-	b.dataGen = ^uint64(0)
-	for p := int(lo >> pageShift); p <= int(hi>>pageShift); p++ {
-		b.devSet.Add(p)
-		if !b.codePages.Has(p) && !bslPages.Has(p) {
-			b.devW.Add(p)
-		}
-		idx := b.devPages[p]
-		if idx == 0 {
-			b.devLists = append(b.devLists, nil)
-			idx = uint16(len(b.devLists))
-			b.devPages[p] = idx
-		}
-		b.devLists[idx-1] = append(b.devLists[idx-1], e)
-	}
-}
-
-// deviceAt returns the device mapped at addr, or nil. Dispatch goes through
-// the page table; per-page lists preserve global registration order, so the
-// reverse scan keeps the later-registration-wins contract of deviceAtLinear.
-func (b *Bus) deviceAt(addr uint16) Device {
-	idx := b.devPages[addr>>pageShift]
-	if idx == 0 {
-		return nil
-	}
-	entries := b.devLists[idx-1]
-	for i := len(entries) - 1; i >= 0; i-- {
-		if addr >= entries[i].lo && addr <= entries[i].hi {
-			return entries[i].dev
-		}
-	}
-	return nil
-}
-
-// deviceAtLinear is the pre-page-table reference implementation, kept as the
-// oracle the page table is tested against.
-func (b *Bus) deviceAtLinear(addr uint16) Device {
-	for i := len(b.devs) - 1; i >= 0; i-- {
-		if addr >= b.devs[i].lo && addr <= b.devs[i].hi {
-			return b.devs[i].dev
-		}
-	}
-	return nil
-}
-
-// WatchCode registers the executable text ranges backing a predecode cache
-// and the callback notified when any write — checked, poke or loader — lands
-// inside one of them. The callback receives the overlapping byte span
-// [lo, hi] (inclusive), clamped per range. Passing a nil fn clears the watch.
-// At most one watch is active; the CPU owns it (see cpu.UseProgram).
-func (b *Bus) WatchCode(ranges []CodeRange, fn func(lo, hi uint16)) {
-	b.codePages = PageSet{}
+// WatchCode registers the executable text backing a predecode cache and
+// the writer told when any write — checked, poke or loader — lands inside
+// one of its ranges. The writer receives the overlapping byte span [lo, hi]
+// (inclusive), clamped per range. The bus references w, which must stay
+// immutable. Passing a nil w or cw clears the watch. At most one watch is
+// active; the CPU owns it (see cpu.UseProgram).
+func (b *Bus) WatchCode(w *CodeWatch, cw CodeWriter) {
 	// A new watch means a new (or detached) predecode cache: restart
 	// certification from scratch so the next certified access re-validates.
 	b.DropExecCert()
 	b.certGen = ^uint64(0)
 	b.dataGen = ^uint64(0)
-	b.codeRanges, b.onCodeWrite = nil, nil
-	if fn != nil {
-		b.codeRanges = append([]CodeRange(nil), ranges...)
-		b.onCodeWrite = fn
-		for _, r := range ranges {
-			if r.Hi <= r.Lo {
-				continue
-			}
-			for p := int(r.Lo >> pageShift); p <= int((r.Hi-1)>>pageShift); p++ {
-				b.codePages.Add(p)
-			}
-		}
+	b.watch, b.onCodeWrite = noCode, nil
+	if w != nil && cw != nil {
+		b.watch, b.onCodeWrite = w, cw
 	}
 	for i := range b.devW {
-		b.devW[i] = b.devSet[i] &^ b.codePages[i] &^ bslPages[i]
+		b.devW[i] = b.layout.set[i] &^ b.watch.pages[i] &^ bslPages[i]
 	}
 }
 
@@ -648,7 +623,7 @@ func (b *Bus) touchCode(lo, hi uint16) {
 	}
 	watched := false
 	for p := int(lo >> pageShift); p <= int(hi>>pageShift); p++ {
-		if b.codePages.Has(p) {
+		if b.watch.pages.Has(p) {
 			watched = true
 			break
 		}
@@ -656,7 +631,7 @@ func (b *Bus) touchCode(lo, hi uint16) {
 	if !watched {
 		return
 	}
-	for _, r := range b.codeRanges {
+	for _, r := range b.watch.ranges {
 		if r.Hi <= r.Lo || hi < r.Lo || lo >= r.Hi {
 			continue
 		}
@@ -673,7 +648,7 @@ func (b *Bus) touchCode(lo, hi uint16) {
 		if chi > r.Hi-1 {
 			chi = r.Hi - 1
 		}
-		b.onCodeWrite(clo, chi)
+		b.onCodeWrite.CodeWritten(clo, chi)
 	}
 }
 
@@ -784,13 +759,14 @@ func (b *Bus) dataFast(mask *PageSet, addr uint16) bool {
 // dataFast never reads a missing generation counter.
 func (b *Bus) recertify(mask *PageSet, addr uint16) bool {
 	p := int(addr >> pageShift)
-	if b.dataEC == nil || b.OnAccess != nil || *b.dataGenRef == b.dataGen || b.devSet.Has(p) {
+	devs := &b.layout.set
+	if b.dataEC == nil || b.OnAccess != nil || *b.dataGenRef == b.dataGen || devs.Has(p) {
 		return false
 	}
 	r, w := b.dataEC.DataPages()
 	for i := range r {
-		b.fastR[i] = r[i] &^ b.devSet[i]
-		b.fastW[i] = w[i] &^ b.devSet[i] &^ b.codePages[i] &^ bslPages[i]
+		b.fastR[i] = r[i] &^ devs[i]
+		b.fastW[i] = w[i] &^ devs[i] &^ b.watch.pages[i] &^ bslPages[i]
 	}
 	b.dataGen = *b.dataGenRef
 	return mask.Has(p)

@@ -81,3 +81,68 @@ func devName(d Device) string {
 	}
 	return d.DeviceName()
 }
+
+// TestSharedLayout: a bus bound to another bus's layout dispatches every
+// address to its own device at the same registration, and a registration
+// past the shared ones (a test interposing on a template-booted bus)
+// extends a private copy that neither the original bus nor another sharer
+// sees. A Map that does not repeat the layout's registration panics.
+func TestSharedLayout(t *testing.T) {
+	spans := [][2]uint16{{0x01E0, 0x01FF}, {0x0340, 0x035E}, {0x00F0, 0x0210}, {0xFFF0, 0xFFFF}}
+	bind := func(b *Bus, tag string) {
+		for i, s := range spans {
+			b.Map(s[0], s[1], &namedDev{fmt.Sprintf("%s%d", tag, i)})
+		}
+	}
+	origin := NewBus()
+	bind(origin, "o")
+	l := origin.Layout()
+	a, c := NewBus(), NewBus()
+	a.UseLayout(l)
+	bind(a, "a")
+	c.UseLayout(l)
+	bind(c, "c")
+	if a.layout != l || c.layout != l {
+		t.Fatal("binding Map calls copied the shared layout")
+	}
+	a.Map(0x01F0, 0x01F3, &namedDev{"interposer"})
+	origin.Map(0x4400, 0x4401, &namedDev{"late"})
+	if len(l.ranges) != len(spans) {
+		t.Fatalf("shared layout grew to %d registrations", len(l.ranges))
+	}
+	for x := 0; x <= 0xFFFF; x++ {
+		addr := uint16(x)
+		want := devName(origin.deviceAtLinear(addr))
+		if len(want) > 1 && want[0] == 'o' {
+			want = want[1:]
+		}
+		for _, b := range []struct {
+			bus *Bus
+			tag string
+		}{{a, "a"}, {c, "c"}} {
+			got := devName(b.bus.deviceAt(addr))
+			exp := "<none>"
+			switch {
+			case b.bus == a && addr >= 0x01F0 && addr <= 0x01F3:
+				exp = "interposer"
+			case want != "<none>" && want != "late":
+				exp = b.tag + want
+			}
+			if got != exp {
+				t.Fatalf("bus %s: deviceAt(0x%04X) = %s, want %s", b.tag, addr, got, exp)
+			}
+		}
+	}
+	if got := devName(origin.deviceAt(0x4400)); got != "late" {
+		t.Fatalf("origin lost its own late registration: %s", got)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Map that does not match the shared layout did not panic")
+		}
+	}()
+	d := NewBus()
+	d.UseLayout(l)
+	d.Map(0x01E0, 0x01FE, &namedDev{"off by one"})
+}

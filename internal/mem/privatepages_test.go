@@ -84,8 +84,8 @@ func TestRevertVolatile(t *testing.T) {
 			b = NewBusFrom(tmpl.Image())
 		}
 		var fired [][2]uint16
-		b.WatchCode([]CodeRange{{Lo: 0x1C00, Hi: 0x1C40}, {Lo: 0x4400, Hi: 0x4440}},
-			func(lo, hi uint16) { fired = append(fired, [2]uint16{lo, hi}) })
+		b.WatchCode(NewCodeWatch([]CodeRange{{Lo: 0x1C00, Hi: 0x1C40}, {Lo: 0x4400, Hi: 0x4440}}),
+			codeWriteFunc(func(lo, hi uint16) { fired = append(fired, [2]uint16{lo, hi}) }))
 		b.Poke16(0x1C00, 0xDEAD) // volatile, watched: must revert and fire
 		b.Poke16(0x2000, 0xBEEF) // volatile, unwatched
 		// Volatile page written back to its boot bytes: reverts silently.

@@ -8,8 +8,8 @@ import "testing"
 func TestWatchCode(t *testing.T) {
 	b := NewBus()
 	var hits [][2]uint16
-	b.WatchCode([]CodeRange{{Lo: 0x4400, Hi: 0x4800}, {Lo: 0x5000, Hi: 0x5400}},
-		func(lo, hi uint16) { hits = append(hits, [2]uint16{lo, hi}) })
+	b.WatchCode(NewCodeWatch([]CodeRange{{Lo: 0x4400, Hi: 0x4800}, {Lo: 0x5000, Hi: 0x5400}}),
+		codeWriteFunc(func(lo, hi uint16) { hits = append(hits, [2]uint16{lo, hi}) }))
 
 	take := func() [][2]uint16 {
 		h := hits
@@ -66,3 +66,8 @@ func TestWatchCode(t *testing.T) {
 	b.Poke16(0x4400, 0xBEEF)
 	expect("after clear")
 }
+
+// codeWriteFunc adapts a function to CodeWriter.
+type codeWriteFunc func(lo, hi uint16)
+
+func (f codeWriteFunc) CodeWritten(lo, hi uint16) { f(lo, hi) }

@@ -54,8 +54,8 @@ func newCertRig(certify bool) *certRig {
 		r.devs = append(r.devs, d)
 		r.bus.Map(w[0], w[1], d)
 	}
-	r.bus.WatchCode([]mem.CodeRange{{Lo: 0x4400, Hi: 0x4480}, {Lo: 0x9000, Hi: 0x9300}},
-		func(lo, hi uint16) { r.watch = append(r.watch, fmt.Sprintf("%04x-%04x", lo, hi)) })
+	r.bus.WatchCode(mem.NewCodeWatch([]mem.CodeRange{{Lo: 0x4400, Hi: 0x4480}, {Lo: 0x9000, Hi: 0x9300}}),
+		codeWriteFunc(func(lo, hi uint16) { r.watch = append(r.watch, fmt.Sprintf("%04x-%04x", lo, hi)) }))
 	return r
 }
 
@@ -266,3 +266,8 @@ func TestUncheckedPagesNeverDenied(t *testing.T) {
 		t.Logf("cap %d: %d unchecked pages", c, n)
 	}
 }
+
+// codeWriteFunc adapts a function to mem.CodeWriter.
+type codeWriteFunc func(lo, hi uint16)
+
+func (f codeWriteFunc) CodeWritten(lo, hi uint16) { f(lo, hi) }

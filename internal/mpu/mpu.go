@@ -162,7 +162,15 @@ type Unit struct {
 
 // New returns a disabled MPU with open access rights.
 func New() *Unit {
-	return &Unit{sam: 0x7777, cur: openPlan}
+	u := new(Unit)
+	u.Init()
+	return u
+}
+
+// Init makes the zero Unit u the disabled, open-access MPU New returns,
+// without allocating.
+func (u *Unit) Init() {
+	u.sam, u.cur = 0x7777, openPlan
 }
 
 // Install maps u's registers onto bus and makes u its access checker. Under
