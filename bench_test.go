@@ -30,6 +30,7 @@ import (
 	"amuletiso/internal/fleet"
 	"amuletiso/internal/kernel"
 	"amuletiso/internal/mpu"
+	"amuletiso/internal/obs"
 )
 
 // benchSystem builds a single-app kernel and consumes EvInit.
@@ -264,11 +265,24 @@ int main() { return fib(12); }
 
 // BenchmarkSimulator measures raw simulator speed (host ns per simulated
 // event) — not a paper figure, but useful for sizing experiment windows.
+// The traced leg runs the same dispatch with a flight recorder attached; the
+// ns/op gap between the two legs is the tracing tax, which is capped at 2%.
 func BenchmarkSimulator(b *testing.B) {
-	k := benchSystem(b, apps.Synthetic(), MPU)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dispatchOnce(b, k, apps.EvMemOps, 100)
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "traced"
+		}
+		b.Run(name, func(b *testing.B) {
+			k := benchSystem(b, apps.Synthetic(), MPU)
+			if traced {
+				k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dispatchOnce(b, k, apps.EvMemOps, 100)
+			}
+		})
 	}
 }
 

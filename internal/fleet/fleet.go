@@ -115,6 +115,13 @@ func (sc *Scenario) Validate() error {
 	if len(sc.Apps) == 0 {
 		return fmt.Errorf("fleet: scenario has no apps")
 	}
+	for i, a := range sc.Apps {
+		for _, b := range sc.Apps[:i] {
+			if a.Name == b.Name {
+				return fmt.Errorf("fleet: app %q named twice", a.Name)
+			}
+		}
+	}
 	if sc.Devices <= 0 {
 		return fmt.Errorf("fleet: scenario needs a positive device count (got %d)", sc.Devices)
 	}

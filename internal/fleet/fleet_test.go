@@ -281,10 +281,14 @@ func TestScenarioValidation(t *testing.T) {
 		{Apps: []apps.App{pedometer}, Devices: 1, DurationMS: 100, FirstDevice: -1},
 		{Apps: []apps.App{pedometer}, Devices: 1, DurationMS: 100,
 			Events: []ScheduledEvent{{AtMS: 10, App: 5, Code: 1}}},
+		{Apps: []apps.App{pedometer, pedometer}, Devices: 1, DurationMS: 100},
 	}
 	for i, sc := range cases {
+		if err := sc.Validate(); err == nil {
+			t.Errorf("case %d: Validate accepted an invalid scenario", i)
+		}
 		if _, err := Run(context.Background(), sc); err == nil {
-			t.Errorf("case %d: invalid scenario accepted", i)
+			t.Errorf("case %d: Run accepted an invalid scenario", i)
 		}
 	}
 }

@@ -452,6 +452,7 @@ func TestSubmitValidation(t *testing.T) {
 		"unparsable power trace":  {PowerTrace: "moonlight"},
 		"fault app out of range":  {FaultEveryMS: 3000, FaultApp: 9},
 		"power trace + brownouts": {PowerTrace: "solar", BrownoutEveryMS: 400},
+		"app named twice":         {Apps: []string{"hr", "hr"}},
 	} {
 		body, _ := json.Marshal(spec)
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
@@ -462,6 +463,9 @@ func TestSubmitValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected specs registered %d jobs", len(jobs))
 	}
 
 	// Queued (scheduler never started) job has no report yet.
@@ -614,8 +618,7 @@ func TestStreamsEndWithTerminalLine(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	bad := testSpec()
-	bad.Apps = []string{"hr", "hr"} // passes submit-time validation, fails when the firmware builds
+	bad := failingSpec()
 	long := testSpec()
 	long.Devices = 20
 	long.DurationMS = 600_000
@@ -908,8 +911,7 @@ func TestTerminalLineBytes(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	bad := testSpec()
-	bad.Apps = []string{"hr", "hr"} // passes submit-time validation, fails when the firmware builds
+	bad := failingSpec()
 	named := testSpec()
 	named.Name = "<fleet & co>"
 	specs := []JobSpec{testSpec(), tortureSpec(), bad, named}
@@ -924,10 +926,11 @@ func TestTerminalLineBytes(t *testing.T) {
 		ev := streamEvent{V: streamVersion, Job: id, State: v.State, Done: v.Done, Total: v.Total, Error: v.Error}
 		var report []byte
 		switch {
+		case v.State != StateDone:
 		case spec.Type == TypeTorture:
 			ev.Torture = compact(t, tortureBytes(t, spec))
 			report = tortureBytes(t, spec)
-		case v.State == StateDone:
+		default:
 			rep := oneShot(t, spec)
 			ev.Report = compact(t, cliBytes(t, rep))
 			report = cliBytes(t, rep)

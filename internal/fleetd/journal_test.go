@@ -83,6 +83,17 @@ func tortureSpec() JobSpec {
 	return JobSpec{Type: TypeTorture, Kind: torture.KindDifferential, Programs: 4, Seed: 3, ShardPrograms: 2}
 }
 
+// failingSpec is a job POST /jobs accepts that fails once it runs: torture
+// configs are not checked at submit, and torture.Run rejects a negative
+// first program index. Once submit validates torture configs this spec gets
+// 400, and the tests that use it need a job that fails for a reason submit
+// cannot see.
+func failingSpec() JobSpec {
+	spec := tortureSpec()
+	spec.First = -1
+	return spec
+}
+
 // tortureBytes is the amulettorture -json rendering of a one-shot run of
 // spec on newTestServer's two workers.
 func tortureBytes(t *testing.T, spec JobSpec) []byte {
@@ -107,8 +118,7 @@ func TestRestoredJobsServeStreams(t *testing.T) {
 	s1 := newTestServer(t, dir)
 	s1.Start()
 	ts1 := httptest.NewServer(s1.Handler())
-	bad := testSpec()
-	bad.Apps = []string{"hr", "hr"} // fails when the firmware builds
+	bad := failingSpec()
 	long := testSpec()
 	long.Devices = 20
 	long.DurationMS = 600_000

@@ -269,7 +269,7 @@ func (t *BootTemplate) Resume(ck *Checkpoint, arena *mem.PageArena) (*Kernel, er
 	k.nowCycles = ck.NowCycles
 	k.dispatchC0 = ck.DispatchC0
 	k.Latency = ck.Latency
-	k.Faults = append([]FaultRecord(nil), ck.Faults...)
+	k.Faults = append(k.Faults[:0], ck.Faults...)
 
 	// Replace the boot-posted EvInit queue wholesale, in the kernel's own
 	// backing array. Sorted by (Due, seq), the array already satisfies the

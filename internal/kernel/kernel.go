@@ -226,11 +226,14 @@ type Kernel struct {
 }
 
 // Inline capacities of a machine: app sets up to inlineApps keep their
-// AppStates inside the Kernel, and the event queue grows out of its inline
-// array only past inlineEvents queued events.
+// AppStates inside the Kernel, the event queue grows out of its inline
+// array only past inlineEvents queued events, and the fault log only past
+// inlineFaults records (a device browned out every 400 ms of a 3 s window
+// logs 7).
 const (
 	inlineApps   = 4
 	inlineEvents = 8
+	inlineFaults = 8
 )
 
 // machine is the hardware and OS state a Kernel's pointer fields name,
@@ -245,6 +248,7 @@ type machine struct {
 	sensors Sensors
 	apps    [inlineApps]AppState
 	queue   [inlineEvents]Event
+	faults  [inlineFaults]FaultRecord
 }
 
 // kernelPorts is the Kernel seen through its memory-mapped fault/yield ports
@@ -367,7 +371,8 @@ func (t *BootTemplate) NewKernelArena(seed uint32, arena *mem.PageArena) *Kernel
 // Release retires k: its private COW pages and page table go back to the
 // arena it was booted with, and k itself is zeroed and parked there for the
 // next boot from any template to reuse. Without an arena only the pages are
-// dropped. k must not be used afterwards, so call Release once.
+// dropped. k must not be used afterwards, nor slices of its state such as
+// Faults and Apps, so call Release once.
 func (k *Kernel) Release() {
 	k.Bus.ReleasePages()
 	if a := k.arena; a != nil {
@@ -411,6 +416,7 @@ func (k *Kernel) boot(fw *aft.Firmware, seed uint32, e engine.Engine) {
 		k.Apps = make([]AppState, n)
 	}
 	k.queue = m.queue[:0]
+	k.Faults = m.faults[:0]
 	for i, info := range fw.Apps {
 		k.Apps[i] = AppState{Info: info, Alive: true}
 		k.post(Event{Due: 0, App: i, Code: abi.EvInit})

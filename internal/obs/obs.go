@@ -30,9 +30,6 @@ var metricsOff atomic.Bool
 // SetMetrics enables or disables metric recording process-wide.
 func SetMetrics(on bool) { metricsOff.Store(!on) }
 
-// MetricsEnabled reports whether metric mutations are recorded.
-func MetricsEnabled() bool { return !metricsOff.Load() }
-
 // tracingOn arms the flight recorder: kernels booted while it is set attach
 // a ring recorder automatically. It is a boot-time property —
 // already-booted kernels keep whatever recorder they have.
