@@ -53,7 +53,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the report(s) as JSON on stdout")
 	name := flag.String("name", "fleet", "scenario name recorded in the report")
 	eng := engine.Flags(flag.CommandLine)
-	noObs := flag.Bool("noobs", false, "disable observability (metrics and tracing)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 	progressEvery := flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 2s; 0 = off)")
 	faultTrace := flag.Bool("fault-trace", false, "attach per-device flight recorders and dump the last events of faulting devices into the report")
@@ -63,10 +62,6 @@ func main() {
 		// The old `i < repeat || i == 0` loop silently ran once for 0 or
 		// negative repeats; that masks typos in soak scripts. Reject instead.
 		fail(fmt.Errorf("-repeat must be >= 1 (got %d)", *repeat))
-	}
-	if *noObs {
-		obs.SetMetrics(false)
-		obs.SetTracing(false)
 	}
 
 	if *metricsAddr != "" {

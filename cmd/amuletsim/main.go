@@ -33,15 +33,9 @@ func main() {
 	ms := flag.Uint64("ms", 10_000, "virtual milliseconds to run (kernel form)")
 	budget := flag.Uint64("budget", 100_000_000, "cycle budget (standalone form)")
 	eng := engine.Flags(flag.CommandLine)
-	noObs := flag.Bool("noobs", false, "disable observability (metrics and tracing)")
 	powerTrace := flag.String("power-trace", "", "run the device on harvested power: solar, kinetic or recorded, optionally :mW peak (kernel form)")
 	tracePath := flag.String("trace", "", "export the run as Chrome trace-event JSON to this file (kernel form)")
 	flag.Parse()
-
-	if *noObs {
-		obs.SetMetrics(false)
-		obs.SetTracing(false)
-	}
 
 	var mode cc.Mode
 	found := false

@@ -48,16 +48,9 @@ func main() {
 	emitKind := flag.String("emit-kind", "differential", "case kind for -emit")
 	writeCorpus := flag.String("write-corpus", "", "regenerate the committed regression corpus into this directory and exit")
 	eng := engine.Flags(flag.CommandLine)
-	noObs := flag.Bool("noobs", false,
-		"disable observability (metrics and tracing); campaigns must report identical bytes either way")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 	progressEvery := flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 2s; 0 = off)")
 	flag.Parse()
-
-	if *noObs {
-		obs.SetMetrics(false)
-		obs.SetTracing(false)
-	}
 
 	if *metricsAddr != "" {
 		bound, stopServe, err := obs.Serve(*metricsAddr, obs.Default)

@@ -84,8 +84,8 @@ type Scenario struct {
 	WatchdogBudget uint64
 	// FaultTrace attaches a flight recorder to every device and embeds its
 	// last-events window into the DeviceResult of devices that faulted. It is
-	// the only way recorder data reaches a report: without it, results are
-	// byte-identical whether or not tracing is armed.
+	// the only way recorder data reaches a report: apart from those
+	// windows, results are the same bytes with or without it.
 	FaultTrace bool
 
 	// PowerTrace arms the intermittent-power model with a harvest trace spec
@@ -197,38 +197,8 @@ func (r *Runner) workerCount() int {
 // Run simulates the scenario's fleet and aggregates the per-device results.
 // It returns early with ctx's error when cancelled.
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*Report, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	tmpl, err := r.template(&sc)
-	if err != nil {
-		return nil, err
-	}
-
-	workers := r.workerCount()
-	results := make([]DeviceResult, sc.Devices)
-	arena := r.pageArena()
-	err = ForEachBatch(ctx, sc.Devices, workers, chunkFor(sc.Devices, workers), func(i int) error {
-		res, err := simulate(ctx, &sc, tmpl, arena, sc.FirstDevice+i)
-		if err != nil {
-			return err
-		}
-		results[i] = res // workers own disjoint slots
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	rep := &Report{
-		Scenario:   sc.Name,
-		Mode:       sc.Mode.String(),
-		Seed:       sc.Seed,
-		DurationMS: sc.DurationMS,
-		PerDevice:  results,
-	}
-	rep.finalize()
-	return rep, nil
+	rep, _, err := r.RunResumable(ctx, sc, nil, ResumableOptions{})
+	return rep, err
 }
 
 // Run executes the scenario with a default runner (GOMAXPROCS workers,
@@ -273,29 +243,9 @@ func (r *Runner) template(sc *Scenario) (*kernel.BootTemplate, error) {
 	return tmpl.WithEngine(sc.Engine), nil
 }
 
-// simulate runs one device start to finish: clone a kernel from the shared
-// boot template with the device's seed, install the schedule, and walk the
-// wear window in injection-bounded segments. Each segment is delivered in
-// bounded event batches, with cancellation checked between batches; the
-// delivered event sequence — and therefore the DeviceResult — is exactly
-// what one RunUntil per segment would deliver.
-func simulate(ctx context.Context, sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena, device int) (DeviceResult, error) {
-	d := newDeviceSim(sc, tmpl, arena, device)
-	// The deferred close releases the device's kernel and COW pages on
-	// EVERY exit — including the cancellation returns inside advance, which
-	// used to skip the release and leak the cancelled device's dirty pages
-	// for good.
-	defer d.close()
-	if err := d.advance(ctx, sc.DurationMS); err != nil {
-		return DeviceResult{}, err
-	}
-	return d.result(), nil
-}
-
 // deviceSim is one device mid-wear-window: the kernel plus the segment-loop
-// cursors (injection deadlines, button RNG, delivered-event count) that
-// simulate's old closed loop kept on the stack. Factoring them out lets a
-// device stop at any segment boundary, be serialized (DeviceCheckpoint), and
+// cursors (injection deadlines, button RNG, delivered-event count). A device
+// can stop at any segment boundary, be serialized (DeviceCheckpoint), and
 // continue on another runner — the substrate for resumable campaigns.
 type deviceSim struct {
 	sc     *Scenario
@@ -325,9 +275,6 @@ func newDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena,
 	mDevicesStarted.Inc()
 	k := tmpl.NewKernelArena(seed, arena)
 	if sc.FaultTrace {
-		// Always a fresh recorder — even when global tracing already attached
-		// one at boot (which saw the boot-time posts this one won't) — so the
-		// dump is the same bytes whether or not tracing is armed.
 		k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
 	}
 	if sc.Policy != nil {
@@ -354,9 +301,10 @@ func newDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena,
 // advance walks the wear window to min(until, DurationMS). Extra stopping
 // points are observably free — RunUntil(t1);RunUntil(t2) delivers exactly
 // what RunUntil(t2) would — so callers may segment the window however they
-// like (simulate uses one segment; resumable runs stop per checkpoint
-// interval). On cancellation the device stays parked between event
-// deliveries: a subsequent advance (or checkpoint) continues it exactly.
+// like (a run without snapshots uses one segment; one with snapshots stops
+// per checkpoint interval). On cancellation the device stays parked between
+// event deliveries: a subsequent advance (or checkpoint) continues it
+// exactly.
 func (d *deviceSim) advance(ctx context.Context, until uint64) error {
 	if until > d.sc.DurationMS {
 		until = d.sc.DurationMS

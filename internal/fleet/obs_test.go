@@ -5,14 +5,11 @@ import (
 	"context"
 	"runtime"
 	"testing"
-
-	"amuletiso/internal/obs"
 )
 
 // TestLatencyReportDeterminism is the satellite lock for the latency
 // histograms: serialized reports — hist buckets and percentile summary
-// included — must be byte-identical across worker counts and across tracing
-// on/off.
+// included — must be byte-identical across worker counts.
 func TestLatencyReportDeterminism(t *testing.T) {
 	sc := testScenario(10)
 	var golden []byte
@@ -36,12 +33,6 @@ func TestLatencyReportDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		check("workers", workers)
 	}
-	obs.SetTracing(true)
-	check("traced", 4)
-	obs.SetTracing(false)
-	obs.SetMetrics(false)
-	check("noobs", 4)
-	obs.SetMetrics(true)
 }
 
 // TestLatencyMergeEqualsUnion locks shard merging: the merged latency
@@ -71,19 +62,20 @@ func TestLatencyMergeEqualsUnion(t *testing.T) {
 }
 
 // TestFaultTraceDump exercises the explicit dump hatch: faulting devices
-// carry a recorder window containing the fault, non-faulting devices carry
-// none, and the dump bytes do not depend on whether global tracing is armed.
+// carry a recorder window of at most faultTraceWindow events, non-faulting
+// devices carry none, and the recorders are outputs only — with every dump
+// cleared, the report is the same bytes as the plain run's.
 func TestFaultTraceDump(t *testing.T) {
-	sc := testScenario(6)
-	sc.FaultTrace = true
-	run := func() *Report {
+	run := func(faultTrace bool) *Report {
+		sc := testScenario(6)
+		sc.FaultTrace = faultTrace
 		rep, err := Run(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	rep := run()
+	rep := run(true)
 	dumped := 0
 	for _, d := range rep.PerDevice {
 		if d.Faults == 0 {
@@ -105,27 +97,10 @@ func TestFaultTraceDump(t *testing.T) {
 		t.Fatal("scenario injects faults but no device dumped a trace")
 	}
 
-	obs.SetTracing(true)
-	traced := run()
-	obs.SetTracing(false)
-	if !bytes.Equal(marshal(t, rep), marshal(t, traced)) {
-		t.Fatal("FaultTrace dump depends on the global tracing switch")
+	for i := range rep.PerDevice {
+		rep.PerDevice[i].FaultTrace = nil
 	}
-}
-
-// TestNoFaultTraceByDefault guards the determinism contract from the other
-// side: without Scenario.FaultTrace, no recorder data reaches the report
-// even when tracing is armed process-wide.
-func TestNoFaultTraceByDefault(t *testing.T) {
-	obs.SetTracing(true)
-	defer obs.SetTracing(false)
-	rep, err := Run(context.Background(), testScenario(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range rep.PerDevice {
-		if d.FaultTrace != nil {
-			t.Fatalf("device %d leaked recorder data without FaultTrace", d.Device)
-		}
+	if !bytes.Equal(marshal(t, run(false)), marshal(t, rep)) {
+		t.Fatal("FaultTrace changed the report beyond its dumps")
 	}
 }

@@ -40,7 +40,7 @@ type DeviceResult struct {
 	// FaultTrace is the flight recorder's last-events window around this
 	// device's faults, present only when the scenario requested it
 	// (Scenario.FaultTrace) and the device faulted. It never appears
-	// otherwise, so reports stay byte-identical across tracing settings.
+	// otherwise, and it is the only field a recorder feeds.
 	FaultTrace []obs.DumpEvent `json:"faultTrace,omitempty"`
 
 	// WeeklyBatteryPct projects this device's active-cycle load, extrapolated

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +61,8 @@ type CampaignCheckpoint struct {
 	InFlight []DeviceCheckpoint `json:"inFlight,omitempty"`
 }
 
-// matches rejects cuts taken from a different campaign.
+// matches rejects cuts taken from a different campaign, and cuts whose
+// finished or in-flight devices lie outside the scenario's shard.
 func (ck *CampaignCheckpoint) matches(sc *Scenario) error {
 	if ck.Scenario != sc.Name || ck.Mode != sc.Mode.String() ||
 		ck.Seed != sc.Seed || ck.DurationMS != sc.DurationMS ||
@@ -71,6 +71,23 @@ func (ck *CampaignCheckpoint) matches(sc *Scenario) error {
 		ck.BrownoutOffMS != sc.BrownoutOffMS {
 		return fmt.Errorf("fleet: checkpoint is for campaign %q/%s seed=%d dur=%d devices=[%d,%d), not this scenario",
 			ck.Scenario, ck.Mode, ck.Seed, ck.DurationMS, ck.FirstDevice, ck.FirstDevice+ck.Devices)
+	}
+	outside := func(device int) error {
+		if device < sc.FirstDevice || device >= sc.FirstDevice+sc.Devices {
+			return fmt.Errorf("fleet: checkpoint names device %d outside the shard [%d,%d)",
+				device, sc.FirstDevice, sc.FirstDevice+sc.Devices)
+		}
+		return nil
+	}
+	for i := range ck.Done {
+		if err := outside(ck.Done[i].Device); err != nil {
+			return err
+		}
+	}
+	for i := range ck.InFlight {
+		if err := outside(ck.InFlight[i].Device); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -149,7 +166,9 @@ type ResumableOptions struct {
 }
 
 // campaignState is the shared progress ledger a resumable run's workers and
-// flusher coordinate through, keyed by global device index.
+// flusher coordinate through. Its slices are indexed by device −
+// FirstDevice, so a cut lists devices in order without sorting and a
+// finished result is stored in place.
 type campaignState struct {
 	sc *Scenario
 
@@ -160,8 +179,9 @@ type campaignState struct {
 	requests atomic.Uint64
 
 	mu       sync.Mutex
-	done     map[int]DeviceResult
-	inflight map[int]*DeviceCheckpoint
+	done     []DeviceResult
+	finished []bool
+	inflight []*DeviceCheckpoint
 }
 
 // cut assembles a consistent CampaignCheckpoint from the current ledger.
@@ -179,38 +199,39 @@ func (st *campaignState) cut() *CampaignCheckpoint {
 		BrownoutEveryMS: st.sc.BrownoutEveryMS,
 		BrownoutOffMS:   st.sc.BrownoutOffMS,
 	}
-	for _, res := range st.done {
-		ck.Done = append(ck.Done, res)
+	for i, fin := range st.finished {
+		switch {
+		case fin:
+			ck.Done = append(ck.Done, st.done[i])
+		case st.inflight[i] != nil:
+			ck.InFlight = append(ck.InFlight, *st.inflight[i])
+		}
 	}
-	sort.Slice(ck.Done, func(i, j int) bool { return ck.Done[i].Device < ck.Done[j].Device })
-	for _, dc := range st.inflight {
-		ck.InFlight = append(ck.InFlight, *dc)
-	}
-	sort.Slice(ck.InFlight, func(i, j int) bool { return ck.InFlight[i].Device < ck.InFlight[j].Device })
 	return ck
 }
 
 func (st *campaignState) park(dc *DeviceCheckpoint) {
 	mSnapshots.Inc()
 	st.mu.Lock()
-	st.inflight[dc.Device] = dc
+	st.inflight[dc.Device-st.sc.FirstDevice] = dc
 	st.mu.Unlock()
 }
 
 func (st *campaignState) finish(device int, res DeviceResult) {
+	i := device - st.sc.FirstDevice
 	st.mu.Lock()
-	st.done[device] = res
-	delete(st.inflight, device)
+	st.done[i], st.finished[i], st.inflight[i] = res, true, nil
 	st.mu.Unlock()
 }
 
 // RunResumable runs the scenario like Run, continuing from a prior cut when
 // one is supplied. On success it returns the finished report — byte-identical
-// to Run's, no matter how many kill/resume cycles the campaign went through.
-// On cancellation it returns a final consistent cut alongside ctx's error;
-// persist it and pass it back to continue. Snapshots are skipped for
-// FaultTrace scenarios (the flight-recorder ring is not serializable, so a
-// resumed trace would differ): those devices always rerun from boot.
+// to an uninterrupted run's, no matter how many kill/resume cycles the
+// campaign went through. On cancellation it returns a final consistent cut
+// alongside ctx's error; persist it and pass it back to continue. Snapshots
+// are skipped for FaultTrace scenarios (the flight-recorder ring is not
+// serializable, so a resumed trace would differ): those devices always rerun
+// from boot.
 func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignCheckpoint, opt ResumableOptions) (*Report, *CampaignCheckpoint, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
@@ -222,8 +243,9 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 
 	st := &campaignState{
 		sc:       &sc,
-		done:     make(map[int]DeviceResult, sc.Devices),
-		inflight: make(map[int]*DeviceCheckpoint),
+		done:     make([]DeviceResult, sc.Devices),
+		finished: make([]bool, sc.Devices),
+		inflight: make([]*DeviceCheckpoint, sc.Devices),
 	}
 	snapshots := !sc.FaultTrace
 	if prior != nil {
@@ -231,24 +253,26 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 			return nil, nil, err
 		}
 		for _, res := range prior.Done {
-			st.done[res.Device] = res
+			i := res.Device - sc.FirstDevice
+			st.done[i], st.finished[i] = res, true
 		}
 		if snapshots {
 			for i := range prior.InFlight {
 				dc := prior.InFlight[i]
-				st.inflight[dc.Device] = &dc
+				st.inflight[dc.Device-sc.FirstDevice] = &dc
 			}
 		}
 	}
 
 	// The worklist is every device without a finished result, in index order.
-	var work []int
-	for g := sc.FirstDevice; g < sc.FirstDevice+sc.Devices; g++ {
-		if _, ok := st.done[g]; !ok {
-			work = append(work, g)
+	work := make([]int, 0, sc.Devices)
+	for i, fin := range st.finished {
+		if !fin {
+			work = append(work, sc.FirstDevice+i)
 		}
 	}
 
+	stopFlush := func() {}
 	if opt.Sink != nil && opt.Flush > 0 {
 		stop := make(chan struct{})
 		flushed := make(chan struct{})
@@ -266,7 +290,7 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 				}
 			}
 		}()
-		defer func() { close(stop); <-flushed }()
+		stopFlush = func() { close(stop); <-flushed }
 	}
 
 	segment := opt.SegmentMS
@@ -279,7 +303,7 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 		g := work[i]
 		var d *deviceSim
 		st.mu.Lock()
-		dc := st.inflight[g]
+		dc := st.inflight[g-sc.FirstDevice]
 		st.mu.Unlock()
 		if dc != nil {
 			var rerr error
@@ -289,6 +313,8 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 		} else {
 			d = newDeviceSim(&sc, tmpl, arena, g)
 		}
+		// The deferred close releases the device's kernel and COW pages on
+		// every exit, the cancellation returns inside advance included.
 		defer d.close()
 		// answered is the last snapshot request this device parked for. A
 		// device that starts after a request still owes it a snapshot.
@@ -311,24 +337,22 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 		st.finish(g, d.result())
 		return nil
 	})
+	stopFlush()
 	if err != nil {
 		return nil, st.cut(), err
 	}
 
-	results := make([]DeviceResult, 0, sc.Devices)
-	for g := sc.FirstDevice; g < sc.FirstDevice+sc.Devices; g++ {
-		res, ok := st.done[g]
-		if !ok {
-			return nil, st.cut(), fmt.Errorf("fleet: device %d finished without a result", g)
+	for i, fin := range st.finished {
+		if !fin {
+			return nil, st.cut(), fmt.Errorf("fleet: device %d finished without a result", sc.FirstDevice+i)
 		}
-		results = append(results, res)
 	}
 	rep := &Report{
 		Scenario:   sc.Name,
 		Mode:       sc.Mode.String(),
 		Seed:       sc.Seed,
 		DurationMS: sc.DurationMS,
-		PerDevice:  results,
+		PerDevice:  st.done,
 	}
 	rep.finalize()
 	return rep, nil, nil

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"amuletiso/internal/mem"
 )
 
 // cancelAfter is a deterministic cancellation source: its Err starts
@@ -40,24 +38,19 @@ func (c *cancelAfter) Err() error {
 
 // TestCancelledSimulateReleasesPages is the leak regression: a device whose
 // simulation is cancelled mid-window must still hand its dirty COW pages
-// back to the arena. The early returns in the old simulate skipped
+// back to the arena. Early returns in an older device loop skipped
 // ReleasePages, so every cancelled device leaked its pages permanently.
 func TestCancelledSimulateReleasesPages(t *testing.T) {
 	sc := testScenario(1)
 	cache := NewBuildCache()
-	tmpl, err := cache.Template(sc.Apps, sc.Mode)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, limit := range []int{1, 2, 3} {
-		arena := mem.NewPageArena()
-		ctx := newCancelAfter(limit)
-		if _, err := simulate(ctx, &sc, tmpl, arena, 0); err != context.Canceled {
+		r := &Runner{Workers: 1, Cache: cache}
+		if _, err := r.Run(newCancelAfter(limit), sc); err != context.Canceled {
 			t.Fatalf("limit=%d: err = %v, want context.Canceled", limit, err)
 		}
 		// Every page the cancelled device dirtied must be back in the arena:
 		// the free list is exactly the pages it released (nothing else ran).
-		if free := arena.FreePages(); free == 0 {
+		if free := r.pageArena().FreePages(); free == 0 {
 			t.Fatalf("limit=%d: cancelled device returned no pages to the arena", limit)
 		}
 	}
@@ -212,6 +205,12 @@ func TestRunResumableRejectsForeignCut(t *testing.T) {
 		"duration": func(c *CampaignCheckpoint) { c.DurationMS++ },
 		"shard":    func(c *CampaignCheckpoint) { c.FirstDevice++ },
 		"devices":  func(c *CampaignCheckpoint) { c.Devices++ },
+		"done outside shard": func(c *CampaignCheckpoint) {
+			c.Done = append(c.Done[:len(c.Done):len(c.Done)], DeviceResult{Device: sc.FirstDevice + sc.Devices})
+		},
+		"in-flight outside shard": func(c *CampaignCheckpoint) {
+			c.InFlight = append(c.InFlight[:len(c.InFlight):len(c.InFlight)], DeviceCheckpoint{Device: sc.FirstDevice - 1})
+		},
 	} {
 		bad := *cut
 		mutate(&bad)

@@ -453,6 +453,11 @@ func TestSubmitValidation(t *testing.T) {
 		"fault app out of range":  {FaultEveryMS: 3000, FaultApp: 9},
 		"power trace + brownouts": {PowerTrace: "solar", BrownoutEveryMS: 400},
 		"app named twice":         {Apps: []string{"hr", "hr"}},
+		// Negative counts and shard sizes are refused, not defaulted.
+		"negative programs":       {Type: TypeTorture, Programs: -5},
+		"negative first program":  {Type: TypeTorture, First: -1},
+		"negative shard devices":  {ShardDevices: -1},
+		"negative shard programs": {Type: TypeTorture, ShardPrograms: -1},
 	} {
 		body, _ := json.Marshal(spec)
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
@@ -618,18 +623,18 @@ func TestStreamsEndWithTerminalLine(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	bad := failingSpec()
 	long := testSpec()
 	long.Devices = 20
 	long.DurationMS = 600_000
 	specs := []JobSpec{
 		testSpec(),
 		{Type: TypeTorture, Programs: 4, ShardPrograms: 2},
-		bad,
+		failingSpec(),
 		long,
 		testSpec(),
 	}
 	want := []string{StateDone, StateDone, StateFailed, StateCancelled, StateCancelled}
+	const failing = 2
 
 	type result struct {
 		events []streamEvent
@@ -638,7 +643,11 @@ func TestStreamsEndWithTerminalLine(t *testing.T) {
 	ids := make([]string, len(specs))
 	streams := make([]chan result, len(specs))
 	for i, spec := range specs {
-		ids[i] = postJob(t, ts, spec)
+		if i == failing {
+			ids[i] = enqueueFailing(t, s)
+		} else {
+			ids[i] = postJob(t, ts, spec)
+		}
 		streams[i] = make(chan result, 1)
 		go func(id string, out chan<- result) {
 			ev, err := followStream(ts, id)
@@ -911,14 +920,19 @@ func TestTerminalLineBytes(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	bad := failingSpec()
 	named := testSpec()
 	named.Name = "<fleet & co>"
-	specs := []JobSpec{testSpec(), tortureSpec(), bad, named}
+	specs := []JobSpec{testSpec(), tortureSpec(), failingSpec(), named}
 	wantState := []string{StateDone, StateDone, StateFailed, StateDone}
+	const failing = 2
 
 	for i, spec := range specs {
-		id := postJob(t, ts, spec)
+		var id string
+		if i == failing {
+			id = enqueueFailing(t, s)
+		} else {
+			id = postJob(t, ts, spec)
+		}
 		if state := waitTerminal(t, s, id); state != wantState[i] {
 			t.Fatalf("%s: state %s, want %s", id, state, wantState[i])
 		}

@@ -166,6 +166,9 @@ func (s *JobSpec) tortureConfig(workers int) (torture.Config, error) {
 	if kind == "" {
 		kind = torture.KindDifferential
 	}
+	if s.Programs < 0 {
+		return torture.Config{}, fmt.Errorf("fleetd: negative program count %d", s.Programs)
+	}
 	cfg := torture.DefaultConfig(kind)
 	cfg.Workers = workers
 	if s.Programs > 0 {
@@ -185,8 +188,14 @@ func (s *JobSpec) tortureConfig(workers int) (torture.Config, error) {
 }
 
 // validate rejects specs the scheduler could not run, without building: a
-// fleet spec must resolve to a scenario the runner's own Validate accepts.
+// fleet spec must resolve to a scenario the runner's own Validate accepts, a
+// torture spec to a config torture's Validate accepts, and a shard size
+// override may not be negative.
 func (s *JobSpec) validate() error {
+	if s.ShardDevices < 0 || s.ShardPrograms < 0 {
+		return fmt.Errorf("fleetd: negative shard size (shardDevices %d, shardPrograms %d)",
+			s.ShardDevices, s.ShardPrograms)
+	}
 	switch s.kind() {
 	case TypeFleet:
 		sc, err := s.scenario()
@@ -199,12 +208,7 @@ func (s *JobSpec) validate() error {
 		if err != nil {
 			return err
 		}
-		switch cfg.Kind {
-		case torture.KindDifferential, torture.KindAdversarial, torture.KindHosted, torture.KindBrownout:
-			return nil
-		default:
-			return fmt.Errorf("fleetd: unknown torture kind %q", cfg.Kind)
-		}
+		return cfg.Validate()
 	default:
 		return fmt.Errorf("fleetd: unknown job type %q", s.Type)
 	}

@@ -83,15 +83,26 @@ func tortureSpec() JobSpec {
 	return JobSpec{Type: TypeTorture, Kind: torture.KindDifferential, Programs: 4, Seed: 3, ShardPrograms: 2}
 }
 
-// failingSpec is a job POST /jobs accepts that fails once it runs: torture
-// configs are not checked at submit, and torture.Run rejects a negative
-// first program index. Once submit validates torture configs this spec gets
-// 400, and the tests that use it need a job that fails for a reason submit
-// cannot see.
+// failingSpec is a job that fails once it runs: torture.Run rejects a
+// negative first program index. Submit rejects the spec up front (400 over
+// HTTP), so tests that need a failed job — its terminal line, journal end
+// record and restored stream — enqueue it past validation with
+// enqueueFailing.
 func failingSpec() JobSpec {
 	spec := tortureSpec()
 	spec.First = -1
 	return spec
+}
+
+// enqueueFailing registers failingSpec on s without Submit's validation and
+// returns the job's ID.
+func enqueueFailing(t *testing.T, s *Server) string {
+	t.Helper()
+	id, err := s.enqueue(failingSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
 // tortureBytes is the amulettorture -json rendering of a one-shot run of
@@ -118,14 +129,18 @@ func TestRestoredJobsServeStreams(t *testing.T) {
 	s1 := newTestServer(t, dir)
 	s1.Start()
 	ts1 := httptest.NewServer(s1.Handler())
-	bad := failingSpec()
 	long := testSpec()
 	long.Devices = 20
 	long.DurationMS = 600_000
-	specs := []JobSpec{testSpec(), bad, tortureSpec(), long}
+	specs := []JobSpec{testSpec(), failingSpec(), tortureSpec(), long}
 	want := []string{StateDone, StateFailed, StateDone, StateCancelled}
+	const failing = 1
 	var ids []string
-	for _, spec := range specs {
+	for i, spec := range specs {
+		if i == failing {
+			ids = append(ids, enqueueFailing(t, s1))
+			continue
+		}
 		id, err := s1.Submit(spec)
 		if err != nil {
 			t.Fatal(err)

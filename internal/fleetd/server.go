@@ -161,13 +161,18 @@ func (s *Server) Stop() {
 }
 
 // Submit validates and enqueues a job, returning its ID. With a state
-// directory the job's journal header is on disk before Submit returns. A
-// full queue refuses the job (errQueueFull), as does a header that cannot be
-// written (errUnpersisted); a refused job is not registered.
+// directory the job's journal header is on disk before Submit returns. An
+// invalid spec is refused, as are a full queue (errQueueFull) and a header
+// that cannot be written (errUnpersisted); a refused job is not registered.
 func (s *Server) Submit(spec JobSpec) (string, error) {
 	if err := spec.validate(); err != nil {
 		return "", err
 	}
+	return s.enqueue(spec)
+}
+
+// enqueue registers and journals a job whose spec Submit has validated.
+func (s *Server) enqueue(spec JobSpec) (string, error) {
 	s.mu.Lock()
 	if s.queuedLocked()+s.submitting >= maxQueued {
 		s.mu.Unlock()

@@ -406,9 +406,6 @@ func (k *Kernel) boot(fw *aft.Firmware, seed uint32, e engine.Engine) {
 	// the live decoder on this device only.
 	m.cpu.UseProgram(fw.Text, e)
 	m.cpu.OnSyscall = (*kernelPorts)(k)
-	if obs.TracingEnabled() {
-		k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
-	}
 
 	if n := len(fw.Apps); n <= inlineApps {
 		k.Apps = m.apps[:n]

@@ -8,7 +8,6 @@ import (
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
 	"amuletiso/internal/mem"
-	"amuletiso/internal/obs"
 )
 
 // buildApps links the named bundled apps under the MPU hybrid.
@@ -43,14 +42,11 @@ var bootFirmwares = []struct {
 // TestTemplateBootAllocs guards the one-allocation boot: a kernel booted
 // from a template is a single struct holding its CPU, MPU, bus, devices,
 // display, sensors, app states and boot-time event queue, bound to the
-// template's shared device layout and the firmware's code watch. With
-// tracing armed (AMULET_OBS_TRACE=1, the CI race leg) the flight recorder
-// adds three, which the bound admits. The fault log is inline too: a boot
-// followed by the seven brownout and reboot cycles a fleetd churn device
-// goes through (tracing disarmed, so reboots attach no recorder) stays
-// within the same bound.
+// template's shared device layout and the firmware's code watch. The fault
+// log is inline too: a boot followed by the seven brownout and reboot cycles
+// a fleetd churn device goes through stays within the same bound.
 func TestTemplateBootAllocs(t *testing.T) {
-	const maxAllocs = 4
+	const maxAllocs = 1
 	for _, f := range bootFirmwares {
 		tmpl := NewBootTemplate(buildApps(t, f.apps...))
 		seed := uint32(0)
@@ -61,9 +57,6 @@ func TestTemplateBootAllocs(t *testing.T) {
 		if got > maxAllocs {
 			t.Errorf("%s: template boot costs %.1f allocations, want <= %d", f.name, got, maxAllocs)
 		}
-
-		tracing := obs.TracingEnabled()
-		obs.SetTracing(false)
 		got = testing.AllocsPerRun(200, func() {
 			seed++
 			k := tmpl.NewKernel(seed)
@@ -72,7 +65,6 @@ func TestTemplateBootAllocs(t *testing.T) {
 				tmpl.Reboot(k, at+100)
 			}
 		})
-		obs.SetTracing(tracing)
 		if got > maxAllocs {
 			t.Errorf("%s: boot and 7 brownouts cost %.1f allocations, want <= %d", f.name, got, maxAllocs)
 		}

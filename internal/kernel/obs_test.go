@@ -1,59 +1,57 @@
 package kernel
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
 
+	"amuletiso/internal/abi"
 	"amuletiso/internal/aft"
 	"amuletiso/internal/cc"
 	"amuletiso/internal/obs"
 )
 
-// TestRecorderAttachesUnderTracing verifies the boot-time hatch: kernels
-// booted with tracing armed carry a flight recorder, kernels booted without
-// do not.
-func TestRecorderAttachesUnderTracing(t *testing.T) {
-	// AMULET_OBS_TRACE=1 (the CI race leg) arms tracing at init; this test
-	// needs both states explicitly, so disarm first and restore after.
-	defer obs.SetTracing(obs.TracingEnabled())
-	obs.SetTracing(false)
-	k := build(t, cc.ModeMPU, aft.AppSource{Name: "counter", Source: counterApp})
-	if k.Recorder() != nil {
-		t.Fatal("recorder attached with tracing off")
-	}
-	obs.SetTracing(true)
-	defer obs.SetTracing(false)
-	k = build(t, cc.ModeMPU, aft.AppSource{Name: "counter", Source: counterApp})
-	if k.Recorder() == nil {
-		t.Fatal("tracing armed but no recorder attached at boot")
-	}
-}
-
-// TestTracedRunIsCycleIdentical is the zero-perturbation lock: the same
-// workload with and without a recorder must retire the same instructions,
-// burn the same cycles, and produce the same latency histogram.
+// TestTracedRunIsCycleIdentical is the zero-perturbation lock: one script —
+// a periodic cross-app attack driving faults and restarts, then brownouts
+// and reboots — run with a flight recorder attached and without one must
+// leave the same checkpoint bytes (cycles, retired instructions, latency
+// histogram, memory, queue and fault log). A recorder observes the kernel
+// and never feeds its state.
 func TestTracedRunIsCycleIdentical(t *testing.T) {
-	run := func(traced bool) *Kernel {
-		obs.SetTracing(traced)
-		defer obs.SetTracing(false)
-		k := build(t, cc.ModeMPU,
-			aft.AppSource{Name: "counter", Source: counterApp},
-			aft.AppSource{Name: "hr", Source: hrApp})
-		k.RunUntil(3000)
-		return k
-	}
-	plain, traced := run(false), run(true)
-	if plain.CPU.Cycles != traced.CPU.Cycles || plain.CPU.Insns != traced.CPU.Insns {
-		t.Fatalf("tracing perturbed the machine: cycles %d vs %d, insns %d vs %d",
-			plain.CPU.Cycles, traced.CPU.Cycles, plain.CPU.Insns, traced.CPU.Insns)
-	}
-	if plain.Latency != traced.Latency {
-		t.Fatalf("tracing perturbed the latency histogram:\n  plain:  %+v\n  traced: %+v",
-			plain.Latency, traced.Latency)
-	}
-	if traced.Recorder().Len() == 0 {
-		t.Fatal("traced run recorded no events")
+	for _, mode := range []cc.Mode{cc.ModeMPU, cc.ModeSoftwareOnly} {
+		fw, tmpl := checkpointFirmware(t, mode)
+		target := fw.Image.MustSym(abi.SymGlobal("counter", "count"))
+		run := func(traced bool) []byte {
+			var rec *obs.Recorder
+			attach := func(k *Kernel) {
+				if traced {
+					rec = obs.NewRecorder(obs.DefaultRing)
+					k.AttachRecorder(rec)
+				}
+			}
+			k := tmpl.NewKernel(7)
+			attach(k)
+			k.Policy = RestartPolicy{MaxFaults: 3, BackoffMS: 400}
+			k.PostPeriodic(2, 3, target, 2300, 1700)
+			at := uint64(4500)
+			for round := 0; round < 3; round++ {
+				k.RunUntil(at)
+				tmpl.Brownout(k, at)
+				tmpl.Reboot(k, at+700)
+				attach(k)
+				k.PostPeriodic(2, 3, target, 300, 1700)
+				at += 4500
+			}
+			k.RunUntil(at)
+			if traced && rec.Len() == 0 {
+				t.Fatalf("%v: traced run recorded no events after the last reboot", mode)
+			}
+			return ckJSON(t, tmpl.Checkpoint(k))
+		}
+		if plain, traced := run(false), run(true); !bytes.Equal(plain, traced) {
+			t.Fatalf("%v: a recorder changed the checkpoint:\n plain  %s\n traced %s", mode, plain, traced)
+		}
 	}
 }
 
@@ -61,9 +59,8 @@ func TestTracedRunIsCycleIdentical(t *testing.T) {
 // family a normal run produces: posts, dispatch spans, syscall spans, and
 // gate crossings.
 func TestRecorderCapturesKernelLife(t *testing.T) {
-	obs.SetTracing(true)
-	defer obs.SetTracing(false)
 	k := build(t, cc.ModeMPU, aft.AppSource{Name: "counter", Source: counterApp})
+	k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
 	k.RunUntil(500)
 	kinds := map[obs.Kind]int{}
 	for _, ev := range k.Recorder().Events() {
@@ -87,9 +84,8 @@ func TestRecorderCapturesKernelLife(t *testing.T) {
 // recorder's fault event carries the fault class and a restart event
 // follows.
 func TestRecorderFaultAndRestart(t *testing.T) {
-	obs.SetTracing(true)
-	defer obs.SetTracing(false)
 	k := build(t, cc.ModeMPU, aft.AppSource{Name: "counter", Source: counterApp})
+	k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
 	k.Policy = RestartPolicy{MaxFaults: 3, BackoffMS: 100}
 	k.RunUntil(50)
 	k.InjectFault(0, "test fault")

@@ -5,7 +5,6 @@ import (
 	"amuletiso/internal/cpu"
 	"amuletiso/internal/mem"
 	"amuletiso/internal/mpu"
-	"amuletiso/internal/obs"
 )
 
 // This file models what power loss does to a device. On the MSP430FR5969 the
@@ -195,20 +194,15 @@ func (t *BootTemplate) Brownout(k *Kernel, brownoutMS uint64) {
 // Reboot runs the OS boot path on a kernel parked by Brownout (or resumed
 // from a persistent cut), in place: the boot RNG is re-seeded, the time base
 // is re-anchored at the surviving cycle odometer, and an EvInit is queued at
-// restartMS for every app the restart policy still allows. A fresh flight
-// recorder replaces the dead one when tracing is on, as at boot. Afterwards
-// its Checkpoint encodes to the same bytes as RebootImage of its parked
-// Checkpoint at restartMS.
+// restartMS for every app the restart policy still allows. Reboot attaches
+// no flight recorder (Brownout dropped the old one); a caller that reads one
+// attaches a fresh recorder. Afterwards the kernel's Checkpoint encodes to
+// the same bytes as RebootImage of its parked Checkpoint at restartMS.
 func (t *BootTemplate) Reboot(k *Kernel, restartMS uint64) {
 	k.NowMS = restartMS
 	k.rng = bootRNG(k.Sensors.Seed())
 	k.nowCycles = k.CPU.Cycles
 	k.dispatchC0 = k.CPU.Cycles
-	if obs.TracingEnabled() {
-		k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
-	} else {
-		k.AttachRecorder(nil)
-	}
 	for i := range k.Apps {
 		if k.Apps[i].Alive {
 			k.post(Event{Due: restartMS, App: i, Code: abi.EvInit})

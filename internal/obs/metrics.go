@@ -16,11 +16,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n. A no-op when metrics are disabled.
+// Add adds n.
 func (c *Counter) Add(n uint64) {
-	if metricsOff.Load() {
-		return
-	}
 	c.v.Add(n)
 }
 
@@ -32,19 +29,13 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v. A no-op when metrics are disabled.
+// Set stores v.
 func (g *Gauge) Set(v int64) {
-	if metricsOff.Load() {
-		return
-	}
 	g.v.Store(v)
 }
 
-// Add adds n (may be negative). A no-op when metrics are disabled.
+// Add adds n (may be negative).
 func (g *Gauge) Add(n int64) {
-	if metricsOff.Load() {
-		return
-	}
 	g.v.Add(n)
 }
 
@@ -102,11 +93,8 @@ type Histogram struct {
 	sum    atomic.Uint64
 }
 
-// Observe records v. A no-op when metrics are disabled.
+// Observe records v.
 func (h *Histogram) Observe(v uint64) {
-	if metricsOff.Load() {
-		return
-	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++

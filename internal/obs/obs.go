@@ -3,58 +3,24 @@
 // recorder of cycle-stamped trace events, and deterministic cycle-domain
 // latency histograms.
 //
-// The package follows the repository's zero-cost-when-off discipline
-// (`-nojit`, `-nothread`, ...): metrics are atomic counters behind a single
-// predictable branch, the flight recorder is a nil pointer check on the
-// kernel hot path unless SetTracing armed it, and nothing in this package may
-// ever feed a simulation result — fleet reports and torture campaigns stay
-// byte-identical across the {obs, noobs} axis. The only observability data
-// that reaches a report is the cycle-domain latency histogram, which is
-// deterministic by construction (simulated cycles, never wall clock) and
-// therefore always on, and flight-recorder dumps a scenario explicitly
-// requested.
+// Observability has no off switch. Metrics are atomic counters; the flight
+// recorder is a nil pointer check on the kernel hot path until the code that
+// reads a recorder attaches one (a fault-trace fleet, `amuletsim -trace`,
+// the torture harness's hosted cases). Nothing in this package may ever feed
+// a simulation result: a kernel with a recorder attached runs to the same
+// bytes as one without. The only observability data that reaches a report is
+// the cycle-domain latency histogram, which is deterministic by construction
+// (simulated cycles, never wall clock), and flight-recorder dumps a scenario
+// explicitly requested.
 //
 // obs depends on the standard library only, so every internal package may
 // import it without cycles.
 package obs
 
-import (
-	"os"
-	"sync/atomic"
-)
-
-// metricsOff disables every counter/gauge/histogram mutation when set — the
-// `-noobs` escape hatch. Exposition still works (values freeze).
-var metricsOff atomic.Bool
-
-// SetMetrics enables or disables metric recording process-wide.
-func SetMetrics(on bool) { metricsOff.Store(!on) }
-
-// tracingOn arms the flight recorder: kernels booted while it is set attach
-// a ring recorder automatically. It is a boot-time property —
-// already-booted kernels keep whatever recorder they have.
-var tracingOn atomic.Bool
-
-// SetTracing arms or disarms automatic flight-recorder attachment for
-// subsequently booted kernels.
-func SetTracing(on bool) { tracingOn.Store(on) }
-
-// TracingEnabled reports whether newly booted kernels attach a recorder.
-func TracingEnabled() bool { return tracingOn.Load() }
-
 // DefaultRing is the per-device flight-recorder capacity: enough to hold the
 // last few dozen dispatches of context (gate crossings included) around a
 // fault without measurable per-device memory cost at fleet scale.
 const DefaultRing = 256
-
-// init honors AMULET_OBS_TRACE=1, so test jobs (the CI race leg) can run an
-// entire binary with tracing armed without threading a flag through every
-// harness.
-func init() {
-	if os.Getenv("AMULET_OBS_TRACE") == "1" {
-		tracingOn.Store(true)
-	}
-}
 
 // Canonical metric names. Instrumented packages register under these names
 // and CLIs look the same names up for progress lines and summary output, so

@@ -29,21 +29,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestMetricsDisabled(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("d_total", "")
-	SetMetrics(false)
-	c.Inc()
-	SetMetrics(true)
-	if c.Value() != 0 {
-		t.Fatalf("counter advanced to %d while metrics were off", c.Value())
-	}
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatalf("counter = %d after re-enable, want 1", c.Value())
-	}
-}
-
 func TestCounterVec(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("faults_total", "faults by class", "class")

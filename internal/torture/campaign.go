@@ -54,6 +54,23 @@ func DefaultConfig(kind string) Config {
 	return cfg
 }
 
+// Validate rejects configurations Run cannot execute: a non-positive program
+// count, a negative first index or an unknown kind. A service accepting
+// campaigns calls it at submit, as Run does before it starts.
+func (cfg Config) Validate() error {
+	if cfg.Programs <= 0 {
+		return fmt.Errorf("torture: campaign needs a positive program count (got %d)", cfg.Programs)
+	}
+	if cfg.First < 0 {
+		return fmt.Errorf("torture: negative first index %d", cfg.First)
+	}
+	switch cfg.Kind {
+	case KindDifferential, KindAdversarial, KindHosted, KindBrownout:
+		return nil
+	}
+	return fmt.Errorf("torture: unknown campaign kind %q", cfg.Kind)
+}
+
 // Report aggregates a campaign. Every field is a pure function of the
 // Config, so serialized reports are byte-identical across runs, machines
 // and worker counts — campaigns double as regression oracles.
@@ -92,16 +109,8 @@ type Report struct {
 // minimized independently; results land in per-index slots, so aggregation
 // is order-independent.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if cfg.Programs <= 0 {
-		return nil, fmt.Errorf("torture: campaign needs a positive program count (got %d)", cfg.Programs)
-	}
-	if cfg.First < 0 {
-		return nil, fmt.Errorf("torture: negative first index %d", cfg.First)
-	}
-	switch cfg.Kind {
-	case KindDifferential, KindAdversarial, KindHosted, KindBrownout:
-	default:
-		return nil, fmt.Errorf("torture: unknown campaign kind %q", cfg.Kind)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 
 	results := make([]*Outcome, cfg.Programs)

@@ -14,7 +14,6 @@ import (
 	"amuletiso/internal/cpu"
 	"amuletiso/internal/engine"
 	"amuletiso/internal/mem"
-	"amuletiso/internal/obs"
 )
 
 // engineFP is everything one standalone run exposes: exit state, cycle and
@@ -150,9 +149,8 @@ func TestEngineEquivalenceBattery(t *testing.T) {
 
 // TestCampaignByteIdenticalAcrossEngines is the campaign-level guardrail
 // behind the CI escape-hatch job: whole differential, adversarial and
-// hosted campaigns serialize to the same bytes in every engine.Matrix cell
-// and with observability armed or off, so every hatch stays byte-identical
-// forever.
+// hosted campaigns serialize to the same bytes in every engine.Matrix cell,
+// so every hatch stays byte-identical forever.
 func TestCampaignByteIdenticalAcrossEngines(t *testing.T) {
 	for _, kind := range []string{KindDifferential, KindAdversarial, KindHosted} {
 		n := 40
@@ -176,8 +174,9 @@ func TestCampaignByteIdenticalAcrossEngines(t *testing.T) {
 			}
 			return string(b)
 		}
-		want := report(t, engine.Engine{})
 		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			want := report(t, engine.Engine{})
 			for _, e := range engine.Matrix[1:] {
 				t.Run(e.String(), func(t *testing.T) {
 					t.Parallel()
@@ -187,21 +186,6 @@ func TestCampaignByteIdenticalAcrossEngines(t *testing.T) {
 				})
 			}
 		})
-		// The {obs, noobs} axis is process-global, so it runs serially once
-		// the engine cells are done: campaign bytes must not depend on
-		// whether flight recorders are armed or metrics enabled. Tracing
-		// only touches kernel-hosted paths, so the production engine
-		// suffices.
-		obs.SetTracing(true)
-		traced := report(t, engine.Engine{})
-		obs.SetTracing(false)
-		obs.SetMetrics(false)
-		quiet := report(t, engine.Engine{})
-		obs.SetMetrics(true)
-		if traced != want || quiet != want {
-			t.Errorf("%s: report differs with tracing armed (%v) or metrics off (%v)",
-				kind, traced != want, quiet != want)
-		}
 	}
 }
 
@@ -236,14 +220,4 @@ func TestCorpusReplayAcrossEngines(t *testing.T) {
 			})
 		}
 	})
-	// Tracing-armed replay: identical outcomes, and hosted cases
-	// additionally run the flight-recorder second-witness check inside
-	// executeHosted (a recorder/oracle disagreement fails the case).
-	obs.SetTracing(true)
-	defer obs.SetTracing(false)
-	for i, c := range cases {
-		if got := outcome(t, c, engine.Engine{}); got != want[i] {
-			t.Errorf("corpus %s: outcome differs with tracing armed:\n  ref: %s\n  got: %s", c.Name, want[i], got)
-		}
-	}
 }

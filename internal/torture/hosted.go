@@ -86,17 +86,17 @@ func executeHosted(c *Case, e engine.Engine, out *Outcome) {
 		k := kernel.NewBootTemplate(fw).WithEngine(e).NewKernel(uint32(c.Seed) | 1)
 		k.WatchdogBudget = hostedWatchdog
 		k.Policy = kernel.RestartPolicy{} // first fault is final
-		k.Step()                          // deliver EvInit — the attack runs here
+		rec := obs.NewRecorder(obs.DefaultRing)
+		k.AttachRecorder(rec)
+		k.Step() // deliver EvInit — the attack runs here
 
 		observed := LayerNone
 		if len(k.Faults) > 0 {
 			observed = layerOfFaultClass(k.Faults[0].Class)
-		}
-		// Second witness: when a flight recorder is attached (tracing armed),
-		// its fault event must attribute the same class the kernel's fault
-		// record does — the recorder may never tell a different story than
-		// the attribution oracle.
-		if rec := k.Recorder(); rec != nil && len(k.Faults) > 0 {
+			// Second witness: the flight recorder's fault event must
+			// attribute the same class the kernel's fault record does — the
+			// recorder may never tell a different story than the
+			// attribution oracle.
 			if cls, ok := lastFaultClass(rec.Dump(0)); !ok {
 				out.fail("recorder-mismatch",
 					fmt.Sprintf("%v: kernel recorded a fault but the flight recorder holds no fault event", mode))
