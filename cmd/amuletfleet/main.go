@@ -55,7 +55,7 @@ func main() {
 	eng := engine.Flags(flag.CommandLine)
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:9090)")
 	progressEvery := flag.Duration("progress", 0, "print a progress line to stderr at this interval (e.g. 2s; 0 = off)")
-	faultTrace := flag.Bool("fault-trace", false, "attach per-device flight recorders and dump the last events of faulting devices into the report")
+	faultTrace := flag.Bool("fault-trace", false, "attach per-device flight recorders and dump the events up to each faulting device's last fault into the report")
 	flag.Parse()
 
 	if *repeat < 1 {

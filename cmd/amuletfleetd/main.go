@@ -33,8 +33,8 @@ func main() {
 	state := flag.String("state", "", "state directory for job persistence and crash recovery (empty = in-memory only)")
 	resume := flag.Bool("resume", false, "reload persisted jobs from -state and continue interrupted campaigns")
 	parallel := flag.Int("parallel", 0, "simulation worker goroutines (0 = all cores)")
-	shard := flag.Int("shard-devices", 25, "devices per sequentially scheduled, checkpointable shard (0 = whole fleet at once)")
-	shardProgs := flag.Int("shard-programs", 250, "torture programs per sequentially scheduled, mergeable shard (0 = whole campaign at once)")
+	shard := flag.Int("shard-devices", 25, "devices per checkpointable shard; two run at a time and finish in order (0 = whole fleet at once)")
+	shardProgs := flag.Int("shard-programs", 250, "torture programs per mergeable shard; two run at a time and finish in order (0 = whole campaign at once)")
 	segment := flag.Uint64("segment-ms", 5000, "most virtual milliseconds a running device advances before it snapshots for a pending checkpoint write")
 	flush := flag.Duration("flush", 2*time.Second, "real-time interval between checkpoint writes while a job runs; each write asks running devices for fresh snapshots, so a cut is at most one flush plus one segment stale")
 	flag.Parse()

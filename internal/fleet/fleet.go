@@ -82,10 +82,11 @@ type Scenario struct {
 	// > 0 — the knob watchdog-starvation sweeps use to land the watchdog at
 	// arbitrary points of a wear window.
 	WatchdogBudget uint64
-	// FaultTrace attaches a flight recorder to every device and embeds its
-	// last-events window into the DeviceResult of devices that faulted. It is
-	// the only way recorder data reaches a report: apart from those
-	// windows, results are the same bytes with or without it.
+	// FaultTrace attaches a flight recorder to every device and embeds, in
+	// the DeviceResult of a device whose recorder saw a fault, the window of
+	// events ending with its last one. It is the only way recorder data
+	// reaches a report: apart from those windows, results are the same bytes
+	// with or without it.
 	FaultTrace bool
 
 	// PowerTrace arms the intermittent-power model with a harvest trace spec
@@ -260,6 +261,11 @@ type deviceSim struct {
 	nextFault  uint64
 	buttonRNG  uint64
 
+	// rec is the device's flight recorder under Scenario.FaultTrace, nil
+	// otherwise. It outlives brownouts: each reboot re-attaches it, so the
+	// window frozen at the last fault survives the power loss.
+	rec *obs.Recorder
+
 	// power is the device's supercapacitor state; nil on a stable bench
 	// supply. While the device is dark after a brownout, k stays parked
 	// holding only its FRAM state until the reboot.
@@ -274,8 +280,11 @@ func newDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena,
 	seed := DeviceSeed(sc.Seed, device)
 	mDevicesStarted.Inc()
 	k := tmpl.NewKernelArena(seed, arena)
+	var rec *obs.Recorder
 	if sc.FaultTrace {
-		k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
+		rec = obs.NewRecorder(obs.DefaultRing)
+		rec.KeepFaultWindow(faultTraceWindow)
+		k.AttachRecorder(rec)
 	}
 	if sc.Policy != nil {
 		k.Policy = *sc.Policy
@@ -287,7 +296,7 @@ func newDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena,
 		k.PostPeriodic(ev.App, ev.Code, ev.Arg, ev.AtMS, ev.PeriodMS)
 	}
 	d := &deviceSim{
-		sc: sc, tmpl: tmpl, k: k, device: device, seed: seed,
+		sc: sc, tmpl: tmpl, k: k, device: device, seed: seed, rec: rec,
 		nextButton: injectStart(sc.ButtonEveryMS),
 		nextFault:  injectStart(sc.FaultEveryMS),
 		buttonRNG:  uint64(seed),
@@ -365,8 +374,8 @@ func (d *deviceSim) finished() bool { return d.now >= d.sc.DurationMS }
 
 // result assembles the DeviceResult of a finished device. A device that
 // wore out its window dark (browned out, never recovered) reports its parked
-// kernel's FRAM-resident counters, without a fault trace — the recorder ring
-// died with the power.
+// kernel's FRAM-resident counters. Its fault trace, like any device's, is
+// the window frozen at its last recorded fault.
 func (d *deviceSim) result() DeviceResult {
 	k := d.k
 	dispatches, syscalls, cycles := k.Totals()
@@ -395,8 +404,8 @@ func (d *deviceSim) result() DeviceResult {
 		res.FaultReasons = append(res.FaultReasons, f.Reason)
 		res.FaultClasses = append(res.FaultClasses, f.Class.String())
 	}
-	if d.sc.FaultTrace && len(k.Faults) > 0 && !d.dark() {
-		res.FaultTrace = k.Recorder().Dump(faultTraceWindow)
+	if d.rec != nil {
+		res.FaultTrace = d.rec.FaultDump()
 	}
 	res.WeeklyBatteryPct = batteryPct(res.Cycles, d.sc.DurationMS)
 	res.ProjectedLifetimeHours = projectedLifetimeHours(res.Cycles, d.sc.DurationMS)
@@ -415,8 +424,9 @@ func (d *deviceSim) result() DeviceResult {
 // device must not be used afterwards, so callers defer close once.
 func (d *deviceSim) close() { d.k.Release() }
 
-// faultTraceWindow is how many trailing flight-recorder events a faulting
-// device's DeviceResult carries when Scenario.FaultTrace is set.
+// faultTraceWindow is how many flight-recorder events, ending with its last
+// fault, a faulting device's DeviceResult carries when Scenario.FaultTrace
+// is set.
 const faultTraceWindow = 64
 
 // injectStart returns the first firing time of a periodic injection knob, or

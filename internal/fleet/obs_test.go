@@ -62,45 +62,51 @@ func TestLatencyMergeEqualsUnion(t *testing.T) {
 }
 
 // TestFaultTraceDump exercises the explicit dump hatch: faulting devices
-// carry a recorder window of at most faultTraceWindow events, non-faulting
-// devices carry none, and the recorders are outputs only — with every dump
-// cleared, the report is the same bytes as the plain run's.
+// carry a recorder window of at most faultTraceWindow events ending with
+// their last fault, non-faulting devices carry none, and the recorders are
+// outputs only — with every dump cleared, the report is the same bytes as
+// the plain run's.
 func TestFaultTraceDump(t *testing.T) {
-	run := func(faultTrace bool) *Report {
-		sc := testScenario(6)
-		sc.FaultTrace = faultTrace
-		rep, err := Run(context.Background(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	rep := run(true)
-	dumped := 0
-	for _, d := range rep.PerDevice {
-		if d.Faults == 0 {
-			if d.FaultTrace != nil {
-				t.Fatalf("device %d has no faults but carries a trace dump", d.Device)
+	for _, devices := range []int{6, 24} {
+		run := func(faultTrace bool) *Report {
+			sc := testScenario(devices)
+			sc.FaultTrace = faultTrace
+			rep, err := Run(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			return rep
 		}
-		if len(d.FaultTrace) == 0 {
-			t.Fatalf("faulting device %d carries no trace dump", d.Device)
+		rep := run(true)
+		dumped := 0
+		for _, d := range rep.PerDevice {
+			if d.Faults == 0 {
+				if d.FaultTrace != nil {
+					t.Fatalf("device %d has no faults but carries a trace dump", d.Device)
+				}
+				continue
+			}
+			if len(d.FaultTrace) == 0 {
+				t.Fatalf("faulting device %d carries no trace dump", d.Device)
+			}
+			if len(d.FaultTrace) > faultTraceWindow {
+				t.Fatalf("device %d dump has %d events, cap is %d",
+					d.Device, len(d.FaultTrace), faultTraceWindow)
+			}
+			if last := d.FaultTrace[len(d.FaultTrace)-1]; last.Kind != "fault" {
+				t.Fatalf("device %d dump ends with a %s event, not its fault", d.Device, last.Kind)
+			}
+			dumped++
 		}
-		if len(d.FaultTrace) > faultTraceWindow {
-			t.Fatalf("device %d dump has %d events, cap is %d",
-				d.Device, len(d.FaultTrace), faultTraceWindow)
+		if dumped == 0 {
+			t.Fatal("scenario injects faults but no device dumped a trace")
 		}
-		dumped++
-	}
-	if dumped == 0 {
-		t.Fatal("scenario injects faults but no device dumped a trace")
-	}
 
-	for i := range rep.PerDevice {
-		rep.PerDevice[i].FaultTrace = nil
-	}
-	if !bytes.Equal(marshal(t, run(false)), marshal(t, rep)) {
-		t.Fatal("FaultTrace changed the report beyond its dumps")
+		for i := range rep.PerDevice {
+			rep.PerDevice[i].FaultTrace = nil
+		}
+		if !bytes.Equal(marshal(t, run(false)), marshal(t, rep)) {
+			t.Fatal("FaultTrace changed the report beyond its dumps")
+		}
 	}
 }

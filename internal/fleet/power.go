@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"amuletiso/internal/kernel"
-	"amuletiso/internal/obs"
 	"amuletiso/internal/power"
 )
 
@@ -154,8 +153,8 @@ func (d *deviceSim) powerReboot(t uint64) {
 	p := d.power
 	k := d.k
 	d.tmpl.Reboot(k, t)
-	if d.sc.FaultTrace {
-		k.AttachRecorder(obs.NewRecorder(obs.DefaultRing))
+	if d.rec != nil {
+		k.AttachRecorder(d.rec)
 	}
 	for _, ev := range d.sc.Events {
 		k.PostPeriodic(ev.App, ev.Code, ev.Arg, ev.AtMS, ev.PeriodMS)

@@ -37,9 +37,9 @@ type DeviceResult struct {
 	// wall-clock.
 	Latency obs.CycleHist `json:"latency"`
 
-	// FaultTrace is the flight recorder's last-events window around this
-	// device's faults, present only when the scenario requested it
-	// (Scenario.FaultTrace) and the device faulted. It never appears
+	// FaultTrace is the flight recorder's window of events ending with this
+	// device's last recorded fault, present only when the scenario requested
+	// it (Scenario.FaultTrace) and the device faulted. It never appears
 	// otherwise, and it is the only field a recorder feeds.
 	FaultTrace []obs.DumpEvent `json:"faultTrace,omitempty"`
 

@@ -510,6 +510,8 @@ func TestMetricsOnSameMux(t *testing.T) {
 		"amulet_fleetd_persist_bytes_total",
 		"amulet_fleetd_persist_latency_us_bucket",
 		"amulet_fleetd_state_files_corrupt_total",
+		"amulet_fleetd_shard_wall_us_bucket",
+		"amulet_fleetd_queue_wait_us_bucket",
 		"amulet_fleet_snapshots_total",
 	} {
 		if !strings.Contains(buf.String(), metric) {
@@ -856,7 +858,7 @@ func TestPersistFailures(t *testing.T) {
 	first := s.frame(&record{Kind: recEnd, State: StateFailed, Error: "first"})
 	s.files = &faultFS{at: 1, mode: faultENOSPC, span: 1}
 	before := mPersistFailures.Value()
-	if err := s.appendJournal(j, first); err == nil {
+	if err := s.appendJournal(j, first, 0); err == nil {
 		t.Fatal("append on a full disk reported success")
 	}
 	if got := mPersistFailures.Value() - before; got != 1 {
@@ -868,7 +870,7 @@ func TestPersistFailures(t *testing.T) {
 	}
 	// The pending record goes out first: the journal reads header, the
 	// retried record, then the new one.
-	if err := s.appendJournal(j, s.frame(&record{Kind: recEnd, State: StateFailed, Error: "second"})); err != nil {
+	if err := s.appendJournal(j, s.frame(&record{Kind: recEnd, State: StateFailed, Error: "second"}), 0); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(s.journalPath(j.ID))

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"amuletiso"
 	"amuletiso/internal/apps"
@@ -64,7 +65,7 @@ type JobSpec struct {
 	BrownoutEveryMS uint64 `json:"brownoutEveryMS,omitempty"`
 	BrownoutOffMS   uint64 `json:"brownoutOffMS,omitempty"`
 	// ShardDevices overrides the server's scheduling shard size for this job
-	// (devices per sequentially-scheduled, checkpointable shard).
+	// (devices per checkpointable shard; shards finish in order).
 	ShardDevices int `json:"shardDevices,omitempty"`
 
 	// Torture campaigns.
@@ -74,7 +75,7 @@ type JobSpec struct {
 	RestrictedEvery *int   `json:"restrictedEvery,omitempty"` // (kind default)
 	Shrink          *bool  `json:"shrink,omitempty"`          // (true)
 	// ShardPrograms overrides the server's torture shard size for this job
-	// (programs per sequentially-scheduled, mergeable shard).
+	// (programs per mergeable shard; shards finish in order).
 	ShardPrograms int `json:"shardPrograms,omitempty"`
 }
 
@@ -239,6 +240,9 @@ type Job struct {
 	mu     sync.Mutex
 	state  string
 	errMsg string
+	// queued is when the job was registered: its submit, or the LoadState
+	// that restored it.
+	queued time.Time
 	done   int // devices (fleet) or programs (torture) finished
 	total  int
 	// report and torture are the running merge of completed shards; a
@@ -265,12 +269,14 @@ type Job struct {
 	changed chan struct{}
 
 	// persistMu serializes the job's journal appends and cut writes: the
-	// flusher goroutine and the scheduler both persist. jsize is the
-	// journal's length on disk; pending holds records a failed append could
-	// not land, written ahead of the next one.
+	// flushers of the shards in flight and the scheduler all persist. jsize
+	// is the journal's length on disk; pending holds records a failed append
+	// could not land, written ahead of the next one. jshards counts the shard
+	// records durable in the journal: only shard jshards+1 may write cuts.
 	persistMu sync.Mutex
 	jsize     int64
 	pending   []byte
+	jshards   int
 }
 
 // jobProgress is the resumable position inside a running fleet or torture
@@ -299,7 +305,7 @@ type JobView struct {
 
 func newJob(id string, spec JobSpec) *Job {
 	return &Job{ID: id, Spec: spec, state: StateQueued, total: spec.total(),
-		changed: make(chan struct{})}
+		queued: time.Now(), changed: make(chan struct{})}
 }
 
 func (j *Job) view() JobView {

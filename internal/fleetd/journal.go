@@ -373,8 +373,10 @@ func (s *Server) createJournal(j *Job) error {
 
 // appendJournal appends framed records to j's journal and fsyncs. Records a
 // failed append could not land stay pending, in order, and go out ahead of
-// the next append, so the journal never skips a record.
-func (s *Server) appendJournal(j *Job, data []byte) error {
+// the next append, so the journal never skips a record. shard is the number
+// of the shard record data carries (0 for none); once it lands, the next
+// shard's cuts may be written.
+func (s *Server) appendJournal(j *Job, data []byte, shard int) error {
 	if s.StateDir == "" {
 		return nil
 	}
@@ -390,19 +392,39 @@ func (s *Server) appendJournal(j *Job, data []byte) error {
 	}
 	j.jsize += int64(len(buf))
 	j.pending = nil
+	if shard > 0 {
+		j.jshards = shard
+	}
 	return nil
 }
 
-// writeCut replaces j's cut file with the cut of its shard-th shard.
+// writeCut replaces j's cut file with the cut of its shard-th shard, if that
+// shard is the lowest one not yet journaled: the one cut file serves the
+// shard a resume starts at. A higher shard's cut is dropped, so it never
+// replaces the lowest shard's; that shard reruns from boot on resume.
 func (s *Server) writeCut(j *Job, shard int, cut *fleet.CampaignCheckpoint) {
+	if !j.cutWanted(shard) {
+		return
+	}
 	data := s.frame(&record{Kind: recCut, Shard: shard, Cut: cut})
 	if data == nil {
 		return
 	}
 	j.persistMu.Lock()
 	defer j.persistMu.Unlock()
+	if shard != j.jshards+1 {
+		return // journaled while the cut was encoded
+	}
 	// A failure is counted; the previous cut stays, or the shard reruns.
 	_ = s.write(len(data), func() error { return s.files.replace(s.cutPath(j.ID), data, false) })
+}
+
+// cutWanted reports whether shard is the lowest of j's shards not yet
+// journaled.
+func (j *Job) cutWanted(shard int) bool {
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
+	return shard == j.jshards+1
 }
 
 // loadJob replays one job's journal, migrating a legacy state file first.
@@ -421,7 +443,7 @@ func (s *Server) loadJob(id string) (*Job, error) {
 		return nil, err
 	}
 	j := newJob(id, jr.spec)
-	j.jsize = jr.size
+	j.jsize, j.jshards = jr.size, jr.shards
 	j.done = jr.done()
 	for _, done := range jr.progress {
 		j.lines = append(j.lines, deltaLine(id, StateRunning, done, j.total))

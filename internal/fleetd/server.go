@@ -35,6 +35,12 @@ var (
 		[]uint64{100, 250, 500, 1000, 2500, 5000, 10_000, 25_000, 100_000, 1_000_000})
 	mCorruptStateFiles = obs.Default.Counter("amulet_fleetd_state_files_corrupt_total",
 		"Job journals LoadState could not replay and renamed to *.corrupt.")
+	mShardWall = obs.Default.Histogram("amulet_fleetd_shard_wall_us",
+		"Host microseconds from a shard's launch until its journal record is durable.",
+		[]uint64{1000, 2500, 5000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000, 10_000_000})
+	mQueueWait = obs.Default.Histogram("amulet_fleetd_queue_wait_us",
+		"Host microseconds a job waited in the queue before it ran (since submit, or since LoadState for a restored job).",
+		[]uint64{1000, 10_000, 50_000, 100_000, 250_000, 1_000_000, 10_000_000, 60_000_000, 600_000_000})
 )
 
 const (
@@ -58,9 +64,11 @@ var (
 // exported fields, then LoadState (optional) and Start; Handler serves the
 // API, obs metrics and pprof on one mux.
 //
-// Jobs run one at a time in submission order — each job's shards already
-// saturate the runner's worker pool, so job-level parallelism would only
-// interleave checkpoint state.
+// Jobs run one at a time in submission order. Within a job, shards overlap:
+// a shard's last devices leave workers idle, and its merge and fsync'd
+// journal append run on the scheduler goroutine, so a serial walk kept only
+// 1.39 of 2 cores busy on the fleetd_churn benchmark (2-vCPU host). Two
+// shards are in flight at once (runShards); they finish in shard order.
 type Server struct {
 	// Runner executes fleet shards; nil gets a private runner. Share one
 	// across the daemon's lifetime so the build cache and page arena persist
@@ -69,11 +77,11 @@ type Server struct {
 	// StateDir persists job state for crash recovery ("" = memory only).
 	StateDir string
 	// ShardDevices is the default scheduling shard size: each job's fleet is
-	// cut into shards of this many devices, run sequentially, merged and
-	// persisted as each completes. <= 0 runs each fleet as a single shard.
+	// cut into shards of this many devices, two running at a time, merged
+	// and persisted in shard order. <= 0 runs each fleet as a single shard.
 	ShardDevices int
 	// ShardPrograms is the torture analogue of ShardDevices: programs per
-	// sequentially-scheduled, mergeable campaign shard. <= 0 runs each
+	// mergeable campaign shard, scheduled the same way. <= 0 runs each
 	// campaign as a single shard.
 	ShardPrograms int
 	// SegmentMS bounds the virtual time a running device advances before
@@ -83,7 +91,10 @@ type Server struct {
 	// (0 = 500ms). Each write requests fresh snapshots of the shard's
 	// running devices for the next one, so a persisted cut is at most one
 	// flush period plus one segment stale; a shard that finishes between
-	// writes takes no snapshots at all.
+	// writes takes no snapshots at all. Only the lowest shard not yet
+	// journaled writes cuts: the second shard in flight is in no cut until
+	// the first is journaled, and reruns from boot after a crash before
+	// then.
 	FlushEvery time.Duration
 
 	// files takes every journal and cut write.
@@ -325,6 +336,7 @@ func (s *Server) runJob(j *Job) {
 	j.state = StateRunning
 	j.cancel = cancel
 	resumed := j.resume != nil
+	mQueueWait.Observe(uint64(time.Since(j.queued).Microseconds()))
 	j.mu.Unlock()
 	defer cancel()
 	if resumed {
@@ -359,10 +371,92 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// runFleetJob walks the job's fleet shard by shard, journaling and merging
-// after each. Shards are contiguous FirstDevice ranges, so the running merge
-// is always a valid partial campaign and the final merge is byte-identical
-// to a one-shot run of the whole scenario.
+// shardWindow is how many of a job's shards run at once: one draining its
+// tail on the last busy workers, one filling the workers that went idle.
+const shardWindow = 2
+
+// shardOut is what one shard's run hands the pipeline.
+type shardOut struct {
+	fleet   *fleet.Report
+	torture *torture.Report
+	// cut is an interrupted fleet shard's final cut.
+	cut *fleet.CampaignCheckpoint
+	err error
+}
+
+// shardRun is one shard in flight; out is set when done closes.
+type shardRun struct {
+	k     int
+	start time.Time
+	done  chan struct{}
+	out   shardOut
+}
+
+// runShards is the shard pipeline of both job types. It keeps shardWindow
+// shards, from start on, running through run: when a shard's run returns,
+// the next shard launches into its workers. Shards finish strictly in shard
+// order on the calling goroutine: finish frames, merges and journals shard
+// k and publishes its progress before shard k+1 is looked at, so the
+// journal and the stream grow exactly as a serial walk would grow them.
+//
+// A failed shard, or the cancellation of ctx, stops the pipeline: every run
+// is cancelled and waited for, and only the lowest unfinished shard's final
+// cut is written. The shards above it rerun from boot on resume, to the same
+// bytes.
+func (s *Server) runShards(ctx context.Context, j *Job, start, nshards int,
+	run func(ctx context.Context, k int) shardOut, finish func(k int, out shardOut) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var inflight []*shardRun
+	next := start
+	launch := func() {
+		r := &shardRun{k: next, start: time.Now(), done: make(chan struct{})}
+		next++
+		inflight = append(inflight, r)
+		go func() {
+			defer close(r.done)
+			r.out = run(ctx, r.k)
+		}()
+	}
+	for next < nshards && len(inflight) < shardWindow {
+		launch()
+	}
+	for len(inflight) > 0 {
+		r := inflight[0]
+		inflight = inflight[1:]
+		<-r.done
+		err := r.out.err
+		// The next shard takes r's workers while r merges and persists. A
+		// cancelled job launches nothing more: the shard in flight finishes
+		// or stops, and the cancellation is returned below.
+		if err == nil && next < nshards && ctx.Err() == nil {
+			launch()
+		}
+		if err == nil {
+			err = finish(r.k, r.out)
+		}
+		if err != nil {
+			cancel()
+			for _, o := range inflight {
+				<-o.done
+			}
+			if r.out.cut != nil {
+				s.writeCut(j, r.k+1, r.out.cut)
+			}
+			return err
+		}
+		mShardWall.Observe(uint64(time.Since(r.start).Microseconds()))
+	}
+	if next < nshards {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// runFleetJob walks the job's fleet shard by shard through the pipeline,
+// journaling and merging after each. Shards are contiguous FirstDevice
+// ranges, so the running merge is always a valid partial campaign and the
+// final merge is byte-identical to a one-shot run of the whole scenario.
 func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 	sc, err := j.Spec.scenario()
 	if err != nil {
@@ -392,14 +486,10 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 		s.Runner = runner
 	}
 
-	nshards := (sc.Devices + shard - 1) / shard
-	for k := start; k < nshards; k++ {
+	run := func(ctx context.Context, k int) shardOut {
 		sub := sc
 		sub.FirstDevice = sc.FirstDevice + k*shard
-		sub.Devices = shard
-		if rest := sc.FirstDevice + sc.Devices - sub.FirstDevice; rest < shard {
-			sub.Devices = rest
-		}
+		sub.Devices = min(shard, sc.FirstDevice+sc.Devices-sub.FirstDevice)
 		var prior *fleet.CampaignCheckpoint
 		if k == start {
 			prior = cut // nil unless resuming mid-shard
@@ -410,25 +500,21 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 			Sink:      func(c *fleet.CampaignCheckpoint) { s.writeCut(j, k+1, c) },
 		}
 		rep, c, err := runner.RunResumable(ctx, sub, prior, opt)
-		if err != nil {
-			// Interrupted (cancel or shutdown): persist the final cut so a
-			// resume continues this shard instead of rerunning it.
-			if c != nil {
-				s.writeCut(j, k+1, c)
-			}
-			return err
-		}
+		return shardOut{fleet: rep, cut: c, err: err}
+	}
+	finish := func(k int, out shardOut) error {
 		// The shard's own report is journaled, encoded before a later merge
 		// can append to it.
-		rec := s.frame(&record{Kind: recShard, Shard: k + 1, Report: rep})
+		rec := s.frame(&record{Kind: recShard, Shard: k + 1, Report: out.fleet})
 		if merged == nil {
-			merged = rep
-		} else if err := merged.Merge(rep); err != nil {
+			merged = out.fleet
+		} else if err := merged.Merge(out.fleet); err != nil {
 			return err
 		}
 		s.shardDone(j, rec, &jobProgress{ShardsDone: k + 1, Merged: merged}, merged.Devices)
+		return nil
 	}
-	return nil
+	return s.runShards(ctx, j, start, (sc.Devices+shard-1)/shard, run, finish)
 }
 
 // shardDone makes a completed shard durable, then publishes the new merge
@@ -436,7 +522,7 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 // the journal. A failed append is counted and retried with the next record;
 // the job runs on.
 func (s *Server) shardDone(j *Job, rec []byte, p *jobProgress, done int) {
-	_ = s.appendJournal(j, rec)
+	_ = s.appendJournal(j, rec, p.ShardsDone)
 	mShardsMerged.Inc()
 	j.mu.Lock()
 	j.resume = p
@@ -447,12 +533,12 @@ func (s *Server) shardDone(j *Job, rec []byte, p *jobProgress, done int) {
 	j.mu.Unlock()
 }
 
-// runTortureJob walks the job's campaign shard by shard — contiguous program
-// ranges, exactly as runFleetJob walks device ranges — journaling and
-// merging after each, so a killed daemon resumes at the first incomplete
-// shard and the final merge is byte-identical to a one-shot run of the whole
-// campaign. Torture cases have no mid-case cut, so an interrupted shard
-// reruns whole.
+// runTortureJob walks the job's campaign through the same pipeline —
+// contiguous program ranges, exactly as runFleetJob walks device ranges —
+// journaling and merging after each shard, so a killed daemon resumes at the
+// first incomplete shard and the final merge is byte-identical to a one-shot
+// run of the whole campaign. Torture cases have no mid-case cut, so an
+// interrupted shard reruns whole.
 func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
 	workers := 0
 	if s.Runner != nil {
@@ -479,27 +565,24 @@ func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
 	j.torture = merged
 	j.mu.Unlock()
 
-	nshards := (cfg.Programs + shard - 1) / shard
-	for k := start; k < nshards; k++ {
+	run := func(ctx context.Context, k int) shardOut {
 		sub := cfg
 		sub.First = cfg.First + k*shard
-		sub.Programs = shard
-		if rest := cfg.First + cfg.Programs - sub.First; rest < shard {
-			sub.Programs = rest
-		}
+		sub.Programs = min(shard, cfg.First+cfg.Programs-sub.First)
 		rep, err := torture.Run(ctx, sub)
-		if err != nil {
-			return err
-		}
-		rec := s.frame(&record{Kind: recShard, Shard: k + 1, Torture: rep})
+		return shardOut{torture: rep, err: err}
+	}
+	finish := func(k int, out shardOut) error {
+		rec := s.frame(&record{Kind: recShard, Shard: k + 1, Torture: out.torture})
 		if merged == nil {
-			merged = rep
-		} else if err := merged.Merge(rep); err != nil {
+			merged = out.torture
+		} else if err := merged.Merge(out.torture); err != nil {
 			return err
 		}
 		s.shardDone(j, rec, &jobProgress{ShardsDone: k + 1, TortureMerged: merged}, merged.Programs)
+		return nil
 	}
-	return nil
+	return s.runShards(ctx, j, start, (cfg.Programs+shard-1)/shard, run, finish)
 }
 
 // settle moves a job to state — a terminal one, or back to queued on
@@ -512,7 +595,7 @@ func (s *Server) settle(j *Job, state, errMsg string) {
 	var final []byte
 	var persisted error
 	if terminal {
-		persisted = s.appendJournal(j, s.frame(&record{Kind: recEnd, State: state, Error: errMsg}))
+		persisted = s.appendJournal(j, s.frame(&record{Kind: recEnd, State: state, Error: errMsg}), 0)
 		j.mu.Lock()
 		rep, tort := j.report, j.torture
 		j.mu.Unlock()

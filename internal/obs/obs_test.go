@@ -103,6 +103,29 @@ func TestRecorderRing(t *testing.T) {
 	}
 }
 
+// TestRecorderFaultWindow: the window frozen at the latest fault ends with
+// that fault and keeps its events after the ring has wrapped past them.
+func TestRecorderFaultWindow(t *testing.T) {
+	r := NewRecorder(4)
+	r.KeepFaultWindow(3)
+	if r.FaultDump() != nil {
+		t.Fatal("fault window before any fault")
+	}
+	r.Record(0, KindDispatch, 0, 0, 0)
+	r.Record(10, KindFault, 0, 1, 0)
+	for i := 2; i < 5; i++ {
+		r.Record(uint64(i*10), KindDispatch, 0, uint16(i), 0)
+	}
+	r.Record(50, KindFault, 1, 2, 0)
+	for i := 6; i < 20; i++ {
+		r.Record(uint64(i*10), KindDispatch, 0, uint16(i), 0)
+	}
+	d := r.FaultDump()
+	if len(d) != 3 || d[0].A != 3 || d[1].A != 4 || d[2].Kind != "fault" || d[2].Cycle != 50 {
+		t.Fatalf("FaultDump = %+v, want events 3, 4 and the fault at cycle 50", d)
+	}
+}
+
 func TestRecorderUnbounded(t *testing.T) {
 	r := NewRecorder(0)
 	for i := 0; i < 1000; i++ {

@@ -59,6 +59,11 @@ type Recorder struct {
 	ring []TraceEvent
 	all  []TraceEvent // unbounded mode
 	n    uint64       // total events ever recorded (ring write cursor mod len)
+
+	// keep > 0 makes every KindFault event copy the last keep events, the
+	// fault included, into fault: the window FaultDump returns.
+	keep  int
+	fault []TraceEvent
 }
 
 // NewRecorder returns a recorder with the given ring capacity, or an
@@ -80,6 +85,26 @@ func (r *Recorder) Record(cycle uint64, kind Kind, app int16, a, b uint16) {
 	}
 	r.ring[r.n%uint64(len(r.ring))] = ev
 	r.n++
+	if kind == KindFault && r.keep > 0 {
+		r.fault = r.last(r.keep, r.fault[:0])
+	}
+}
+
+// KeepFaultWindow makes the recorder freeze, at every fault it records, the
+// last n events ending with that fault, so FaultDump can return the window
+// of the latest fault however many events follow it.
+func (r *Recorder) KeepFaultWindow(n int) {
+	r.keep = n
+}
+
+// last appends the last (at most) n ring events to dst, oldest first.
+func (r *Recorder) last(n int, dst []TraceEvent) []TraceEvent {
+	size := uint64(len(r.ring))
+	k := min(uint64(n), r.n, size)
+	for i := r.n - k; i < r.n; i++ {
+		dst = append(dst, r.ring[i%size])
+	}
+	return dst
 }
 
 // Len returns the total number of events ever recorded.
@@ -115,12 +140,26 @@ type DumpEvent struct {
 }
 
 // Dump returns the last (at most) n events as JSON-friendly records, oldest
-// first — the post-mortem window around a fault.
+// first.
 func (r *Recorder) Dump(n int) []DumpEvent {
 	evs := r.Events()
 	if n > 0 && len(evs) > n {
 		evs = evs[len(evs)-n:]
 	}
+	return dumpEvents(evs)
+}
+
+// FaultDump returns the window KeepFaultWindow froze at the latest recorded
+// fault, ending with that fault's event — the post-mortem window — or nil
+// when no fault was recorded.
+func (r *Recorder) FaultDump() []DumpEvent {
+	if len(r.fault) == 0 {
+		return nil
+	}
+	return dumpEvents(r.fault)
+}
+
+func dumpEvents(evs []TraceEvent) []DumpEvent {
 	out := make([]DumpEvent, len(evs))
 	for i, ev := range evs {
 		out[i] = DumpEvent{Cycle: ev.Cycle, Kind: ev.Kind.String(), App: ev.App, A: ev.A, B: ev.B}
