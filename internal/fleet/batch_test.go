@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"errors"
-	"sync"
 	"testing"
 
 	"amuletiso/internal/apps"
@@ -69,61 +67,5 @@ func TestWatchdogMidBatch(t *testing.T) {
 	}
 	if !sawWatchdog {
 		t.Fatal("budget sweep never landed a watchdog kill; sweep values need adjusting")
-	}
-}
-
-// TestForEachBatchCoversAllIndices checks the chunked pool visits every
-// index exactly once at every batch size, and stops feeding on first error.
-func TestForEachBatchCoversAllIndices(t *testing.T) {
-	for _, batch := range []int{1, 3, 16, 100} {
-		const n = 53
-		var mu sync.Mutex
-		seen := make([]int, n)
-		err := ForEachBatch(context.Background(), n, 4, batch, func(i int) error {
-			mu.Lock()
-			seen[i]++
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		for i, v := range seen {
-			if v != 1 {
-				t.Fatalf("batch=%d: index %d visited %d times", batch, i, v)
-			}
-		}
-	}
-	boom := errors.New("boom")
-	calls := 0
-	var mu sync.Mutex
-	err := ForEachBatch(context.Background(), 10_000, 2, 8, func(i int) error {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		if i == 5 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-	if calls >= 10_000 {
-		t.Fatal("feeding did not stop after the first error")
-	}
-}
-
-// TestChunkFor pins the claim-sizing policy: 1 for tiny fleets, bounded by
-// maxChunk for huge ones.
-func TestChunkFor(t *testing.T) {
-	if got := chunkFor(8, 8); got != 1 {
-		t.Fatalf("small fleet: chunk = %d, want 1", got)
-	}
-	if got := chunkFor(1_000_000, 4); got != maxChunk {
-		t.Fatalf("huge fleet: chunk = %d, want %d", got, maxChunk)
-	}
-	if got := chunkFor(320, 8); got != 10 {
-		t.Fatalf("mid fleet: chunk = %d, want 10", got)
 	}
 }

@@ -198,7 +198,7 @@ func (r *Runner) workerCount() int {
 // Run simulates the scenario's fleet and aggregates the per-device results.
 // It returns early with ctx's error when cancelled.
 func (r *Runner) Run(ctx context.Context, sc Scenario) (*Report, error) {
-	rep, _, err := r.RunResumable(ctx, sc, nil, ResumableOptions{})
+	rep, _, err := r.RunResumable(ctx, sc, nil, nil)
 	return rep, err
 }
 
@@ -244,9 +244,9 @@ func (r *Runner) template(sc *Scenario) (*kernel.BootTemplate, error) {
 	return tmpl.WithEngine(sc.Engine), nil
 }
 
-// deviceSim is one device mid-wear-window: the kernel plus the segment-loop
+// deviceSim is one device mid-wear-window: the kernel plus the wear-loop
 // cursors (injection deadlines, button RNG, delivered-event count). A device
-// can stop at any segment boundary, be serialized (DeviceCheckpoint), and
+// can stop at any poll of advance, be serialized (DeviceCheckpoint), and
 // continue on another runner — the substrate for resumable campaigns.
 type deviceSim struct {
 	sc     *Scenario
@@ -270,6 +270,11 @@ type deviceSim struct {
 	// supply. While the device is dark after a brownout, k stays parked
 	// holding only its FRAM state until the reboot.
 	power *powerState
+
+	// ledger is the resumable run the device parks snapshots with, nil when
+	// it takes none; answered is the last snapshot request it parked for.
+	ledger   *campaignState
+	answered uint64
 }
 
 // dark reports whether the device is browned out, its kernel parked.
@@ -307,22 +312,18 @@ func newDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena,
 	return d
 }
 
-// advance walks the wear window to min(until, DurationMS). Extra stopping
+// advance walks the rest of the wear window. It polls between event batches
+// and at every injection or power boundary: a cancelled ctx stops it there,
+// and a pending snapshot request parks a snapshot there (poll). Stopping
 // points are observably free — RunUntil(t1);RunUntil(t2) delivers exactly
-// what RunUntil(t2) would — so callers may segment the window however they
-// like (a run without snapshots uses one segment; one with snapshots stops
-// per checkpoint interval). On cancellation the device stays parked between
-// event deliveries: a subsequent advance (or checkpoint) continues it
-// exactly.
-func (d *deviceSim) advance(ctx context.Context, until uint64) error {
-	if until > d.sc.DurationMS {
-		until = d.sc.DurationMS
-	}
-	for d.now < until {
-		if err := ctx.Err(); err != nil {
+// what RunUntil(t2) would — and a cancelled device stays parked between
+// event deliveries, so a checkpoint taken there continues it exactly.
+func (d *deviceSim) advance(ctx context.Context) error {
+	for d.now < d.sc.DurationMS {
+		if err := d.poll(ctx); err != nil {
 			return err
 		}
-		next := until
+		next := d.sc.DurationMS
 		if d.nextButton < next {
 			next = d.nextButton
 		}
@@ -341,7 +342,7 @@ func (d *deviceSim) advance(ctx context.Context, until uint64) error {
 				if !more {
 					break
 				}
-				if err := ctx.Err(); err != nil {
+				if err := d.poll(ctx); err != nil {
 					return err
 				}
 			}
@@ -364,6 +365,21 @@ func (d *deviceSim) advance(ctx context.Context, until uint64) error {
 		}
 		if d.power != nil && d.now == d.power.next {
 			d.powerStep()
+		}
+	}
+	return nil
+}
+
+// poll is one of advance's stopping points: it returns ctx's error, and
+// otherwise parks a snapshot with the device's run when a cut has asked for
+// one since the device's last.
+func (d *deviceSim) poll(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if st := d.ledger; st != nil {
+		if st.requests.Load() > d.answered {
+			d.answered = st.park(d.checkpoint())
 		}
 	}
 	return nil

@@ -103,12 +103,11 @@ func TestPoweredGoldensKillResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := ResumableOptions{SegmentMS: 250}
 		darkCuts := 0
 		for limit := 1; limit < 6000; limit = limit*3/2 + 1 {
 			tag := fmt.Sprintf("%s limit=%d", g.file, limit)
 			r := &Runner{Workers: 1, Cache: NewBuildCache()}
-			rep, cut, err := r.RunResumable(newCancelAfter(limit), g.sc, nil, opt)
+			rep, cut, err := r.RunResumable(newCancelAfter(limit), g.sc, nil, nil)
 			if err == nil {
 				if got := cliJSON(t, rep); !bytes.Equal(got, want) {
 					t.Fatalf("%s: uninterrupted resumable run differs from the golden", tag)
@@ -128,7 +127,7 @@ func TestPoweredGoldensKillResume(t *testing.T) {
 			if err := json.Unmarshal(wire, &decoded); err != nil {
 				t.Fatal(err)
 			}
-			rep, _, err = (&Runner{Workers: 2, Cache: NewBuildCache()}).RunResumable(context.Background(), g.sc, &decoded, opt)
+			rep, _, err = (&Runner{Workers: 2, Cache: NewBuildCache()}).RunResumable(context.Background(), g.sc, &decoded, nil)
 			if err != nil {
 				t.Fatalf("%s: resume: %v", tag, err)
 			}

@@ -4,100 +4,59 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ForEach runs fn(i) for every i in [0, n) over a bounded pool of worker
 // goroutines — the fan-out primitive behind fleet simulation and the torture
-// campaigns in internal/torture. workers <= 0 means GOMAXPROCS.
+// campaigns in internal/torture. workers <= 0 means GOMAXPROCS. Each worker
+// claims the next index from a shared counter, one at a time, so a claim
+// wakes no other goroutine.
 //
-// Feeding stops at the first fn error or context cancellation; in-flight
+// Claiming stops at the first fn error or context cancellation; in-flight
 // calls finish. ForEach returns ctx's error if the context was cancelled,
 // otherwise the first error fn returned. Callers that write fn results into
 // a pre-sized slice at index i get deterministic output regardless of worker
 // count or scheduling — the property both subsystems' reports rely on.
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
-	return ForEachBatch(ctx, n, workers, 1, fn)
-}
-
-// ForEachBatch is ForEach with batched claims: each worker receives a
-// contiguous run of up to batch indices per channel round trip, amortizing
-// pool coordination when items are cheap and plentiful (fleet devices). The
-// error, cancellation and determinism contracts are exactly ForEach's —
-// which indices land in which claim never changes what fn computes, only
-// which goroutine runs it. Within a claim, cancellation and first-error
-// stops are honored between items.
-func ForEachBatch(ctx context.Context, n, workers, batch int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if batch < 1 {
-		batch = 1
-	}
-
-	type span struct{ lo, hi int }
-	idx := make(chan span)
 	var (
+		next     atomic.Int64
+		failed   atomic.Bool
 		wg       sync.WaitGroup
-		errMu    sync.Mutex
+		errOnce  sync.Once
 		firstErr error
 	)
-	failed := make(chan struct{})
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			close(failed)
-		}
-		errMu.Unlock()
-	}
 	stopped := func() bool {
 		select {
-		case <-failed:
-			return true
 		case <-ctx.Done():
 			return true
 		default:
-			return false
+			return failed.Load()
 		}
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for s := range idx {
-				for i := s.lo; i < s.hi; i++ {
-					if i > s.lo && stopped() {
-						return
-					}
-					if err := fn(i); err != nil {
-						fail(err)
-						return
-					}
+			for !stopped() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if err := fn(i); err != nil {
+					errOnce.Do(func() { firstErr = err })
+					failed.Store(true)
+					return
 				}
 			}
 		}()
 	}
-feed:
-	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		select {
-		case idx <- span{lo, hi}:
-		case <-ctx.Done():
-			break feed
-		case <-failed:
-			break feed
-		}
-	}
-	close(idx)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err

@@ -83,11 +83,10 @@ func TestPoweredKilledAndResumedByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opt := ResumableOptions{SegmentMS: 700}
 	var cut *CampaignCheckpoint
-	for round, limit := range []int{25, 60} {
+	for round, limit := range []int{25, 30} {
 		r := &Runner{Workers: 2, Cache: NewBuildCache()}
-		rep, c, err := r.RunResumable(newCancelAfter(limit), sc, cut, opt)
+		rep, c, err := r.RunResumable(newCancelAfter(limit), sc, cut, nil)
 		if err != context.Canceled {
 			t.Fatalf("round %d: err = %v, want context.Canceled", round, err)
 		}
@@ -111,7 +110,7 @@ func TestPoweredKilledAndResumedByteIdentity(t *testing.T) {
 	}
 
 	r := &Runner{Workers: 3, Cache: NewBuildCache()}
-	rep, c, err := r.RunResumable(context.Background(), sc, cut, opt)
+	rep, c, err := r.RunResumable(context.Background(), sc, cut, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +128,7 @@ func TestPoweredKilledAndResumedByteIdentity(t *testing.T) {
 func TestResumeRejectsForeignPowerCut(t *testing.T) {
 	sc := poweredScenario(3)
 	r := &Runner{Workers: 2, Cache: NewBuildCache()}
-	_, cut, err := r.RunResumable(newCancelAfter(5), sc, nil, ResumableOptions{SegmentMS: 500})
+	_, cut, err := r.RunResumable(newCancelAfter(5), sc, nil, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -140,7 +139,7 @@ func TestResumeRejectsForeignPowerCut(t *testing.T) {
 	} {
 		bad := *cut
 		mutate(&bad)
-		if _, _, err := r.RunResumable(context.Background(), sc, &bad, ResumableOptions{}); err == nil {
+		if _, _, err := r.RunResumable(context.Background(), sc, &bad, nil); err == nil {
 			t.Errorf("%s-mutated cut accepted", name)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"amuletiso/internal/kernel"
 	"amuletiso/internal/mem"
@@ -23,7 +22,7 @@ import (
 // a work-saving measure, and any snapshot cadence is safe.
 
 // DeviceCheckpoint is one device parked mid-wear-window: the serialized
-// kernel plus the segment-loop cursors advance needs to continue it.
+// kernel plus the wear-loop cursors advance needs to continue it.
 type DeviceCheckpoint struct {
 	Device     int    `json:"device"`
 	Events     int    `json:"events"`
@@ -147,35 +146,48 @@ func resumeDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageAre
 	return d, nil
 }
 
-// ResumableOptions tunes RunResumable's snapshot behavior.
-type ResumableOptions struct {
-	// SegmentMS bounds the virtual time a running device advances before it
-	// answers a snapshot request: devices park a fresh snapshot only at
-	// segment boundaries, and only when a Sink cut since their last one
-	// asked for it. 0 snapshots only at cancellation — cheapest, but a
-	// killed process reruns interrupted devices from boot.
-	SegmentMS uint64
-	// Sink, when set, receives periodic consistent cuts every Flush of real
-	// time (and does not receive the final cut — RunResumable returns that).
-	// Calls are serialized; the cut is the callback's to keep. Each cut
-	// requests fresh snapshots for the next one, so a cut's in-flight
-	// devices are at most one Flush plus one segment stale. Without a Sink
-	// no device is snapshotted until cancellation.
-	Sink  func(*CampaignCheckpoint)
-	Flush time.Duration
+// Cutter takes consistent cuts of a running RunResumable campaign when its
+// caller asks for them. Pass one to a single RunResumable call at a time.
+type Cutter struct {
+	mu sync.Mutex
+	st *campaignState // the attached run's ledger; nil outside the run
+}
+
+// Cut returns the attached run's current consistent cut and asks its running
+// devices for fresh snapshots: each parks one at its next poll, between
+// event batches or at an injection or power boundary. The next cut carries
+// them, so a cut taken every interval is at most one interval plus one event
+// batch stale. Cut returns nil before RunResumable starts and after it
+// returns.
+func (c *Cutter) Cut() *CampaignCheckpoint {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.st == nil {
+		return nil
+	}
+	return c.st.cut(true)
+}
+
+// attach points the cutter at a run's ledger (nil detaches it).
+func (c *Cutter) attach(st *campaignState) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.st = st
+	c.mu.Unlock()
 }
 
 // campaignState is the shared progress ledger a resumable run's workers and
-// flusher coordinate through. Its slices are indexed by device −
+// its Cutter coordinate through. Its slices are indexed by device −
 // FirstDevice, so a cut lists devices in order without sorting and a
 // finished result is stored in place.
 type campaignState struct {
 	sc *Scenario
 
-	// requests counts the snapshot requests the flusher made, one after each
-	// Sink cut. A worker parks its device at a segment boundary only while a
-	// request it has not answered is pending, so a run nobody cuts takes no
-	// snapshots.
+	// requests counts the snapshot requests Cut made, one per cut, raised
+	// under mu. A device parks a snapshot at a poll only while a request it
+	// has not answered is pending, so a run nobody cuts takes no snapshots.
 	requests atomic.Uint64
 
 	mu       sync.Mutex
@@ -184,10 +196,15 @@ type campaignState struct {
 	inflight []*DeviceCheckpoint
 }
 
-// cut assembles a consistent CampaignCheckpoint from the current ledger.
-func (st *campaignState) cut() *CampaignCheckpoint {
+// cut assembles a consistent CampaignCheckpoint from the current ledger;
+// with ask it also raises a snapshot request, under the same lock, so every
+// snapshot parked before the request is in this cut.
+func (st *campaignState) cut(ask bool) *CampaignCheckpoint {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if ask {
+		defer st.requests.Add(1)
+	}
 	ck := &CampaignCheckpoint{
 		Scenario:        st.sc.Name,
 		Mode:            st.sc.Mode.String(),
@@ -210,11 +227,14 @@ func (st *campaignState) cut() *CampaignCheckpoint {
 	return ck
 }
 
-func (st *campaignState) park(dc *DeviceCheckpoint) {
+// park stores a device's snapshot and returns the requests it answers:
+// every one raised so far, since the next cut will carry it.
+func (st *campaignState) park(dc *DeviceCheckpoint) uint64 {
 	mSnapshots.Inc()
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.inflight[dc.Device-st.sc.FirstDevice] = dc
-	st.mu.Unlock()
+	return st.requests.Load()
 }
 
 func (st *campaignState) finish(device int, res DeviceResult) {
@@ -228,11 +248,12 @@ func (st *campaignState) finish(device int, res DeviceResult) {
 // one is supplied. On success it returns the finished report — byte-identical
 // to an uninterrupted run's, no matter how many kill/resume cycles the
 // campaign went through. On cancellation it returns a final consistent cut
-// alongside ctx's error; persist it and pass it back to continue. Snapshots
-// are skipped for FaultTrace scenarios (the flight-recorder ring is not
-// serializable, so a resumed trace would differ): those devices always rerun
-// from boot.
-func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignCheckpoint, opt ResumableOptions) (*Report, *CampaignCheckpoint, error) {
+// alongside ctx's error; persist it and pass it back to continue. While the
+// run is in flight, cutter (optional) takes mid-run cuts on request; without
+// one, no device is snapshotted until cancellation. Snapshots are skipped
+// for FaultTrace scenarios (the flight-recorder ring is not serializable, so
+// a resumed trace would differ): those devices always rerun from boot.
+func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignCheckpoint, cutter *Cutter) (*Report, *CampaignCheckpoint, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -272,34 +293,10 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 		}
 	}
 
-	stopFlush := func() {}
-	if opt.Sink != nil && opt.Flush > 0 {
-		stop := make(chan struct{})
-		flushed := make(chan struct{})
-		go func() {
-			defer close(flushed)
-			tick := time.NewTicker(opt.Flush)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					opt.Sink(st.cut())
-					st.requests.Add(1)
-				case <-stop:
-					return
-				}
-			}
-		}()
-		stopFlush = func() { close(stop); <-flushed }
-	}
-
-	segment := opt.SegmentMS
-	if segment == 0 || !snapshots {
-		segment = sc.DurationMS
-	}
-	workers := r.workerCount()
+	cutter.attach(st)
+	defer cutter.attach(nil)
 	arena := r.pageArena()
-	err = ForEachBatch(ctx, len(work), workers, chunkFor(len(work), workers), func(i int) error {
+	err = ForEach(ctx, len(work), r.workerCount(), func(i int) error {
 		g := work[i]
 		var d *deviceSim
 		st.mu.Lock()
@@ -316,35 +313,31 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 		// The deferred close releases the device's kernel and COW pages on
 		// every exit, the cancellation returns inside advance included.
 		defer d.close()
-		// answered is the last snapshot request this device parked for. A
-		// device that starts after a request still owes it a snapshot.
-		var answered uint64
-		for !d.finished() {
-			if err := d.advance(ctx, d.now+segment); err != nil {
-				// Park the interrupted device so the final cut saves its
-				// progress. advance stops between event deliveries, which is
-				// a valid checkpoint boundary even mid-segment.
-				if snapshots {
-					st.park(d.checkpoint())
-				}
-				return err
-			}
-			if req := st.requests.Load(); snapshots && req > answered && !d.finished() {
+		if snapshots {
+			// The device owes snapshots only to requests made after it
+			// started: an earlier cut already holds its resumed state, or
+			// has it rerun from boot.
+			d.ledger, d.answered = st, st.requests.Load()
+		}
+		if err := d.advance(ctx); err != nil {
+			// Park the interrupted device so the final cut saves its
+			// progress. advance stops between event deliveries, which is a
+			// valid checkpoint boundary.
+			if snapshots {
 				st.park(d.checkpoint())
-				answered = req
 			}
+			return err
 		}
 		st.finish(g, d.result())
 		return nil
 	})
-	stopFlush()
 	if err != nil {
-		return nil, st.cut(), err
+		return nil, st.cut(false), err
 	}
 
 	for i, fin := range st.finished {
 		if !fin {
-			return nil, st.cut(), fmt.Errorf("fleet: device %d finished without a result", sc.FirstDevice+i)
+			return nil, st.cut(false), fmt.Errorf("fleet: device %d finished without a result", sc.FirstDevice+i)
 		}
 	}
 	rep := &Report{

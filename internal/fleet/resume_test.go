@@ -82,30 +82,34 @@ func TestCancelledRunReleasesPages(t *testing.T) {
 }
 
 // TestRunResumableMatchesRun: with no prior cut and no interruptions, the
-// resumable path must be byte-identical to Run at any segment length.
+// resumable path must be byte-identical to Run, and a cutter that is never
+// cut must cost no snapshots.
 func TestRunResumableMatchesRun(t *testing.T) {
 	sc := testScenario(5)
 	want, err := Run(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seg := range []uint64{0, 300, 1250, 10000} {
+	for _, cutter := range []*Cutter{nil, new(Cutter)} {
 		r := &Runner{Workers: 2, Cache: NewBuildCache()}
 		before := mSnapshots.Value()
-		rep, cut, err := r.RunResumable(context.Background(), sc, nil, ResumableOptions{SegmentMS: seg})
+		rep, cut, err := r.RunResumable(context.Background(), sc, nil, cutter)
 		if err != nil {
-			t.Fatalf("seg=%d: %v", seg, err)
+			t.Fatalf("cutter=%v: %v", cutter != nil, err)
 		}
 		// Nothing cut the run and nothing cancelled it: no device owed a
 		// snapshot.
 		if n := mSnapshots.Value() - before; n != 0 {
-			t.Fatalf("seg=%d: run without a sink took %d snapshots", seg, n)
+			t.Fatalf("cutter=%v: run nobody cut took %d snapshots", cutter != nil, n)
 		}
 		if cut != nil {
-			t.Fatalf("seg=%d: successful run returned a cut", seg)
+			t.Fatalf("cutter=%v: successful run returned a cut", cutter != nil)
 		}
 		if !bytes.Equal(marshal(t, rep), marshal(t, want)) {
-			t.Fatalf("seg=%d: resumable report differs from Run", seg)
+			t.Fatalf("cutter=%v: resumable report differs from Run", cutter != nil)
+		}
+		if cutter != nil && cutter.Cut() != nil {
+			t.Fatal("cutter still cuts after its run returned")
 		}
 	}
 }
@@ -121,11 +125,10 @@ func TestKilledAndResumedCampaignByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opt := ResumableOptions{SegmentMS: 700}
 	var cut *CampaignCheckpoint
-	for round, limit := range []int{25, 60} {
+	for round, limit := range []int{12, 12} {
 		r := &Runner{Workers: 2, Cache: NewBuildCache()}
-		rep, c, err := r.RunResumable(newCancelAfter(limit), sc, cut, opt)
+		rep, c, err := r.RunResumable(newCancelAfter(limit), sc, cut, nil)
 		if err != context.Canceled {
 			t.Fatalf("round %d: err = %v, want context.Canceled", round, err)
 		}
@@ -150,7 +153,7 @@ func TestKilledAndResumedCampaignByteIdentity(t *testing.T) {
 	}
 
 	r := &Runner{Workers: 3, Cache: NewBuildCache()}
-	rep, c, err := r.RunResumable(context.Background(), sc, cut, opt)
+	rep, c, err := r.RunResumable(context.Background(), sc, cut, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +177,14 @@ func TestResumableFaultTraceRerunsFromBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &Runner{Workers: 2, Cache: NewBuildCache()}
-	_, cut, err := r.RunResumable(newCancelAfter(15), sc, nil, ResumableOptions{SegmentMS: 500})
+	_, cut, err := r.RunResumable(newCancelAfter(15), sc, nil, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(cut.InFlight) != 0 {
 		t.Fatalf("fault-trace cut carries %d in-flight snapshots", len(cut.InFlight))
 	}
-	rep, _, err := r.RunResumable(context.Background(), sc, cut, ResumableOptions{SegmentMS: 500})
+	rep, _, err := r.RunResumable(context.Background(), sc, cut, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +197,7 @@ func TestResumableFaultTraceRerunsFromBoot(t *testing.T) {
 func TestRunResumableRejectsForeignCut(t *testing.T) {
 	sc := testScenario(3)
 	r := &Runner{Workers: 2, Cache: NewBuildCache()}
-	_, cut, err := r.RunResumable(newCancelAfter(5), sc, nil, ResumableOptions{SegmentMS: 500})
+	_, cut, err := r.RunResumable(newCancelAfter(5), sc, nil, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -214,7 +217,7 @@ func TestRunResumableRejectsForeignCut(t *testing.T) {
 	} {
 		bad := *cut
 		mutate(&bad)
-		if _, _, err := r.RunResumable(context.Background(), sc, &bad, ResumableOptions{}); err == nil {
+		if _, _, err := r.RunResumable(context.Background(), sc, &bad, nil); err == nil {
 			t.Errorf("%s-mutated cut accepted", name)
 		}
 	}
@@ -222,7 +225,7 @@ func TestRunResumableRejectsForeignCut(t *testing.T) {
 
 // slowCtx never cancels, but every every-th poll sleeps: workers poll
 // between event batches, so it stretches a run over enough wall time for
-// many flushes.
+// many cuts.
 type slowCtx struct {
 	context.Context
 	every int64
@@ -236,27 +239,40 @@ func (c *slowCtx) Err() error {
 	return nil
 }
 
-// periodicCuts runs sc resumably, slowed down and with a tiny Flush, and
-// returns every cut the sink received, JSON round-tripped as a daemon
-// persists them, plus the finished report.
-func periodicCuts(t *testing.T, sc Scenario, workers int, segment uint64, every int64) ([]*CampaignCheckpoint, *Report) {
+// periodicCuts runs sc resumably, slowed down, with a test goroutine taking
+// a cut every millisecond, and returns every cut taken, JSON round-tripped as
+// a daemon persists them, plus the finished report.
+func periodicCuts(t *testing.T, sc Scenario, workers int, every int64) ([]*CampaignCheckpoint, *Report) {
 	t.Helper()
-	var wires [][]byte
-	opt := ResumableOptions{
-		SegmentMS: segment,
-		Flush:     time.Millisecond,
-		Sink: func(c *CampaignCheckpoint) {
-			wire, err := json.Marshal(c)
-			if err != nil {
-				panic(err)
+	var cutter Cutter
+	stop := make(chan struct{})
+	taken := make(chan [][]byte)
+	go func() {
+		var wires [][]byte
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				if c := cutter.Cut(); c != nil {
+					wire, err := json.Marshal(c)
+					if err != nil {
+						panic(err)
+					}
+					wires = append(wires, wire)
+				}
+			case <-stop:
+				taken <- wires
+				return
 			}
-			wires = append(wires, wire)
-		},
-	}
+		}
+	}()
 	r := &Runner{Workers: workers, Cache: NewBuildCache()}
 	ctx := &slowCtx{Context: context.Background(), every: every}
 	start := time.Now()
-	rep, _, err := r.RunResumable(ctx, sc, nil, opt)
+	rep, _, err := r.RunResumable(ctx, sc, nil, &cutter)
+	close(stop)
+	wires := <-taken
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +288,8 @@ func periodicCuts(t *testing.T, sc Scenario, workers int, segment uint64, every 
 }
 
 // TestPeriodicCutsCarryInFlight: snapshots are taken on request, so a run
-// cut often enough must still hand its sink cuts with in-flight devices,
-// and resuming such a cut must reproduce Run's bytes.
+// cut often enough must still yield cuts with in-flight devices, and
+// resuming such a cut must reproduce Run's bytes.
 func TestPeriodicCutsCarryInFlight(t *testing.T) {
 	sc := testScenario(4)
 	sc.DurationMS = 60_000
@@ -282,23 +298,26 @@ func TestPeriodicCutsCarryInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := mSnapshots.Value()
-	cuts, rep := periodicCuts(t, sc, 2, 200, 8)
+	cuts, rep := periodicCuts(t, sc, 2, 2)
 	if !bytes.Equal(marshal(t, rep), marshal(t, want)) {
-		t.Fatal("flushed resumable run differs from Run")
+		t.Fatal("periodically cut run differs from Run")
 	}
 	var last *CampaignCheckpoint
+	carrying := 0
 	for _, c := range cuts {
 		if len(c.InFlight) > 0 {
 			last = c
+			carrying++
 		}
 	}
 	if last == nil {
 		t.Fatalf("none of %d periodic cuts carries an in-flight device", len(cuts))
 	}
+	t.Logf("%d of %d cuts carry in-flight devices", carrying, len(cuts))
 	if mSnapshots.Value() == before {
 		t.Fatal("in-flight cuts but the snapshot counter did not move")
 	}
-	rep, _, err = (&Runner{Workers: 3, Cache: NewBuildCache()}).RunResumable(context.Background(), sc, last, ResumableOptions{SegmentMS: 200})
+	rep, _, err = (&Runner{Workers: 3, Cache: NewBuildCache()}).RunResumable(context.Background(), sc, last, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +337,11 @@ func TestPoweredPeriodicCutsParkDark(t *testing.T) {
 		}
 		// Workers poll about once per 50 device-milliseconds here: sleep on
 		// ~300 polls whatever the golden's length, so even with exact
-		// 200 µs sleeps the run spans dozens of flushes.
+		// 200 µs sleeps the run spans dozens of cuts.
 		every := int64(g.sc.DurationMS*uint64(g.sc.Devices)/15_000) + 1
-		cuts, rep := periodicCuts(t, g.sc, 1, 50, every)
+		cuts, rep := periodicCuts(t, g.sc, 1, every)
 		if got := cliJSON(t, rep); !bytes.Equal(got, want) {
-			t.Fatalf("%s: flushed resumable run differs from the golden", g.file)
+			t.Fatalf("%s: periodically cut run differs from the golden", g.file)
 		}
 		var dark []int
 		for i, c := range cuts {
@@ -339,7 +358,7 @@ func TestPoweredPeriodicCutsParkDark(t *testing.T) {
 		// Resume the first, middle and last of them.
 		for _, i := range []int{dark[0], dark[len(dark)/2], dark[len(dark)-1]} {
 			c := cuts[i]
-			rep, _, err := (&Runner{Workers: 2, Cache: NewBuildCache()}).RunResumable(context.Background(), g.sc, c, ResumableOptions{SegmentMS: 50})
+			rep, _, err := (&Runner{Workers: 2, Cache: NewBuildCache()}).RunResumable(context.Background(), g.sc, c, nil)
 			if err != nil {
 				t.Fatalf("%s cut %d: resume: %v", g.file, i, err)
 			}

@@ -23,7 +23,6 @@ func newTestServer(t *testing.T, stateDir string) *Server {
 	t.Helper()
 	s := NewServer(stateDir)
 	s.Runner = &fleet.Runner{Workers: 2, Cache: fleet.NewBuildCache()}
-	s.SegmentMS = 500
 	s.FlushEvery = 2 * time.Millisecond
 	return s
 }
@@ -726,7 +725,8 @@ func recordStarts(data []byte) []int {
 // TestLoadStateQuarantinesCorruptFile: a torn tail record is dropped and its
 // job resumes to the byte-identical report; a corrupt record in the middle
 // of a journal quarantines the file as *.corrupt, counted, while a good
-// queued job next to it resumes and IDs stay monotonic.
+// queued job next to it resumes and IDs stay monotonic. A state file from
+// before journals (one JSON object) is quarantined the same way.
 func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
 	t.Run("torn tail", func(t *testing.T) {
 		dir := t.TempDir()
@@ -811,6 +811,27 @@ func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
 			t.Fatalf("submit after a second restart got %q (%v), want job-4", id, err)
 		}
 	})
+	t.Run("pre-journal file", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "job-1.json")
+		if err := os.WriteFile(path, []byte(`{"id":"job-1","spec":{},"state":"done"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := mCorruptStateFiles.Value()
+		s := newTestServer(t, dir)
+		if err := s.LoadState(); err != nil {
+			t.Fatal(err)
+		}
+		if got := mCorruptStateFiles.Value() - before; got != 1 {
+			t.Fatalf("corrupt-file counter moved by %d, want 1", got)
+		}
+		if _, err := os.Stat(path + ".corrupt"); err != nil {
+			t.Fatalf("pre-journal file not quarantined: %v", err)
+		}
+		if _, ok := s.Job("job-1"); ok {
+			t.Fatal("pre-journal job registered")
+		}
+	})
 }
 
 // TestPersistFailures: a state dir that cannot take the journal (a path
@@ -858,7 +879,7 @@ func TestPersistFailures(t *testing.T) {
 	first := s.frame(&record{Kind: recEnd, State: StateFailed, Error: "first"})
 	s.files = &faultFS{at: 1, mode: faultENOSPC, span: 1}
 	before := mPersistFailures.Value()
-	if err := s.appendJournal(j, first, 0); err == nil {
+	if err := s.appendJournal(j, first); err == nil {
 		t.Fatal("append on a full disk reported success")
 	}
 	if got := mPersistFailures.Value() - before; got != 1 {
@@ -870,7 +891,7 @@ func TestPersistFailures(t *testing.T) {
 	}
 	// The pending record goes out first: the journal reads header, the
 	// retried record, then the new one.
-	if err := s.appendJournal(j, s.frame(&record{Kind: recEnd, State: StateFailed, Error: "second"}), 0); err != nil {
+	if err := s.appendJournal(j, s.frame(&record{Kind: recEnd, State: StateFailed, Error: "second"})); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(s.journalPath(j.ID))

@@ -268,15 +268,14 @@ type Job struct {
 	lines   [][]byte
 	changed chan struct{}
 
-	// persistMu serializes the job's journal appends and cut writes: the
-	// flushers of the shards in flight and the scheduler all persist. jsize
-	// is the journal's length on disk; pending holds records a failed append
-	// could not land, written ahead of the next one. jshards counts the shard
-	// records durable in the journal: only shard jshards+1 may write cuts.
+	// persistMu guards the job's journal state: the scheduler appends and
+	// writes cuts, a cancel of a queued job appends its end record from the
+	// HTTP handler, and retire reads pending. jsize is the journal's length
+	// on disk; pending holds records a failed append could not land, written
+	// ahead of the next one.
 	persistMu sync.Mutex
 	jsize     int64
 	pending   []byte
-	jshards   int
 }
 
 // jobProgress is the resumable position inside a running fleet or torture

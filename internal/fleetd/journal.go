@@ -167,9 +167,7 @@ func (jr *journal) apply(id string, n int, rec *record) error {
 	}
 	switch rec.Kind {
 	case recShard:
-		// A legacy migration's single record may stand for several shards;
-		// after it, shards are contiguous.
-		if rec.Shard < 1 || (jr.shards > 0 && rec.Shard != jr.shards+1) {
+		if rec.Shard != jr.shards+1 {
 			return fmt.Errorf("shard %d after %d", rec.Shard, jr.shards)
 		}
 		if err := jr.merge(rec); err != nil {
@@ -373,10 +371,8 @@ func (s *Server) createJournal(j *Job) error {
 
 // appendJournal appends framed records to j's journal and fsyncs. Records a
 // failed append could not land stay pending, in order, and go out ahead of
-// the next append, so the journal never skips a record. shard is the number
-// of the shard record data carries (0 for none); once it lands, the next
-// shard's cuts may be written.
-func (s *Server) appendJournal(j *Job, data []byte, shard int) error {
+// the next append, so the journal never skips a record.
+func (s *Server) appendJournal(j *Job, data []byte) error {
 	if s.StateDir == "" {
 		return nil
 	}
@@ -392,58 +388,40 @@ func (s *Server) appendJournal(j *Job, data []byte, shard int) error {
 	}
 	j.jsize += int64(len(buf))
 	j.pending = nil
-	if shard > 0 {
-		j.jshards = shard
-	}
 	return nil
 }
 
-// writeCut replaces j's cut file with the cut of its shard-th shard, if that
-// shard is the lowest one not yet journaled: the one cut file serves the
-// shard a resume starts at. A higher shard's cut is dropped, so it never
-// replaces the lowest shard's; that shard reruns from boot on resume.
+// writeCut replaces j's cut file with a cut of its shard-th shard. The
+// scheduler journals shards in order and cuts only the lowest one in flight,
+// so every shard below this one has been appended; the cut is written only
+// if those appends are all durable, leaving the cut file to serve the shard a
+// resume starts at.
 func (s *Server) writeCut(j *Job, shard int, cut *fleet.CampaignCheckpoint) {
-	if !j.cutWanted(shard) {
-		return
-	}
 	data := s.frame(&record{Kind: recCut, Shard: shard, Cut: cut})
 	if data == nil {
 		return
 	}
 	j.persistMu.Lock()
 	defer j.persistMu.Unlock()
-	if shard != j.jshards+1 {
-		return // journaled while the cut was encoded
+	if j.pending != nil {
+		return // a resume starts at the pending shard, not this one
 	}
 	// A failure is counted; the previous cut stays, or the shard reruns.
 	_ = s.write(len(data), func() error { return s.files.replace(s.cutPath(j.ID), data, false) })
 }
 
-// cutWanted reports whether shard is the lowest of j's shards not yet
-// journaled.
-func (j *Job) cutWanted(shard int) bool {
-	j.persistMu.Lock()
-	defer j.persistMu.Unlock()
-	return shard == j.jshards+1
-}
-
-// loadJob replays one job's journal, migrating a legacy state file first.
+// loadJob replays one job's journal.
 func (s *Server) loadJob(id string) (*Job, error) {
 	data, err := os.ReadFile(s.journalPath(id))
 	if err != nil {
 		return nil, err
-	}
-	if len(data) > 0 && data[0] == '{' {
-		if data, err = s.migrate(id, data); err != nil {
-			return nil, err
-		}
 	}
 	jr, err := replayJournal(id, data)
 	if err != nil {
 		return nil, err
 	}
 	j := newJob(id, jr.spec)
-	j.jsize, j.jshards = jr.size, jr.shards
+	j.jsize = jr.size
 	j.done = jr.done()
 	for _, done := range jr.progress {
 		j.lines = append(j.lines, deltaLine(id, StateRunning, done, j.total))
@@ -464,74 +442,6 @@ func (s *Server) loadJob(id string) (*Job, error) {
 			TortureMerged: jr.torture, Current: cut}
 	}
 	return j, nil
-}
-
-// legacyJobFile is the single-object state file fleetd wrote before
-// journals; LoadState reads it once and rewrites it as a journal.
-type legacyJobFile struct {
-	ID       string  `json:"id"`
-	Spec     JobSpec `json:"spec"`
-	State    string  `json:"state"`
-	Error    string  `json:"error,omitempty"`
-	Progress *struct {
-		ShardsDone    int                       `json:"shardsDone"`
-		Merged        *fleet.Report             `json:"merged,omitempty"`
-		Current       *fleet.CampaignCheckpoint `json:"current,omitempty"`
-		TortureMerged *torture.Report           `json:"tortureMerged,omitempty"`
-	} `json:"progress,omitempty"`
-	Report  *fleet.Report   `json:"report,omitempty"`
-	Torture *torture.Report `json:"torture,omitempty"`
-}
-
-// migrate rewrites a legacy state file as a journal and returns the
-// journal's bytes: the header, one shard record standing for every shard the
-// file had merged, and the end record of a terminal job. An interrupted
-// shard's cut moves to the cut file.
-func (s *Server) migrate(id string, data []byte) ([]byte, error) {
-	var f legacyJobFile
-	if err := json.Unmarshal(data, &f); err != nil || f.ID != id {
-		return nil, fmt.Errorf("%w: %s: undecodable legacy state file", errCorrupt, id)
-	}
-	recs := []*record{{Kind: recHeader, V: journalVersion, ID: id, Spec: &f.Spec}}
-	shards, rep, tort := 0, f.Report, f.Torture
-	var cut *fleet.CampaignCheckpoint
-	if p := f.Progress; p != nil {
-		shards, cut = p.ShardsDone, p.Current
-		if rep == nil {
-			rep = p.Merged
-		}
-		if tort == nil {
-			tort = p.TortureMerged
-		}
-	}
-	if rep != nil || tort != nil {
-		recs = append(recs, &record{Kind: recShard, Shard: max(shards, 1), Report: rep, Torture: tort})
-	}
-	terminal := isTerminal(f.State)
-	if terminal {
-		recs = append(recs, &record{Kind: recEnd, State: f.State, Error: f.Error})
-	}
-	var out []byte
-	for _, rec := range recs {
-		line, err := encodeRecord(rec)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", errCorrupt, id, err)
-		}
-		out = append(out, line...)
-	}
-	if cut != nil && !terminal {
-		line, err := encodeRecord(&record{Kind: recCut, Shard: shards + 1, Cut: cut})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", errCorrupt, id, err)
-		}
-		if err := s.write(len(line), func() error { return s.files.replace(s.cutPath(id), line, true) }); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.write(len(out), func() error { return s.files.replace(s.journalPath(id), out, true) }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // LoadState re-registers every job journal found in the state directory.

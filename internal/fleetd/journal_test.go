@@ -309,7 +309,8 @@ var errCrashed = errors.New("crashed")
 // faultFS is the real file system with one injected fault at write number
 // at (1-based, counting journal appends and whole-file replaces). A crash
 // loses every later write, as if the process had died there; ENOSPC fails
-// span writes from at on (0: every later write).
+// span writes from at on (0: every later write). Every cut write is checked
+// against the shard records the journal holds.
 type faultFS struct {
 	at, mode, span int
 
@@ -318,6 +319,8 @@ type faultFS struct {
 	dead    bool
 	crashed chan struct{}
 	faultAt string // path of the first faulted write
+	landed  int    // shard records wholly appended
+	badCut  string // the first cut written for a shard other than landed+1
 }
 
 func (f *faultFS) fault(path string) (bool, error) {
@@ -347,6 +350,13 @@ func enospc(path string) error {
 func (f *faultFS) replace(path string, data []byte, durable bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if strings.HasSuffix(path, ".cut") {
+		for _, rec := range records(data) {
+			if rec.Shard != f.landed+1 && f.badCut == "" {
+				f.badCut = fmt.Sprintf("cut for shard %d written with %d shards journaled", rec.Shard, f.landed)
+			}
+		}
+	}
 	hit, err := f.fault(path)
 	switch {
 	case err != nil:
@@ -371,7 +381,15 @@ func (f *faultFS) appendAt(path string, off int64, data []byte) error {
 	case err != nil:
 		return err
 	case !hit:
-		return osFS{}.appendAt(path, off, data)
+		if err := (osFS{}).appendAt(path, off, data); err != nil {
+			return err
+		}
+		for _, rec := range records(data) {
+			if rec.Kind == recShard {
+				f.landed = rec.Shard
+			}
+		}
+		return nil
 	case f.mode == faultCrash:
 		_ = osFS{}.appendAt(path, off, data)
 		return f.die()
@@ -396,8 +414,8 @@ func faultCases(t *testing.T) []faultCase {
 	fleetSpec.DurationMS = 20_000
 	start := time.Now()
 	want := cliBytes(t, oneShot(t, fleetSpec))
-	// The flusher must write cuts between the fleet job's shard records on
-	// any host: a fixed period either lets a fast run finish before the
+	// The flush timer must write cuts between the fleet job's shard records
+	// on any host: a fixed period either lets a fast run finish before the
 	// first tick or, under the race detector, turns most writes into cuts,
 	// each one more crash point. A period of an eighth of the one-shot run
 	// gives a handful of cuts per run at any speed.
@@ -466,8 +484,11 @@ func TestCrashAtEveryWrite(t *testing.T) {
 				}
 				s.Stop()
 				ffs.mu.Lock()
-				finished, faultAt := !ffs.dead, ffs.faultAt
+				finished, faultAt, badCut := !ffs.dead, ffs.faultAt, ffs.badCut
 				ffs.mu.Unlock()
+				if badCut != "" {
+					t.Fatalf("%s mode %d crash at write %d: %s", c.name, mode, at, badCut)
+				}
 				if strings.HasSuffix(faultAt, ".cut") {
 					cutCrashes++
 				}
@@ -524,8 +545,11 @@ func TestENOSPCAtEveryWrite(t *testing.T) {
 				ts.Close()
 				s.Stop()
 				ffs.mu.Lock()
-				writes := ffs.writes
+				writes, badCut := ffs.writes, ffs.badCut
 				ffs.mu.Unlock()
+				if badCut != "" {
+					t.Fatalf("%s ENOSPC at %d: %s", c.name, at, badCut)
+				}
 				if err == nil && !checkResumed(t, dir, id, c.want) {
 					t.Fatalf("%s ENOSPC at %d: acknowledged job lost", c.name, at)
 				}
@@ -534,61 +558,6 @@ func TestENOSPCAtEveryWrite(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLegacyStateMigrates loads state files written before journals — a
-// done fleet job, a done torture job and a fleet job interrupted mid-shard
-// with a cut — rewrites each as a journal once, and serves the CLI's report
-// bytes for all three, the interrupted one resuming from its cut.
-func TestLegacyStateMigrates(t *testing.T) {
-	dir := t.TempDir()
-	for i := 1; i <= 3; i++ {
-		data, err := os.ReadFile(filepath.Join("testdata", "legacy", fmt.Sprintf("job-%d.json", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("job-%d.json", i)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := newTestServer(t, dir)
-	if err := s.LoadState(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 3; i++ {
-		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("job-%d.json", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if data[0] == '{' {
-			t.Fatalf("job-%d.json not rewritten as a journal", i)
-		}
-	}
-	j3, _ := s.Job("job-3")
-	if j3.view().State != StateQueued || j3.resume == nil || j3.resume.ShardsDone != 1 || j3.resume.Current == nil {
-		t.Fatal("interrupted legacy job did not come back with its merged shard and cut")
-	}
-	s.Start()
-	defer s.Stop()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	long := testSpec()
-	long.DurationMS = 600_000
-	for id, want := range map[string][]byte{
-		"job-1": cliBytes(t, oneShot(t, testSpec())),
-		"job-2": tortureBytes(t, tortureSpec()),
-		"job-3": cliBytes(t, oneShot(t, long)),
-	} {
-		if state := waitTerminal(t, s, id); state != StateDone {
-			t.Fatalf("legacy %s ended %s", id, state)
-		}
-		if got := getReport(t, ts, id); !bytes.Equal(got, want) {
-			t.Fatalf("legacy %s report differs from the one-shot CLI", id)
-		}
-	}
-	if id, err := s.Submit(testSpec()); err != nil || id != "job-4" {
-		t.Fatalf("submit after migration got %q (%v), want job-4", id, err)
 	}
 }
 
@@ -624,8 +593,7 @@ func prefixMerges(data []byte) [][]byte {
 // from real ones (testdata/journals: a fleet and a torture job run to done by
 // the daemon). LoadState never panics, and either quarantines the file or
 // registers a job whose merge equals the merge of a prefix of the journal's
-// valid records. Inputs in the legacy single-object format only have to
-// load or quarantine.
+// valid records.
 func FuzzJournalReplay(f *testing.F) {
 	for _, name := range []string{"fleet", "torture"} {
 		data, err := os.ReadFile(filepath.Join("testdata", "journals", name+".json"))
@@ -654,9 +622,6 @@ func FuzzJournalReplay(f *testing.F) {
 			if _, err := os.Stat(path + ".corrupt"); err != nil {
 				t.Fatal("journal neither loaded nor quarantined")
 			}
-			return
-		}
-		if len(data) > 0 && data[0] == '{' {
 			return
 		}
 		var got []byte

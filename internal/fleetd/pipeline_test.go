@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -15,8 +16,8 @@ import (
 
 // gateFS is the real file system with one write held until the test
 // releases it — the append of shard record holdShard, or with holdCut the
-// first cut write — and every cut write checked against the shard records
-// already in the journal.
+// first cut write — and every cut write counted, checked against the shard
+// records already in the journal and its in-flight snapshots collected.
 type gateFS struct {
 	holdShard int
 	holdCut   bool
@@ -25,13 +26,16 @@ type gateFS struct {
 
 	mu     sync.Mutex
 	held   bool
-	landed int    // shard records in the journal
-	badCut string // the first cut written for a shard other than landed+1
+	landed int             // shard records in the journal
+	cuts   int             // cut writes begun
+	badCut string          // the first cut written for a shard other than landed+1
+	parked map[string]bool // the in-flight snapshots cuts carried, encoded
 }
 
 func newGateFS(holdShard int, holdCut bool) *gateFS {
 	return &gateFS{holdShard: holdShard, holdCut: holdCut,
-		entered: make(chan struct{}), release: make(chan struct{})}
+		entered: make(chan struct{}), release: make(chan struct{}),
+		parked: make(map[string]bool)}
 }
 
 // hold blocks the calling write until the test releases it, the first time
@@ -62,9 +66,14 @@ func records(data []byte) []record {
 func (g *gateFS) replace(path string, data []byte, durable bool) error {
 	if strings.HasSuffix(path, ".cut") {
 		g.mu.Lock()
+		g.cuts++
 		for _, rec := range records(data) {
 			if rec.Shard != g.landed+1 && g.badCut == "" {
 				g.badCut = fmt.Sprintf("cut for shard %d written with %d shards journaled", rec.Shard, g.landed)
+			}
+			for _, dc := range rec.Cut.InFlight {
+				b, _ := json.Marshal(dc)
+				g.parked[string(b)] = true
 			}
 		}
 		g.mu.Unlock()
@@ -96,6 +105,12 @@ func (g *gateFS) outOfOrderCut() string {
 	return g.badCut
 }
 
+func (g *gateFS) cutWrites() (writes, snapshots int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.cuts, len(g.parked)
+}
+
 // stopHeld stops s while g holds a write: Stop cancels the running job, the
 // held write is released once the cancel is visible, and stopHeld returns
 // when the scheduler has exited.
@@ -116,7 +131,8 @@ func stopHeld(t *testing.T, s *Server, g *gateFS) {
 // appears and no cut of shard 2 is written; released, the job serves the
 // one-shot CLI bytes. A fleet job stopped with both shards running and a
 // torture job stopped with shard 1 not yet durable and shard 2 in flight
-// both resume to the one-shot CLI bytes.
+// both resume to the one-shot CLI bytes. Only the lowest shard in flight is
+// asked for snapshots.
 func TestShardPipeline(t *testing.T) {
 	fleetSpec := testSpec()
 	fleetSpec.Devices = 8
@@ -173,8 +189,8 @@ func TestShardPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The first cut to reach the disk is shard 1's; holding it keeps
-		// shard 1's run from returning while shard 2 runs beside it.
+		// The first cut to reach the disk is shard 1's. Holding it blocks
+		// the scheduler, the only cut writer, while both shards run on.
 		<-g.entered
 		stopHeld(t, s, g)
 		if jr := readJournal(t, dir, id); jr.shards != 0 || jr.state != "" {
@@ -189,6 +205,48 @@ func TestShardPipeline(t *testing.T) {
 		if !checkResumed(t, dir, id, want) {
 			t.Fatal("stopped job not restored")
 		}
+	})
+
+	// Two long shards run side by side and the job is cut every few
+	// milliseconds. Only shard 1 is cut, so only its devices park snapshots
+	// for the cuts, and every such park reaches the next cut written, except
+	// the last of each device, which its final park at the stop replaces.
+	// Shard 2's devices park only when the stop cancels them.
+	t.Run("lowest shard snapshots", func(t *testing.T) {
+		dir := t.TempDir()
+		g := newGateFS(0, false)
+		s := newTestServer(t, dir)
+		s.files = g
+		s.Start()
+		spec := testSpec()
+		spec.Devices = 2 * spec.ShardDevices
+		spec.DurationMS = 3_000_000
+		snapshots := obs.Default.Lookup(obs.MetricSnapshots)
+		base := snapshots.Value()
+		id, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "20 cuts of shard 1", func() bool {
+			writes, _ := g.cutWrites()
+			return writes >= 20
+		})
+		s.Stop()
+		if jr := readJournal(t, dir, id); jr.shards != 0 || jr.state != "" {
+			t.Fatalf("stopped job journaled %d shards, end %q; want 0 and none", jr.shards, jr.state)
+		}
+		if bad := g.outOfOrderCut(); bad != "" {
+			t.Fatal(bad)
+		}
+		writes, written := g.cutWrites()
+		n := snapshots.Value() - base
+		if limit := uint64(written + 2*spec.ShardDevices); n > limit {
+			t.Fatalf("%d snapshots, %d of them in %d cuts of shard 1: want at most %d", n, written, writes, limit)
+		}
+		if written <= spec.ShardDevices {
+			t.Fatalf("%d cuts of shard 1 carried %d snapshots: its devices answered none", writes, written)
+		}
+		t.Logf("%d snapshots, %d of them in %d cuts of shard 1", n, written, writes)
 	})
 
 	t.Run("torture stop", func(t *testing.T) {

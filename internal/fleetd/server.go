@@ -84,17 +84,16 @@ type Server struct {
 	// mergeable campaign shard, scheduled the same way. <= 0 runs each
 	// campaign as a single shard.
 	ShardPrograms int
-	// SegmentMS bounds the virtual time a running device advances before
-	// it answers a pending snapshot request (0 = 1000).
-	SegmentMS uint64
 	// FlushEvery is the real-time cadence of mid-shard checkpoint writes
-	// (0 = 500ms). Each write requests fresh snapshots of the shard's
-	// running devices for the next one, so a persisted cut is at most one
-	// flush period plus one segment stale; a shard that finishes between
-	// writes takes no snapshots at all. Only the lowest shard not yet
-	// journaled writes cuts: the second shard in flight is in no cut until
-	// the first is journaled, and reruns from boot after a crash before
-	// then.
+	// (0 = 500ms). One timer per job cuts the lowest shard in flight, the
+	// one a resume starts at, and restarts whenever that shard changes: a
+	// shard that finishes within one period is never cut. Each cut asks the
+	// shard's running devices for fresh snapshots, which they park at their
+	// next poll (between event batches or at an injection or power
+	// boundary), so a persisted cut is at most one flush period plus one
+	// event batch stale. The other shard in flight is never cut, so it takes
+	// no snapshots until a stop, and reruns from boot after a crash before
+	// it becomes the lowest.
 	FlushEvery time.Duration
 
 	// files takes every journal and cut write.
@@ -128,13 +127,6 @@ func NewServer(stateDir string) *Server {
 		nextID:   1,
 		wake:     make(chan struct{}, 1),
 	}
-}
-
-func (s *Server) segmentMS() uint64 {
-	if s.SegmentMS > 0 {
-		return s.SegmentMS
-	}
-	return 1000
 }
 
 func (s *Server) flushEvery() time.Duration {
@@ -384,12 +376,14 @@ type shardOut struct {
 	err error
 }
 
-// shardRun is one shard in flight; out is set when done closes.
+// shardRun is one shard in flight; out is set when done closes. cutter
+// takes the shard's mid-run cuts (fleet shards attach it to their run).
 type shardRun struct {
-	k     int
-	start time.Time
-	done  chan struct{}
-	out   shardOut
+	k      int
+	start  time.Time
+	done   chan struct{}
+	out    shardOut
+	cutter fleet.Cutter
 }
 
 // runShards is the shard pipeline of both job types. It keeps shardWindow
@@ -399,12 +393,16 @@ type shardRun struct {
 // k and publishes its progress before shard k+1 is looked at, so the
 // journal and the stream grow exactly as a serial walk would grow them.
 //
+// runShards is also the only writer of the job's cut file. While it waits
+// for the lowest shard in flight, a FlushEvery timer cuts that shard; the
+// timer restarts whenever the lowest shard changes.
+//
 // A failed shard, or the cancellation of ctx, stops the pipeline: every run
 // is cancelled and waited for, and only the lowest unfinished shard's final
 // cut is written. The shards above it rerun from boot on resume, to the same
 // bytes.
 func (s *Server) runShards(ctx context.Context, j *Job, start, nshards int,
-	run func(ctx context.Context, k int) shardOut, finish func(k int, out shardOut) error) error {
+	run func(ctx context.Context, k int, cutter *fleet.Cutter) shardOut, finish func(k int, out shardOut) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var inflight []*shardRun
@@ -415,16 +413,29 @@ func (s *Server) runShards(ctx context.Context, j *Job, start, nshards int,
 		inflight = append(inflight, r)
 		go func() {
 			defer close(r.done)
-			r.out = run(ctx, r.k)
+			r.out = run(ctx, r.k, &r.cutter)
 		}()
 	}
 	for next < nshards && len(inflight) < shardWindow {
 		launch()
 	}
+	flush := time.NewTimer(s.flushEvery())
+	defer flush.Stop()
 	for len(inflight) > 0 {
 		r := inflight[0]
 		inflight = inflight[1:]
-		<-r.done
+		flush.Reset(s.flushEvery())
+		for waiting := true; waiting; {
+			select {
+			case <-r.done:
+				waiting = false
+			case <-flush.C:
+				if cut := r.cutter.Cut(); cut != nil {
+					s.writeCut(j, r.k+1, cut)
+				}
+				flush.Reset(s.flushEvery())
+			}
+		}
 		err := r.out.err
 		// The next shard takes r's workers while r merges and persists. A
 		// cancelled job launches nothing more: the shard in flight finishes
@@ -486,7 +497,7 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 		s.Runner = runner
 	}
 
-	run := func(ctx context.Context, k int) shardOut {
+	run := func(ctx context.Context, k int, cutter *fleet.Cutter) shardOut {
 		sub := sc
 		sub.FirstDevice = sc.FirstDevice + k*shard
 		sub.Devices = min(shard, sc.FirstDevice+sc.Devices-sub.FirstDevice)
@@ -494,12 +505,7 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 		if k == start {
 			prior = cut // nil unless resuming mid-shard
 		}
-		opt := fleet.ResumableOptions{
-			SegmentMS: s.segmentMS(),
-			Flush:     s.flushEvery(),
-			Sink:      func(c *fleet.CampaignCheckpoint) { s.writeCut(j, k+1, c) },
-		}
-		rep, c, err := runner.RunResumable(ctx, sub, prior, opt)
+		rep, c, err := runner.RunResumable(ctx, sub, prior, cutter)
 		return shardOut{fleet: rep, cut: c, err: err}
 	}
 	finish := func(k int, out shardOut) error {
@@ -522,7 +528,7 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 // the journal. A failed append is counted and retried with the next record;
 // the job runs on.
 func (s *Server) shardDone(j *Job, rec []byte, p *jobProgress, done int) {
-	_ = s.appendJournal(j, rec, p.ShardsDone)
+	_ = s.appendJournal(j, rec)
 	mShardsMerged.Inc()
 	j.mu.Lock()
 	j.resume = p
@@ -565,7 +571,7 @@ func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
 	j.torture = merged
 	j.mu.Unlock()
 
-	run := func(ctx context.Context, k int) shardOut {
+	run := func(ctx context.Context, k int, _ *fleet.Cutter) shardOut {
 		sub := cfg
 		sub.First = cfg.First + k*shard
 		sub.Programs = min(shard, cfg.First+cfg.Programs-sub.First)
@@ -595,7 +601,7 @@ func (s *Server) settle(j *Job, state, errMsg string) {
 	var final []byte
 	var persisted error
 	if terminal {
-		persisted = s.appendJournal(j, s.frame(&record{Kind: recEnd, State: state, Error: errMsg}), 0)
+		persisted = s.appendJournal(j, s.frame(&record{Kind: recEnd, State: state, Error: errMsg}))
 		j.mu.Lock()
 		rep, tort := j.report, j.torture
 		j.mu.Unlock()
