@@ -35,7 +35,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "simulation worker goroutines (0 = all cores)")
 	shard := flag.Int("shard-devices", 25, "devices per checkpointable shard; two run at a time and finish in order (0 = whole fleet at once)")
 	shardProgs := flag.Int("shard-programs", 250, "torture programs per mergeable shard; two run at a time and finish in order (0 = whole campaign at once)")
-	flush := flag.Duration("flush", 2*time.Second, "real-time interval between checkpoint writes while a job runs; each write cuts the job's lowest running shard and asks its devices for fresh snapshots, so a cut is at most one flush plus one event batch stale")
+	flush := flag.Duration("flush", 2*time.Second, "real-time interval between checkpoint writes while a job runs; each write cuts the job's lowest running shard, which the previous flush asked for fresh snapshots, so a cut is at most one flush plus one event batch stale")
 	flag.Parse()
 
 	if *state != "" {

@@ -410,16 +410,27 @@ type faultCase struct {
 }
 
 func faultCases(t *testing.T) []faultCase {
-	fleetSpec := testSpec()
-	fleetSpec.DurationMS = 20_000
-	start := time.Now()
-	want := cliBytes(t, oneShot(t, fleetSpec))
 	// The flush timer must write cuts between the fleet job's shard records
 	// on any host: a fixed period either lets a fast run finish before the
 	// first tick or, under the race detector, turns most writes into cuts,
-	// each one more crash point. A period of an eighth of the one-shot run
-	// gives a handful of cuts per run at any speed.
-	flush := max(time.Since(start)/8, 100*time.Microsecond)
+	// each one more crash point. A period of a sixteenth of the one-shot run
+	// gives a handful of cuts per run at any speed (each shard's first tick
+	// only asks for snapshots, and the shard above the lowest is never cut),
+	// once the run is long enough for the timer: while simulation keeps
+	// every CPU busy, it fires only when the Go scheduler preempts, about
+	// every 10 ms. So the devices' wear doubles until a one-shot run takes
+	// 100 ms.
+	fleetSpec := testSpec()
+	fleetSpec.DurationMS = 10_000
+	var want []byte
+	var took time.Duration
+	for took < 100*time.Millisecond {
+		fleetSpec.DurationMS *= 2
+		start := time.Now()
+		want = cliBytes(t, oneShot(t, fleetSpec))
+		took = time.Since(start)
+	}
+	flush := max(took/16, 100*time.Microsecond)
 	return []faultCase{
 		{"fleet", fleetSpec, want, flush},
 		{"torture", tortureSpec(), tortureBytes(t, tortureSpec()), time.Millisecond},

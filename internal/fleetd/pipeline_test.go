@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"amuletiso/internal/obs"
 )
@@ -136,7 +137,7 @@ func stopHeld(t *testing.T, s *Server, g *gateFS) {
 func TestShardPipeline(t *testing.T) {
 	fleetSpec := testSpec()
 	fleetSpec.Devices = 8
-	fleetSpec.DurationMS = 60_000
+	fleetSpec.DurationMS = 600_000
 	want := cliBytes(t, oneShot(t, fleetSpec))
 	completed := obs.Default.Lookup(obs.MetricDevicesCompleted)
 
@@ -191,7 +192,11 @@ func TestShardPipeline(t *testing.T) {
 		}
 		// The first cut to reach the disk is shard 1's. Holding it blocks
 		// the scheduler, the only cut writer, while both shards run on.
-		<-g.entered
+		select {
+		case <-g.entered:
+		case <-time.After(30 * time.Second):
+			t.Fatal("no cut was written")
+		}
 		stopHeld(t, s, g)
 		if jr := readJournal(t, dir, id); jr.shards != 0 || jr.state != "" {
 			t.Fatalf("stopped job journaled %d shards, end %q; want 0 and none", jr.shards, jr.state)
@@ -220,7 +225,7 @@ func TestShardPipeline(t *testing.T) {
 		s.Start()
 		spec := testSpec()
 		spec.Devices = 2 * spec.ShardDevices
-		spec.DurationMS = 3_000_000
+		spec.DurationMS = 30_000_000
 		snapshots := obs.Default.Lookup(obs.MetricSnapshots)
 		base := snapshots.Value()
 		id, err := s.Submit(spec)

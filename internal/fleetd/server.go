@@ -86,14 +86,17 @@ type Server struct {
 	ShardPrograms int
 	// FlushEvery is the real-time cadence of mid-shard checkpoint writes
 	// (0 = 500ms). One timer per job cuts the lowest shard in flight, the
-	// one a resume starts at, and restarts whenever that shard changes: a
-	// shard that finishes within one period is never cut. Each cut asks the
-	// shard's running devices for fresh snapshots, which they park at their
-	// next poll (between event batches or at an injection or power
-	// boundary), so a persisted cut is at most one flush period plus one
-	// event batch stale. The other shard in flight is never cut, so it takes
-	// no snapshots until a stop, and reruns from boot after a crash before
-	// it becomes the lowest.
+	// one a resume starts at. Each cut asks the shard's running devices for
+	// fresh snapshots, which they park at their next poll (between event
+	// batches or at an injection or power boundary), and the next cut
+	// carries them, so a persisted cut is at most one flush period plus one
+	// event batch stale. A shard is first asked once it is the lowest and
+	// has run one period, and its cuts are written from one period later
+	// on: a shard that finishes within one period is never cut, and no cut
+	// written lacks the snapshots of the devices running when it was asked.
+	// The other shard in flight is never cut, so it takes no snapshots until
+	// a stop, and reruns from boot after a crash before it becomes the
+	// lowest.
 	FlushEvery time.Duration
 
 	// files takes every journal and cut write.
@@ -394,8 +397,10 @@ type shardRun struct {
 // journal and the stream grow exactly as a serial walk would grow them.
 //
 // runShards is also the only writer of the job's cut file. While it waits
-// for the lowest shard in flight, a FlushEvery timer cuts that shard; the
-// timer restarts whenever the lowest shard changes.
+// for the lowest shard in flight, a FlushEvery timer cuts that shard. A
+// shard's first cut only asks its devices for snapshots and is not written,
+// so every cut written carries the snapshots its running devices parked
+// since the cut before it.
 //
 // A failed shard, or the cancellation of ctx, stops the pipeline: every run
 // is cancelled and waited for, and only the lowest unfinished shard's final
@@ -424,14 +429,21 @@ func (s *Server) runShards(ctx context.Context, j *Job, start, nshards int,
 	for len(inflight) > 0 {
 		r := inflight[0]
 		inflight = inflight[1:]
-		flush.Reset(s.flushEvery())
+		// The first tick comes once r has run a flush period, at once if it
+		// already has. It only asks r's devices for snapshots; the cuts
+		// written from the next tick on carry them.
+		asked := false
+		flush.Reset(max(s.flushEvery()-time.Since(r.start), 0))
 		for waiting := true; waiting; {
 			select {
 			case <-r.done:
 				waiting = false
 			case <-flush.C:
 				if cut := r.cutter.Cut(); cut != nil {
-					s.writeCut(j, r.k+1, cut)
+					if asked {
+						s.writeCut(j, r.k+1, cut)
+					}
+					asked = true
 				}
 				flush.Reset(s.flushEvery())
 			}
