@@ -9,8 +9,10 @@
 //	curl http://127.0.0.1:8470/jobs/job-1/stream        # NDJSON progress
 //	curl http://127.0.0.1:8470/jobs/job-1/report        # == amuletfleet -json
 //
-// After a crash or SIGKILL, restart with -resume to reload persisted jobs
-// and continue interrupted campaigns from their last checkpoint.
+// Started over a -state directory that holds jobs, the daemon reloads them:
+// finished jobs serve their streams and reports again, and jobs a crash or
+// SIGKILL interrupted continue from their last checkpoint, ahead of new
+// submits.
 package main
 
 import (
@@ -30,29 +32,25 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8470", "listen address (host:port, :0 picks a free port)")
-	state := flag.String("state", "", "state directory for job persistence and crash recovery (empty = in-memory only)")
-	resume := flag.Bool("resume", false, "reload persisted jobs from -state and continue interrupted campaigns")
+	state := flag.String("state", "", "state directory for job persistence and crash recovery; jobs already in it are reloaded and interrupted ones continue (empty = in-memory only)")
 	parallel := flag.Int("parallel", 0, "simulation worker goroutines (0 = all cores)")
 	shard := flag.Int("shard-devices", 25, "devices per checkpointable shard; two run at a time and finish in order (0 = whole fleet at once)")
 	shardProgs := flag.Int("shard-programs", 250, "torture programs per mergeable shard; two run at a time and finish in order (0 = whole campaign at once)")
 	flush := flag.Duration("flush", 2*time.Second, "real-time interval between checkpoint writes while a job runs; each write cuts the job's lowest running shard, which the previous flush asked for fresh snapshots, so a cut is at most one flush plus one event batch stale")
 	flag.Parse()
 
-	if *state != "" {
-		if err := os.MkdirAll(*state, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "amuletfleetd: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	s := fleetd.NewServer(*state)
 	s.Runner = &fleet.Runner{Workers: *parallel, Cache: fleet.NewBuildCache()}
 	s.ShardDevices = *shard
 	s.ShardPrograms = *shardProgs
 	s.FlushEvery = *flush
-	if *resume {
-		if err := s.LoadState(); err != nil {
-			fmt.Fprintf(os.Stderr, "amuletfleetd: resume: %v\n", err)
+	if *state != "" {
+		err := os.MkdirAll(*state, 0o755)
+		if err == nil {
+			err = s.LoadState()
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "amuletfleetd: %v\n", err)
 			os.Exit(1)
 		}
 	}

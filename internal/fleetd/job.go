@@ -232,7 +232,10 @@ func (s *JobSpec) total() int {
 	return sc.Devices
 }
 
-// Job is one scheduled campaign and its live progress.
+// Job is one scheduled campaign and its live progress. Its journal has one
+// writer at a time: the Submit that creates it, then whichever takes it out
+// of the server's queue, the scheduler that claims it or the Cancel that
+// settles it.
 type Job struct {
 	ID   string  `json:"id"`
 	Spec JobSpec `json:"spec"`
@@ -245,8 +248,9 @@ type Job struct {
 	queued time.Time
 	done   int // devices (fleet) or programs (torture) finished
 	total  int
-	// report and torture are the running merge of completed shards; a
-	// terminal job drops them for final.
+	// report and torture are the running merge of completed shards, written
+	// and read by the job's journal writer only; a terminal job drops them
+	// for final.
 	report  *fleet.Report
 	torture *torture.Report
 	// final is a terminal job's merge, encoded compactly: the report of its
@@ -258,7 +262,8 @@ type Job struct {
 	// resume is the persisted progress a restarted daemon loaded for this
 	// job: completed-shard merge plus the interrupted shard's cut.
 	resume *jobProgress
-	// cancelled marks a user cancel (vs. a daemon shutdown, which re-queues).
+	// cancelled marks a user cancel (vs. a daemon shutdown, which re-queues);
+	// cancel stops the run of a claimed job.
 	cancelled bool
 	cancel    func()
 
@@ -268,14 +273,11 @@ type Job struct {
 	lines   [][]byte
 	changed chan struct{}
 
-	// persistMu guards the job's journal state: the scheduler appends and
-	// writes cuts, a cancel of a queued job appends its end record from the
-	// HTTP handler, and retire reads pending. jsize is the journal's length
-	// on disk; pending holds records a failed append could not land, written
-	// ahead of the next one.
-	persistMu sync.Mutex
-	jsize     int64
-	pending   []byte
+	// jsize is the journal's length on disk; pending holds records a failed
+	// append could not land, written ahead of the next one. Only the job's
+	// journal writer touches them.
+	jsize   int64
+	pending []byte
 }
 
 // jobProgress is the resumable position inside a running fleet or torture

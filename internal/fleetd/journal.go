@@ -360,8 +360,6 @@ func (s *Server) createJournal(j *Job) error {
 	if data == nil {
 		return fmt.Errorf("fleetd: encoding %s header", j.ID)
 	}
-	j.persistMu.Lock()
-	defer j.persistMu.Unlock()
 	if err := s.write(len(data), func() error { return s.files.replace(s.journalPath(j.ID), data, true) }); err != nil {
 		return fmt.Errorf("fleetd: persisting %s: %w", j.ID, err)
 	}
@@ -376,8 +374,6 @@ func (s *Server) appendJournal(j *Job, data []byte) error {
 	if s.StateDir == "" {
 		return nil
 	}
-	j.persistMu.Lock()
-	defer j.persistMu.Unlock()
 	buf := append(j.pending, data...)
 	if len(buf) == 0 {
 		return nil
@@ -401,8 +397,6 @@ func (s *Server) writeCut(j *Job, shard int, cut *fleet.CampaignCheckpoint) {
 	if data == nil {
 		return
 	}
-	j.persistMu.Lock()
-	defer j.persistMu.Unlock()
 	if j.pending != nil {
 		return // a resume starts at the pending shard, not this one
 	}
@@ -450,7 +444,7 @@ func (s *Server) loadJob(id string) (*Job, error) {
 // cut. A journal that cannot be replayed is renamed to <name>.corrupt,
 // counted on /metrics, and skipped, so one bad file never stops the other
 // jobs from resuming. Temp files a crash left behind are removed. Call
-// before Start.
+// before Submit and Start.
 func (s *Server) LoadState() error {
 	if s.StateDir == "" {
 		return nil
@@ -502,7 +496,10 @@ func (s *Server) LoadState() error {
 	defer s.mu.Unlock()
 	for _, j := range loaded {
 		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
+		s.order = append(s.order, j)
+		if j.state == StateQueued {
+			s.queue = append(s.queue, j)
+		}
 	}
 	if maxID >= s.nextID {
 		s.nextID = maxID + 1

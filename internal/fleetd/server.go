@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,8 +62,11 @@ var (
 )
 
 // Server is the fleetd scheduler plus its HTTP surface. Configure the
-// exported fields, then LoadState (optional) and Start; Handler serves the
-// API, obs metrics and pprof on one mux.
+// exported fields, then LoadState and Start; Handler serves the API, obs
+// metrics and pprof on one mux. On a state directory that holds jobs,
+// LoadState comes before Submit and Start: it queues the interrupted jobs
+// ahead of new ones, and new jobs take IDs past every file on disk instead of
+// overwriting job-1's.
 //
 // Jobs run one at a time in submission order. Within a job, shards overlap:
 // a shard's last devices leave workers idle, and its merge and fsync'd
@@ -102,9 +106,15 @@ type Server struct {
 	// files takes every journal and cut write.
 	files persistFS
 
+	// mu guards the registry. order holds every job in submission order,
+	// queue the jobs waiting to run, head first, and jobs indexes order by ID.
+	// A job leaves the queue exactly once, in one critical section: claimed
+	// by the scheduler, which marks it running, or taken out by Cancel, which
+	// settles it. So each job has one journal writer at a time.
 	mu     sync.Mutex
 	jobs   map[string]*Job
-	order  []string
+	order  []*Job
+	queue  []*Job
 	nextID int
 	// submitting counts submits between their queue check and their
 	// registration, so concurrent submits cannot overrun maxQueued.
@@ -113,7 +123,7 @@ type Server struct {
 	// first.
 	hot     []*Job
 	wake    chan struct{}
-	ctx     context.Context
+	ctx     context.Context // cancelled by Stop
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
 	started bool
@@ -122,7 +132,7 @@ type Server struct {
 // NewServer returns an idle server with the given state dir ("" = memory
 // only).
 func NewServer(stateDir string) *Server {
-	return &Server{
+	s := &Server{
 		Runner:   &fleet.Runner{Cache: fleet.NewBuildCache()},
 		StateDir: stateDir,
 		files:    osFS{},
@@ -130,6 +140,8 @@ func NewServer(stateDir string) *Server {
 		nextID:   1,
 		wake:     make(chan struct{}, 1),
 	}
+	s.ctx, s.stop = context.WithCancel(context.Background())
+	return s
 }
 
 func (s *Server) flushEvery() time.Duration {
@@ -142,27 +154,20 @@ func (s *Server) flushEvery() time.Duration {
 // Start launches the scheduler. Call after LoadState.
 func (s *Server) Start() {
 	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if !s.started {
+		s.started = true
+		s.wg.Add(1)
+		go s.schedule()
 	}
-	s.started = true
-	s.ctx, s.stop = context.WithCancel(context.Background())
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.schedule()
 }
 
-// Stop halts the scheduler: the running job (if any) is interrupted, its
-// consistent cut persisted, and the job re-queued on disk so the next
-// LoadState continues it. Blocks until the scheduler goroutine exits.
+// Stop halts the scheduler for good: the running job (if any) is
+// interrupted, its consistent cut persisted, and the job put back at the head
+// of the queue, unfinished on disk, so the next LoadState continues it.
+// Blocks until the scheduler goroutine exits.
 func (s *Server) Stop() {
-	s.mu.Lock()
-	stop := s.stop
-	s.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
+	s.stop()
 	s.wg.Wait()
 }
 
@@ -180,7 +185,7 @@ func (s *Server) Submit(spec JobSpec) (string, error) {
 // enqueue registers and journals a job whose spec Submit has validated.
 func (s *Server) enqueue(spec JobSpec) (string, error) {
 	s.mu.Lock()
-	if s.queuedLocked()+s.submitting >= maxQueued {
+	if len(s.queue)+s.submitting >= maxQueued {
 		s.mu.Unlock()
 		return "", errQueueFull
 	}
@@ -198,7 +203,8 @@ func (s *Server) enqueue(spec JobSpec) (string, error) {
 	s.submitting--
 	if err == nil {
 		s.jobs[id] = j
-		s.order = append(s.order, id)
+		s.order = append(s.order, j)
+		s.queue = append(s.queue, j)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -207,20 +213,6 @@ func (s *Server) enqueue(spec JobSpec) (string, error) {
 	mJobsSubmitted.Inc()
 	s.kick()
 	return id, nil
-}
-
-// queuedLocked counts jobs waiting to run. Callers hold s.mu.
-func (s *Server) queuedLocked() int {
-	n := 0
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		if j.state == StateQueued && !j.cancelled {
-			n++
-		}
-		j.mu.Unlock()
-	}
-	return n
 }
 
 // Job returns a job by ID.
@@ -234,47 +226,46 @@ func (s *Server) Job(id string) (*Job, bool) {
 // Jobs lists jobs in submission order.
 func (s *Server) Jobs() []JobView {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := s.jobs
+	jobs := slices.Clone(s.order)
 	s.mu.Unlock()
-	views := make([]JobView, 0, len(ids))
-	for _, id := range ids {
-		views = append(views, jobs[id].view())
+	views := make([]JobView, len(jobs))
+	for i, j := range jobs {
+		views[i] = j.view()
 	}
 	return views
 }
 
-// Cancel requests cancellation of a queued or running job.
+// Cancel cancels a queued or running job. A queued job leaves the queue and
+// is settled here; a running one is interrupted and settled by the
+// scheduler. Cancelling a terminal job is an error.
 func (s *Server) Cancel(id string) error {
-	j, ok := s.Job(id)
-	if !ok {
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	queued := slices.Index(s.queue, j)
+	if queued >= 0 {
+		s.queue = slices.Delete(s.queue, queued, queued+1)
+		j.mu.Lock()
+		j.cancelled = true
+		j.mu.Unlock()
+	}
+	s.mu.Unlock()
+	switch {
+	case !ok:
 		return fmt.Errorf("fleetd: no job %s", id)
+	case queued >= 0:
+		s.settle(j, StateCancelled, "")
+		return nil
 	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	switch {
 	case j.terminalLocked():
-		j.mu.Unlock()
-		return fmt.Errorf("fleetd: job %s already %s", id, j.view().State)
-	case j.cancelled:
-		j.mu.Unlock()
-		return nil // a cancel is already under way
-	case j.state == StateQueued:
-		// The cancelled mark keeps the scheduler off the job while settle
-		// persists the terminal state.
+		return fmt.Errorf("fleetd: job %s already %s", id, j.state)
+	case !j.cancelled: // running; a cancelled job is already stopping
 		j.cancelled = true
-		j.mu.Unlock()
-		s.settle(j, StateCancelled, "")
-		mJobsFinished.With(StateCancelled).Inc()
-		return nil
-	default: // running
-		j.cancelled = true
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return nil
+		j.cancel()
 	}
+	return nil
 }
 
 // kick nudges the scheduler without blocking.
@@ -285,59 +276,49 @@ func (s *Server) kick() {
 	}
 }
 
-// nextQueued pops the first queued job in submission order.
-func (s *Server) nextQueued() *Job {
+// claim pops the head of the queue and marks it running, with the cancel
+// func of the returned context attached, in one critical section: Cancel
+// finds every job either still queued or running. It returns nil once the
+// queue is empty or the daemon stops.
+func (s *Server) claim() (*Job, context.Context) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range s.order {
-		j := s.jobs[id]
-		j.mu.Lock()
-		queued := j.state == StateQueued && !j.cancelled
-		j.mu.Unlock()
-		if queued {
-			return j
-		}
+	if len(s.queue) == 0 || s.ctx.Err() != nil {
+		return nil, nil
 	}
-	return nil
+	j := s.queue[0]
+	s.queue = s.queue[1:]
+	ctx, cancel := context.WithCancel(s.ctx)
+	j.mu.Lock()
+	j.state, j.cancel = StateRunning, cancel
+	mQueueWait.Observe(uint64(time.Since(j.queued).Microseconds()))
+	if j.resume != nil {
+		mResumes.Inc()
+	}
+	j.mu.Unlock()
+	return j, ctx
 }
 
 // schedule is the scheduler loop: FIFO over queued jobs, one at a time.
 func (s *Server) schedule() {
 	defer s.wg.Done()
 	for {
-		j := s.nextQueued()
-		if j == nil {
-			select {
-			case <-s.wake:
-				continue
-			case <-s.ctx.Done():
-				return
-			}
+		if j, ctx := s.claim(); j != nil {
+			s.runJob(ctx, j)
+			continue
 		}
-		s.runJob(j)
 		select {
+		case <-s.wake:
 		case <-s.ctx.Done():
 			return
-		default:
 		}
 	}
 }
 
-// runJob executes one job to a terminal state — or back to queued when the
-// daemon itself is shutting down mid-run.
-func (s *Server) runJob(j *Job) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	j.mu.Lock()
-	j.state = StateRunning
-	j.cancel = cancel
-	resumed := j.resume != nil
-	mQueueWait.Observe(uint64(time.Since(j.queued).Microseconds()))
-	j.mu.Unlock()
-	defer cancel()
-	if resumed {
-		mResumes.Inc()
-	}
-
+// runJob runs a claimed job to a terminal state, or back to the head of the
+// queue when the daemon stops mid-run.
+func (s *Server) runJob(ctx context.Context, j *Job) {
+	defer j.cancel()
 	var err error
 	if j.Spec.kind() == TypeTorture {
 		err = s.runTortureJob(ctx, j)
@@ -345,25 +326,33 @@ func (s *Server) runJob(j *Job) {
 		err = s.runFleetJob(ctx, j)
 	}
 
+	// Deciding under s.mu leaves a Cancel racing the stop to find the job
+	// either running, cancelled below, or back in the queue.
+	s.mu.Lock()
 	j.mu.Lock()
 	cancelled := j.cancelled
+	requeue := err != nil && !cancelled && s.ctx.Err() != nil
+	if requeue {
+		// Its progress is already persisted by the run.
+		j.state = StateQueued
+		j.lines = append(j.lines, deltaLine(j.ID, StateQueued, j.done, j.total))
+		j.wakeLocked()
+		s.queue = slices.Insert(s.queue, 0, j)
+	}
 	j.mu.Unlock()
+	s.mu.Unlock()
+	if requeue {
+		return
+	}
 	state, errMsg := StateDone, ""
 	switch {
 	case err == nil:
 	case cancelled:
 		state, errMsg = StateCancelled, err.Error()
-	case s.ctx.Err() != nil:
-		// Daemon shutdown: the job goes back to the queue; its progress was
-		// already persisted by the run loop below.
-		state = StateQueued
 	default:
 		state, errMsg = StateFailed, err.Error()
 	}
 	s.settle(j, state, errMsg)
-	if state != StateQueued {
-		mJobsFinished.With(state).Inc()
-	}
 }
 
 // shardWindow is how many of a job's shards run at once: one draining its
@@ -603,35 +592,24 @@ func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
 	return s.runShards(ctx, j, start, (cfg.Programs+shard-1)/shard, run, finish)
 }
 
-// settle moves a job to state — a terminal one, or back to queued on
-// shutdown. A terminal state's end record is on disk first; only then do the
-// state and its stream line become visible, together. A status reader or
-// stream follower that sees the state therefore finds the end record in the
-// journal and the terminal line in the stream.
+// settle moves a job to a terminal state. Its caller is the job's journal
+// writer: the scheduler for a job it claimed, Cancel for one it took out of
+// the queue. The end record is on disk and the job counted first; only then
+// do the state and its stream line become visible, together. A status reader
+// or stream follower that sees the state therefore finds the end record in
+// the journal and the terminal line in the stream.
 func (s *Server) settle(j *Job, state, errMsg string) {
-	terminal := isTerminal(state)
-	var final []byte
-	var persisted error
-	if terminal {
-		persisted = s.appendJournal(j, s.frame(&record{Kind: recEnd, State: state, Error: errMsg}))
-		j.mu.Lock()
-		rep, tort := j.report, j.torture
-		j.mu.Unlock()
-		// A report Marshal rejects leaves final nil; /report then replies
-		// with an error instead of bytes.
-		final, _ = encodeFinal(rep, tort)
-	}
+	persisted := s.appendJournal(j, s.frame(&record{Kind: recEnd, State: state, Error: errMsg}))
+	// A report Marshal rejects leaves final nil; /report then replies with
+	// an error instead of bytes.
+	final, _ := encodeFinal(j.report, j.torture)
+	mJobsFinished.With(state).Inc()
 	j.mu.Lock()
-	j.state, j.errMsg = state, errMsg
-	if terminal {
-		j.final = final
-		j.report, j.torture, j.resume = nil, nil, nil
-	} else {
-		j.lines = append(j.lines, deltaLine(j.ID, state, j.done, j.total))
-	}
+	j.state, j.errMsg, j.final = state, errMsg, final
+	j.report, j.torture, j.resume = nil, nil, nil
 	j.wakeLocked()
 	j.mu.Unlock()
-	if !terminal || s.StateDir == "" {
+	if s.StateDir == "" {
 		return
 	}
 	if persisted == nil {
@@ -643,26 +621,24 @@ func (s *Server) settle(j *Job, state, errMsg string) {
 
 // retire admits a finished job to the retention window and turns the
 // oldest beyond it cold. A job whose journal still lacks records stays hot:
-// its journal cannot reproduce the report.
+// its journal cannot reproduce the report. An older job's pending is final:
+// its writer settled it and then released s.mu in its own retire.
 func (s *Server) retire(j *Job) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.hot = append(s.hot, j)
-	var out []*Job
-	if n := len(s.hot) - retainFinished; n > 0 {
-		out = append(out, s.hot[:n]...)
-		s.hot = append(s.hot[:0], s.hot[n:]...)
+	n := len(s.hot) - retainFinished
+	if n <= 0 {
+		return
 	}
-	s.mu.Unlock()
-	for _, old := range out {
-		old.persistMu.Lock()
-		durable := old.pending == nil
-		old.persistMu.Unlock()
-		if durable {
+	for _, old := range s.hot[:n] {
+		if old.pending == nil {
 			old.mu.Lock()
 			old.final, old.cold = nil, true
 			old.mu.Unlock()
 		}
 	}
+	s.hot = append(s.hot[:0], s.hot[n:]...)
 }
 
 // finalOf returns a terminal job's compact final merge, replaying the
