@@ -750,7 +750,7 @@ func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
 			t.Fatalf("torn tail counted %d corrupt files", got)
 		}
 		j, ok := r.Job(id)
-		if !ok || j.view().State != StateQueued || j.resume == nil || j.resume.ShardsDone != 2 {
+		if !ok || j.view().State != StateQueued || j.jr.shards != 2 {
 			t.Fatal("torn-tail job did not come back queued with 2 shards")
 		}
 		r.Start()
@@ -872,7 +872,7 @@ func TestPersistFailures(t *testing.T) {
 
 	stateDir := t.TempDir()
 	s := newTestServer(t, stateDir)
-	j := newJob("job-1", testSpec())
+	j := newJob("job-1", &journal{spec: testSpec()})
 	if err := s.createJournal(j); err != nil {
 		t.Fatal(err)
 	}

@@ -248,20 +248,19 @@ type Job struct {
 	queued time.Time
 	done   int // devices (fleet) or programs (torture) finished
 	total  int
-	// report and torture are the running merge of completed shards, written
-	// and read by the job's journal writer only; a terminal job drops them
-	// for final.
-	report  *fleet.Report
-	torture *torture.Report
+	// jr is the job's progress: its journal, folded record by record, the
+	// same way whether Submit created it, LoadState replayed it or the run
+	// appended to it. Only the job's journal writer touches it, and a
+	// terminal job drops it for final. cut is the interrupted fleet shard's
+	// cut LoadState found beside the journal.
+	jr  *journal
+	cut *fleet.CampaignCheckpoint
 	// final is a terminal job's merge, encoded compactly: the report of its
 	// terminal stream line and, indented, of GET /report. cold marks a
 	// terminal job that no longer holds final (restored by LoadState, or
 	// past the retention window); its reads replay the journal.
 	final []byte
 	cold  bool
-	// resume is the persisted progress a restarted daemon loaded for this
-	// job: completed-shard merge plus the interrupted shard's cut.
-	resume *jobProgress
 	// cancelled marks a user cancel (vs. a daemon shutdown, which re-queues);
 	// cancel stops the run of a claimed job.
 	cancelled bool
@@ -273,25 +272,9 @@ type Job struct {
 	lines   [][]byte
 	changed chan struct{}
 
-	// jsize is the journal's length on disk; pending holds records a failed
-	// append could not land, written ahead of the next one. Only the job's
-	// journal writer touches them.
-	jsize   int64
+	// pending holds records a failed append could not land, written ahead of
+	// the next one. Only the job's journal writer touches it.
 	pending []byte
-}
-
-// jobProgress is the resumable position inside a running fleet or torture
-// job.
-type jobProgress struct {
-	// ShardsDone counts fully merged shards; Merged (fleet) or TortureMerged
-	// (torture) is their merge, nil until the first completes.
-	ShardsDone    int
-	Merged        *fleet.Report
-	TortureMerged *torture.Report
-	// Current is the interrupted fleet shard's consistent cut, when one was
-	// taken. Torture cases have no mid-case cut, so an interrupted torture
-	// shard reruns from its First index.
-	Current *fleet.CampaignCheckpoint
 }
 
 // JobView is the JSON shape of list/get responses.
@@ -304,9 +287,15 @@ type JobView struct {
 	Total int     `json:"total"`
 }
 
-func newJob(id string, spec JobSpec) *Job {
-	return &Job{ID: id, Spec: spec, state: StateQueued, total: spec.total(),
-		queued: time.Now(), changed: make(chan struct{})}
+// newJob registers a job whose progress is jr: a running line per shard
+// record it holds.
+func newJob(id string, jr *journal) *Job {
+	j := &Job{ID: id, Spec: jr.spec, state: StateQueued, total: jr.spec.total(),
+		done: jr.done(), jr: jr, queued: time.Now(), changed: make(chan struct{})}
+	for _, done := range jr.progress {
+		j.lines = append(j.lines, deltaLine(id, StateRunning, done, j.total))
+	}
+	return j
 }
 
 func (j *Job) view() JobView {
@@ -355,16 +344,4 @@ func deltaLine(id, state string, done, total int) []byte {
 	// Strings and ints only: Marshal cannot fail.
 	line, _ := json.Marshal(&streamEvent{V: streamVersion, Job: id, State: state, Done: done, Total: total})
 	return line
-}
-
-// encodeFinal encodes a job's final merge compactly (nil when there is
-// none).
-func encodeFinal(rep *fleet.Report, tort *torture.Report) ([]byte, error) {
-	switch {
-	case rep != nil:
-		return json.Marshal(rep)
-	case tort != nil:
-		return json.Marshal(tort)
-	}
-	return nil, nil
 }

@@ -110,7 +110,8 @@ func decodeRecord(line []byte, rec *record) bool {
 // errCorrupt marks a state file LoadState quarantines.
 var errCorrupt = errors.New("fleetd: corrupt job journal")
 
-// journal is a replayed job journal.
+// journal is a job's journal, folded: replayed from disk, or grown by the
+// run one shard record at a time through the same apply.
 type journal struct {
 	spec    JobSpec
 	shards  int // completed shards
@@ -121,8 +122,8 @@ type journal struct {
 	// progress is the done count after each shard record: the job's stream
 	// history.
 	progress []int
-	// size is the length of the valid records; a dropped torn tail lies
-	// beyond it and the next append overwrites it.
+	// size is the length of the valid records on disk; a dropped torn tail
+	// or a failed append lies beyond it and the next append overwrites it.
 	size int64
 }
 
@@ -153,7 +154,9 @@ func replayJournal(id string, data []byte) (*journal, error) {
 	return jr, nil
 }
 
-// apply folds the n-th record into the replay.
+// apply folds the n-th record of job id's journal (the header is record 0,
+// shard k record k) into jr. Replay applies every record it reads; a run
+// applies each shard record it appends.
 func (jr *journal) apply(id string, n int, rec *record) error {
 	if n == 0 {
 		if rec.Kind != recHeader || rec.V != journalVersion || rec.ID != id || rec.Spec == nil {
@@ -223,6 +226,18 @@ func (jr *journal) done() int {
 		return jr.torture.Programs
 	}
 	return 0
+}
+
+// encodeFinal encodes the merge compactly (nil when no shard is folded): a
+// terminal job's report, whether its run settles it or a replay reads it.
+func (jr *journal) encodeFinal() ([]byte, error) {
+	switch {
+	case jr.merged != nil:
+		return json.Marshal(jr.merged)
+	case jr.torture != nil:
+		return json.Marshal(jr.torture)
+	}
+	return nil, nil
 }
 
 // readCut returns the cut file's campaign cut when it belongs to the shard
@@ -363,7 +378,7 @@ func (s *Server) createJournal(j *Job) error {
 	if err := s.write(len(data), func() error { return s.files.replace(s.journalPath(j.ID), data, true) }); err != nil {
 		return fmt.Errorf("fleetd: persisting %s: %w", j.ID, err)
 	}
-	j.jsize = int64(len(data))
+	j.jr.size = int64(len(data))
 	return nil
 }
 
@@ -378,11 +393,11 @@ func (s *Server) appendJournal(j *Job, data []byte) error {
 	if len(buf) == 0 {
 		return nil
 	}
-	if err := s.write(len(buf), func() error { return s.files.appendAt(s.journalPath(j.ID), j.jsize, buf) }); err != nil {
+	if err := s.write(len(buf), func() error { return s.files.appendAt(s.journalPath(j.ID), j.jr.size, buf) }); err != nil {
 		j.pending = buf
 		return fmt.Errorf("fleetd: persisting %s: %w", j.ID, err)
 	}
-	j.jsize += int64(len(buf))
+	j.jr.size += int64(len(buf))
 	j.pending = nil
 	return nil
 }
@@ -414,26 +429,16 @@ func (s *Server) loadJob(id string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := newJob(id, jr.spec)
-	j.jsize = jr.size
-	j.done = jr.done()
-	for _, done := range jr.progress {
-		j.lines = append(j.lines, deltaLine(id, StateRunning, done, j.total))
-	}
+	j := newJob(id, jr)
 	if jr.state != "" {
 		// Terminal jobs come back cold: report reads replay the journal. A
 		// cut left by a crash right after the end record is dropped.
-		j.state, j.errMsg, j.cold = jr.state, jr.err, true
+		j.state, j.errMsg, j.cold, j.jr = jr.state, jr.err, true, nil
 		_ = os.Remove(s.cutPath(id))
 		return j, nil
 	}
-	var cut *fleet.CampaignCheckpoint
 	if j.Spec.kind() == TypeFleet {
-		cut = readCut(s.cutPath(id), jr.shards)
-	}
-	if jr.shards > 0 || cut != nil {
-		j.resume = &jobProgress{ShardsDone: jr.shards, Merged: jr.merged,
-			TortureMerged: jr.torture, Current: cut}
+		j.cut = readCut(s.cutPath(id), jr.shards)
 	}
 	return j, nil
 }

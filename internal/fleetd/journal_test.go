@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"amuletiso/internal/fleet"
 	"amuletiso/internal/torture"
 )
 
@@ -205,6 +207,65 @@ func TestRestoredJobsServeStreams(t *testing.T) {
 	}
 }
 
+// TestRestoredJobCancelledWhileQueued: a fleet job stopped with shards
+// journaled, restored and cancelled before the scheduler starts, ends with a
+// terminal line carrying the merge of its journaled shards, and a second
+// restart serves the same stream byte for byte.
+func TestRestoredJobCancelledWhileQueued(t *testing.T) {
+	dir := t.TempDir()
+	g := newGateFS(1, false)
+	s1 := newTestServer(t, dir)
+	s1.files = g
+	s1.Start()
+	spec := testSpec()
+	spec.Devices = 8 // four shards: shard 4 launches only after shard 1's append
+	id, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stop lands while shard 1's append is held, which then completes.
+	<-g.entered
+	stopHeld(t, s1, g)
+	jr := readJournal(t, dir, id)
+	if jr.shards == 0 || jr.state != "" {
+		t.Fatalf("stopped job journaled %d shards, end %q; want some and none", jr.shards, jr.state)
+	}
+	wantReport, err := jr.encodeFinal()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var streams [][][]byte
+	for restart := 0; restart < 2; restart++ {
+		s := newTestServer(t, dir)
+		if err := s.LoadState(); err != nil {
+			t.Fatal(err)
+		}
+		if restart == 0 {
+			if err := s.Cancel(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ts := httptest.NewServer(s.Handler())
+		lines, err := streamLines(ts, id)
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last streamEvent
+		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil || last.State != StateCancelled {
+			t.Fatalf("restart %d: stream does not end with a cancelled line", restart+1)
+		}
+		if !bytes.Equal(last.Report, wantReport) {
+			t.Fatalf("restart %d: terminal line carries report %s, want the merge of %d journaled shards", restart+1, last.Report, jr.shards)
+		}
+		streams = append(streams, lines)
+	}
+	if a, b := bytes.Join(streams[0], []byte{'\n'}), bytes.Join(streams[1], []byte{'\n'}); !bytes.Equal(a, b) {
+		t.Fatalf("stream after the cancel:\n%s\nafter another restart:\n%s", a, b)
+	}
+}
+
 // TestRetentionWindow: only the retainFinished most recently finished jobs
 // keep their report in memory; older ones serve the same report and
 // terminal line from their journal.
@@ -307,32 +368,77 @@ const (
 var errCrashed = errors.New("crashed")
 
 // faultFS is the real file system with one injected fault at write number
-// at (1-based, counting journal appends and whole-file replaces). A crash
-// loses every later write, as if the process had died there; ENOSPC fails
-// span writes from at on (0: every later write). Every cut write is checked
-// against the shard records the journal holds.
+// at (1-based, counting journal appends and whole-file replaces, or with
+// only set just the writes to paths ending in it). A crash loses every later
+// write, as if the process had died there; ENOSPC fails span writes from at
+// on (0: every later write). Every cut write is checked against the shard
+// records the journal holds. It also drives the daemon's flush clock.
 type faultFS struct {
 	at, mode, span int
+	only           string
 
 	mu      sync.Mutex
 	writes  int
 	dead    bool
 	crashed chan struct{}
-	faultAt string // path of the first faulted write
 	landed  int    // shard records wholly appended
 	badCut  string // the first cut written for a shard other than landed+1
+	// cutDue is set by the header and every shard record, and cleared when a
+	// cut write begins; due wakes the clock when it is set.
+	cutDue bool
+	due    chan struct{}
+}
+
+// markDue asks the clock for a cut. Callers hold f.mu.
+func (f *faultFS) markDue() {
+	f.cutDue = true
+	select {
+	case f.due <- struct{}{}:
+	default:
+	}
+}
+
+// clock returns the flush ticks of a daemon writing through f, until done
+// closes: after the job's header and after each shard record, it ticks until
+// a cut write begins. The lowest shard in flight is asked for snapshots at
+// the first tick that finds it running and cut at the next, so a fleet job
+// writes cuts between its shard records however fast it runs.
+func (f *faultFS) clock(done <-chan struct{}) <-chan time.Time {
+	f.due = make(chan struct{}, 1)
+	tick := make(chan time.Time)
+	isDue := func() bool {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.cutDue
+	}
+	go func() {
+		for {
+			select {
+			case <-f.due:
+			case <-done:
+				return
+			}
+			for isDue() {
+				select {
+				case tick <- time.Time{}:
+				case <-done:
+					return
+				}
+			}
+		}
+	}()
+	return tick
 }
 
 func (f *faultFS) fault(path string) (bool, error) {
 	if f.dead {
 		return false, errCrashed
 	}
-	f.writes++
-	hit := f.writes == f.at || (f.mode == faultENOSPC && f.writes > f.at && (f.span == 0 || f.writes < f.at+f.span))
-	if hit && f.faultAt == "" {
-		f.faultAt = path
+	if !strings.HasSuffix(path, f.only) {
+		return false, nil
 	}
-	return hit, nil
+	f.writes++
+	return f.writes == f.at || (f.mode == faultENOSPC && f.writes > f.at && (f.span == 0 || f.writes < f.at+f.span)), nil
 }
 
 func (f *faultFS) die() error {
@@ -351,11 +457,14 @@ func (f *faultFS) replace(path string, data []byte, durable bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if strings.HasSuffix(path, ".cut") {
+		f.cutDue = false
 		for _, rec := range records(data) {
 			if rec.Shard != f.landed+1 && f.badCut == "" {
 				f.badCut = fmt.Sprintf("cut for shard %d written with %d shards journaled", rec.Shard, f.landed)
 			}
 		}
+	} else {
+		f.markDue() // the job's header
 	}
 	hit, err := f.fault(path)
 	switch {
@@ -376,6 +485,9 @@ func (f *faultFS) replace(path string, data []byte, durable bool) error {
 func (f *faultFS) appendAt(path string, off int64, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if slices.ContainsFunc(records(data), func(rec record) bool { return rec.Kind == recShard }) {
+		f.markDue()
+	}
 	hit, err := f.fault(path)
 	switch {
 	case err != nil:
@@ -403,38 +515,42 @@ func (f *faultFS) appendAt(path string, off int64, data []byte) error {
 
 // faultCase is one job family for the crash and ENOSPC sweeps.
 type faultCase struct {
-	name  string
-	spec  JobSpec
-	want  []byte        // the one-shot CLI report
-	flush time.Duration // the daemon's FlushEvery during the sweep
+	name   string
+	spec   JobSpec
+	want   []byte        // the one-shot CLI report
+	runner *fleet.Runner // every sweep run's, its firmware built
 }
 
 func faultCases(t *testing.T) []faultCase {
-	// The flush timer must write cuts between the fleet job's shard records
-	// on any host: a fixed period either lets a fast run finish before the
-	// first tick or, under the race detector, turns most writes into cuts,
-	// each one more crash point. A period of a sixteenth of the one-shot run
-	// gives a handful of cuts per run at any speed (each shard's first tick
-	// only asks for snapshots, and the shard above the lowest is never cut),
-	// once the run is long enough for the timer: while simulation keeps
-	// every CPU busy, it fires only when the Go scheduler preempts, about
-	// every 10 ms. So the devices' wear doubles until a one-shot run takes
-	// 100 ms.
+	// The fault FS's clock asks the lowest shard and cuts it microseconds
+	// after the header or a shard record, unless the Go scheduler holds the
+	// clock back for a preemption period (about 10 ms) while simulation keeps
+	// every CPU busy. So the runner's firmware is built up front, and the
+	// shards are long enough that a run without a cut is rare: 1 in 3,000 on
+	// a 2-vCPU host.
 	fleetSpec := testSpec()
-	fleetSpec.DurationMS = 10_000
-	var want []byte
-	var took time.Duration
-	for took < 100*time.Millisecond {
-		fleetSpec.DurationMS *= 2
-		start := time.Now()
-		want = cliBytes(t, oneShot(t, fleetSpec))
-		took = time.Since(start)
+	fleetSpec.DurationMS = 60_000
+	sc, err := fleetSpec.scenario()
+	if err != nil {
+		t.Fatal(err)
 	}
-	flush := max(took/16, 100*time.Microsecond)
+	runner := &fleet.Runner{Workers: 2, Cache: fleet.NewBuildCache()}
+	rep, err := runner.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []faultCase{
-		{"fleet", fleetSpec, want, flush},
-		{"torture", tortureSpec(), tortureBytes(t, tortureSpec()), time.Millisecond},
+		{"fleet", fleetSpec, cliBytes(t, rep), runner},
+		{"torture", tortureSpec(), tortureBytes(t, tortureSpec()), runner},
 	}
+}
+
+// newFaultServer is a daemon over dir on c's runner, writing through ffs and
+// on its clock.
+func newFaultServer(t *testing.T, dir string, c faultCase, ffs *faultFS) *Server {
+	s := newTestServer(t, dir)
+	s.Runner, s.files, s.tick = c.runner, ffs, ffs.clock(s.ctx.Done())
+	return s
 }
 
 // checkResumed restarts a daemon over dir with the real file system and
@@ -464,59 +580,59 @@ func checkResumed(t *testing.T, dir, id string, want []byte) bool {
 	return true
 }
 
-// TestCrashAtEveryWrite kills the daemon at every journal and cut write of a
-// fleet and a torture job — once after the write landed whole, once with it
-// torn — and restarts it over the state left behind. Every resumed job
-// finishes with the one-shot CLI's report bytes; an acknowledged job is
-// never lost.
+// TestCrashAtEveryWrite kills the daemon at every journal write of a fleet
+// and a torture job, and at every cut write of the fleet job — once after the
+// write landed whole, once with it torn — and restarts it over the state
+// left behind. Every resumed job finishes with the one-shot CLI's report
+// bytes; an acknowledged job is never lost.
 func TestCrashAtEveryWrite(t *testing.T) {
 	for _, c := range faultCases(t) {
 		for _, mode := range []int{faultCrash, faultCrashTorn} {
-			cutCrashes, at := 0, 1
-			for ; ; at++ {
-				dir := t.TempDir()
-				ffs := &faultFS{at: at, mode: mode, crashed: make(chan struct{})}
-				s := newTestServer(t, dir)
-				s.files = ffs
-				s.FlushEvery = c.flush
-				s.Start()
-				id, err := s.Submit(c.spec)
-				acked := err == nil
-				if acked {
-					j, _ := s.Job(id)
-					waitFor(t, "crash or completion", func() bool {
-						select {
-						case <-ffs.crashed:
-							return true
-						default:
-							return isTerminal(j.view().State)
-						}
-					})
-				}
-				s.Stop()
-				ffs.mu.Lock()
-				finished, faultAt, badCut := !ffs.dead, ffs.faultAt, ffs.badCut
-				ffs.mu.Unlock()
-				if badCut != "" {
-					t.Fatalf("%s mode %d crash at write %d: %s", c.name, mode, at, badCut)
-				}
-				if strings.HasSuffix(faultAt, ".cut") {
-					cutCrashes++
-				}
-				if registered := checkResumed(t, dir, "job-1", c.want); acked && !registered {
-					t.Fatalf("%s mode %d crash at write %d: acknowledged job lost", c.name, mode, at)
-				}
-				if finished {
-					if at < 4 {
-						t.Fatalf("%s: only %d writes", c.name, at-1)
+			// Journal writes come in a fixed order. Cut writes are swept
+			// apart: how many fall between two shard records depends on how
+			// the job's goroutines are scheduled.
+			for _, only := range []string{".json", ".cut"} {
+				at := 1
+				for ; ; at++ {
+					dir := t.TempDir()
+					ffs := &faultFS{at: at, mode: mode, only: only, crashed: make(chan struct{})}
+					s := newFaultServer(t, dir, c, ffs)
+					s.Start()
+					id, err := s.Submit(c.spec)
+					acked := err == nil
+					if acked {
+						j, _ := s.Job(id)
+						waitFor(t, "crash or completion", func() bool {
+							select {
+							case <-ffs.crashed:
+								return true
+							default:
+								return isTerminal(j.view().State)
+							}
+						})
 					}
-					break
+					s.Stop()
+					ffs.mu.Lock()
+					finished, badCut := !ffs.dead, ffs.badCut
+					ffs.mu.Unlock()
+					if badCut != "" {
+						t.Fatalf("%s mode %d crash at %s write %d: %s", c.name, mode, only, at, badCut)
+					}
+					if registered := checkResumed(t, dir, "job-1", c.want); acked && !registered {
+						t.Fatalf("%s mode %d crash at %s write %d: acknowledged job lost", c.name, mode, only, at)
+					}
+					if finished {
+						break
+					}
 				}
+				switch {
+				case only == ".json" && at < 4:
+					t.Fatalf("%s: only %d journal writes", c.name, at-1)
+				case only == ".cut" && at == 1 && c.spec.Type != TypeTorture:
+					t.Fatalf("%s mode %d: no crash landed on a cut write", c.name, mode)
+				}
+				t.Logf("%s mode %d: %d crash points on %s writes", c.name, mode, at-1, only)
 			}
-			if c.spec.Type != TypeTorture && cutCrashes == 0 {
-				t.Fatalf("%s mode %d: no crash landed on a cut write", c.name, mode)
-			}
-			t.Logf("%s mode %d: %d crash points, %d on cut writes", c.name, mode, at-1, cutCrashes)
 		}
 	}
 }
@@ -532,9 +648,7 @@ func TestENOSPCAtEveryWrite(t *testing.T) {
 			for at := 1; ; at++ {
 				dir := t.TempDir()
 				ffs := &faultFS{at: at, mode: faultENOSPC, span: span}
-				s := newTestServer(t, dir)
-				s.files = ffs
-				s.FlushEvery = c.flush
+				s := newFaultServer(t, dir, c, ffs)
 				s.Start()
 				ts := httptest.NewServer(s.Handler())
 				id, err := s.Submit(c.spec)
@@ -642,8 +756,8 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("loaded terminal job does not replay: %v", err)
 			}
 			got = final
-		} else if p := j.resume; p != nil {
-			got, _ = encodeFinal(p.Merged, p.TortureMerged)
+		} else {
+			got, _ = j.jr.encodeFinal()
 		}
 		if got == nil {
 			got = []byte("null")

@@ -184,7 +184,8 @@ func TestShardPipeline(t *testing.T) {
 		dir := t.TempDir()
 		g := newGateFS(0, true)
 		s := newTestServer(t, dir)
-		s.files = g
+		tick := make(chan time.Time)
+		s.files, s.tick = g, tick
 		s.Start()
 		id, err := s.Submit(fleetSpec)
 		if err != nil {
@@ -192,10 +193,12 @@ func TestShardPipeline(t *testing.T) {
 		}
 		// The first cut to reach the disk is shard 1's. Holding it blocks
 		// the scheduler, the only cut writer, while both shards run on.
-		select {
-		case <-g.entered:
-		case <-time.After(30 * time.Second):
-			t.Fatal("no cut was written")
+		for held := false; !held; {
+			select {
+			case tick <- time.Time{}:
+			case <-g.entered:
+				held = true
+			}
 		}
 		stopHeld(t, s, g)
 		if jr := readJournal(t, dir, id); jr.shards != 0 || jr.state != "" {
@@ -212,16 +215,18 @@ func TestShardPipeline(t *testing.T) {
 		}
 	})
 
-	// Two long shards run side by side and the job is cut every few
-	// milliseconds. Only shard 1 is cut, so only its devices park snapshots
-	// for the cuts, and every such park reaches the next cut written, except
-	// the last of each device, which its final park at the stop replaces.
-	// Shard 2's devices park only when the stop cancels them.
+	// Two long shards run side by side and the test ticks the job's flush
+	// clock, each tick once a device has answered the one before. Only shard
+	// 1 is cut, so only its devices park snapshots for the cuts, and every
+	// such park reaches the next cut written, except the last of each
+	// device, which its final park at the stop replaces. Shard 2's devices
+	// park only when the stop cancels them.
 	t.Run("lowest shard snapshots", func(t *testing.T) {
 		dir := t.TempDir()
 		g := newGateFS(0, false)
 		s := newTestServer(t, dir)
-		s.files = g
+		tick := make(chan time.Time)
+		s.files, s.tick = g, tick
 		s.Start()
 		spec := testSpec()
 		spec.Devices = 2 * spec.ShardDevices
@@ -232,10 +237,17 @@ func TestShardPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "20 cuts of shard 1", func() bool {
-			writes, _ := g.cutWrites()
-			return writes >= 20
+		// A device owes snapshots only to the asks made after it started, so
+		// the first ticks may go unanswered: tick until one is answered.
+		waitFor(t, "a snapshot of shard 1", func() bool {
+			tick <- time.Time{}
+			return snapshots.Value() > base
 		})
+		for writes, _ := g.cutWrites(); writes < 20; writes, _ = g.cutWrites() {
+			n := snapshots.Value()
+			tick <- time.Time{}
+			waitFor(t, "a snapshot the tick asked for", func() bool { return snapshots.Value() > n })
+		}
 		s.Stop()
 		if jr := readJournal(t, dir, id); jr.shards != 0 || jr.state != "" {
 			t.Fatalf("stopped job journaled %d shards, end %q; want 0 and none", jr.shards, jr.state)

@@ -72,7 +72,9 @@ var (
 // a shard's last devices leave workers idle, and its merge and fsync'd
 // journal append run on the scheduler goroutine, so a serial walk kept only
 // 1.39 of 2 cores busy on the fleetd_churn benchmark (2-vCPU host). Two
-// shards are in flight at once (runShards); they finish in shard order.
+// shards are in flight at once (runShards); they finish in shard order. A
+// flush tick checkpoints the lower one: it is asked for snapshots at the first
+// tick after it becomes the lowest, and its cuts are written from the next.
 type Server struct {
 	// Runner executes fleet shards; nil gets a private runner. Share one
 	// across the daemon's lifetime so the build cache and page arena persist
@@ -88,23 +90,25 @@ type Server struct {
 	// mergeable campaign shard, scheduled the same way. <= 0 runs each
 	// campaign as a single shard.
 	ShardPrograms int
-	// FlushEvery is the real-time cadence of mid-shard checkpoint writes
-	// (0 = 500ms). One timer per job cuts the lowest shard in flight, the
-	// one a resume starts at. Each cut asks the shard's running devices for
-	// fresh snapshots, which they park at their next poll (between event
-	// batches or at an injection or power boundary), and the next cut
-	// carries them, so a persisted cut is at most one flush period plus one
-	// event batch stale. A shard is first asked once it is the lowest and
-	// has run one period, and its cuts are written from one period later
-	// on: a shard that finishes within one period is never cut, and no cut
-	// written lacks the snapshots of the devices running when it was asked.
-	// The other shard in flight is never cut, so it takes no snapshots until
-	// a stop, and reruns from boot after a crash before it becomes the
-	// lowest.
+	// FlushEvery is the period of the flush tick that writes mid-shard
+	// checkpoints (0 = 500ms). A job's run starts the ticker, and each tick
+	// serves the lowest shard in flight, the one a resume starts at: the
+	// shard is asked for snapshots at the first tick after it becomes the
+	// lowest, and its cuts are written from the next tick on. Each ask has
+	// the shard's running devices park fresh snapshots at their next poll
+	// (between event batches or at an injection or power boundary), and the
+	// next cut carries them, so a persisted cut is at most one flush period
+	// plus one event batch stale. A job that ends within one period takes no
+	// snapshot. The other shard in flight is never cut, so it takes no
+	// snapshots until a stop, and reruns from boot after a crash before it
+	// becomes the lowest.
 	FlushEvery time.Duration
 
 	// files takes every journal and cut write.
 	files persistFS
+	// tick, when set, replaces the FlushEvery ticker of every job's run, so
+	// a test decides when cuts happen.
+	tick <-chan time.Time
 
 	// mu guards the registry. order holds every job in submission order,
 	// queue the jobs waiting to run, head first, and jobs indexes order by ID.
@@ -194,7 +198,7 @@ func (s *Server) enqueue(spec JobSpec) (string, error) {
 	s.submitting++
 	s.mu.Unlock()
 
-	j := newJob(id, spec)
+	j := newJob(id, &journal{spec: spec})
 	var err error
 	if s.StateDir != "" {
 		err = s.createJournal(j)
@@ -292,7 +296,7 @@ func (s *Server) claim() (*Job, context.Context) {
 	j.mu.Lock()
 	j.state, j.cancel = StateRunning, cancel
 	mQueueWait.Observe(uint64(time.Since(j.queued).Microseconds()))
-	if j.resume != nil {
+	if j.jr.shards > 0 || j.cut != nil {
 		mResumes.Inc()
 	}
 	j.mu.Unlock()
@@ -359,13 +363,13 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 // tail on the last busy workers, one filling the workers that went idle.
 const shardWindow = 2
 
-// shardOut is what one shard's run hands the pipeline.
+// shardOut is what one shard's run hands the pipeline: the shard's own
+// report, of the job's type, or an interrupted fleet shard's final cut.
 type shardOut struct {
 	fleet   *fleet.Report
 	torture *torture.Report
-	// cut is an interrupted fleet shard's final cut.
-	cut *fleet.CampaignCheckpoint
-	err error
+	cut     *fleet.CampaignCheckpoint
+	err     error
 }
 
 // shardRun is one shard in flight; out is set when done closes. cutter
@@ -378,29 +382,36 @@ type shardRun struct {
 	cutter fleet.Cutter
 }
 
-// runShards is the shard pipeline of both job types. It keeps shardWindow
-// shards, from start on, running through run: when a shard's run returns,
-// the next shard launches into its workers. Shards finish strictly in shard
-// order on the calling goroutine: finish frames, merges and journals shard
-// k and publishes its progress before shard k+1 is looked at, so the
-// journal and the stream grow exactly as a serial walk would grow them.
+// runShards is the shard pipeline of both job types. From the first shard
+// the job's journal lacks, it keeps shardWindow shards running through run:
+// when a shard's run returns, the next shard launches into its workers.
+// Shards finish strictly in shard order on the calling goroutine: shard k is
+// folded into the job's journal, appended to it and published before shard
+// k+1 is looked at, so the journal and the stream grow exactly as a serial
+// walk would grow them.
 //
 // runShards is also the only writer of the job's cut file. While it waits
-// for the lowest shard in flight, a FlushEvery timer cuts that shard. A
-// shard's first cut only asks its devices for snapshots and is not written,
-// so every cut written carries the snapshots its running devices parked
-// since the cut before it.
+// for the lowest shard in flight, each flush tick serves that shard: the
+// first tick that finds it running only asks its devices for snapshots, and
+// every later one writes a cut, which carries the snapshots its running
+// devices parked since the tick before.
 //
 // A failed shard, or the cancellation of ctx, stops the pipeline: every run
 // is cancelled and waited for, and only the lowest unfinished shard's final
 // cut is written. The shards above it rerun from boot on resume, to the same
 // bytes.
-func (s *Server) runShards(ctx context.Context, j *Job, start, nshards int,
-	run func(ctx context.Context, k int, cutter *fleet.Cutter) shardOut, finish func(k int, out shardOut) error) error {
+func (s *Server) runShards(ctx context.Context, j *Job, nshards int,
+	run func(ctx context.Context, k int, cutter *fleet.Cutter) shardOut) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	tick := s.tick
+	if tick == nil {
+		ticker := time.NewTicker(s.flushEvery())
+		defer ticker.Stop()
+		tick = ticker.C
+	}
 	var inflight []*shardRun
-	next := start
+	next := j.jr.shards
 	launch := func() {
 		r := &shardRun{k: next, start: time.Now(), done: make(chan struct{})}
 		next++
@@ -413,28 +424,20 @@ func (s *Server) runShards(ctx context.Context, j *Job, start, nshards int,
 	for next < nshards && len(inflight) < shardWindow {
 		launch()
 	}
-	flush := time.NewTimer(s.flushEvery())
-	defer flush.Stop()
 	for len(inflight) > 0 {
 		r := inflight[0]
 		inflight = inflight[1:]
-		// The first tick comes once r has run a flush period, at once if it
-		// already has. It only asks r's devices for snapshots; the cuts
-		// written from the next tick on carry them.
-		asked := false
-		flush.Reset(max(s.flushEvery()-time.Since(r.start), 0))
-		for waiting := true; waiting; {
+		for asked, waiting := false, true; waiting; {
 			select {
 			case <-r.done:
 				waiting = false
-			case <-flush.C:
+			case <-tick:
 				if cut := r.cutter.Cut(); cut != nil {
 					if asked {
 						s.writeCut(j, r.k+1, cut)
 					}
 					asked = true
 				}
-				flush.Reset(s.flushEvery())
 			}
 		}
 		err := r.out.err
@@ -445,7 +448,23 @@ func (s *Server) runShards(ctx context.Context, j *Job, start, nshards int,
 			launch()
 		}
 		if err == nil {
-			err = finish(r.k, r.out)
+			// The record is framed before the fold: the fold's Merge appends
+			// into the first shard's report.
+			rec := &record{Kind: recShard, Shard: r.k + 1, Report: r.out.fleet, Torture: r.out.torture}
+			data := s.frame(rec)
+			err = j.jr.apply(j.ID, rec.Shard, rec)
+			if err == nil {
+				// Durable before published: a reader that sees the progress
+				// finds the shard in the journal. A failed append is counted
+				// and retried with the next record; the job runs on.
+				_ = s.appendJournal(j, data)
+				mShardsMerged.Inc()
+				j.mu.Lock()
+				j.done = j.jr.done()
+				j.lines = append(j.lines, deltaLine(j.ID, j.state, j.done, j.total))
+				j.wakeLocked()
+				j.mu.Unlock()
+			}
 		}
 		if err != nil {
 			cancel()
@@ -465,10 +484,11 @@ func (s *Server) runShards(ctx context.Context, j *Job, start, nshards int,
 	return nil
 }
 
-// runFleetJob walks the job's fleet shard by shard through the pipeline,
-// journaling and merging after each. Shards are contiguous FirstDevice
-// ranges, so the running merge is always a valid partial campaign and the
-// final merge is byte-identical to a one-shot run of the whole scenario.
+// runFleetJob walks the job's fleet through the shard pipeline. Shards are
+// contiguous FirstDevice ranges, so the running merge is always a valid
+// partial campaign and the final merge is byte-identical to a one-shot run
+// of the whole scenario. The first shard run resumes from the cut LoadState
+// found, if any.
 func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 	sc, err := j.Spec.scenario()
 	if err != nil {
@@ -481,24 +501,13 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 	if shard <= 0 || shard > sc.Devices {
 		shard = sc.Devices
 	}
-
-	var merged *fleet.Report
-	var cut *fleet.CampaignCheckpoint
-	start := 0
-	j.mu.Lock()
-	if p := j.resume; p != nil {
-		merged, cut, start = p.Merged, p.Current, p.ShardsDone
-	}
-	j.report = merged
-	j.mu.Unlock()
-
 	runner := s.Runner
 	if runner == nil {
 		runner = &fleet.Runner{Cache: fleet.NewBuildCache()}
 		s.Runner = runner
 	}
-
-	run := func(ctx context.Context, k int, cutter *fleet.Cutter) shardOut {
+	start, cut := j.jr.shards, j.cut
+	return s.runShards(ctx, j, (sc.Devices+shard-1)/shard, func(ctx context.Context, k int, cutter *fleet.Cutter) shardOut {
 		sub := sc
 		sub.FirstDevice = sc.FirstDevice + k*shard
 		sub.Devices = min(shard, sc.FirstDevice+sc.Devices-sub.FirstDevice)
@@ -508,43 +517,13 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 		}
 		rep, c, err := runner.RunResumable(ctx, sub, prior, cutter)
 		return shardOut{fleet: rep, cut: c, err: err}
-	}
-	finish := func(k int, out shardOut) error {
-		// The shard's own report is journaled, encoded before a later merge
-		// can append to it.
-		rec := s.frame(&record{Kind: recShard, Shard: k + 1, Report: out.fleet})
-		if merged == nil {
-			merged = out.fleet
-		} else if err := merged.Merge(out.fleet); err != nil {
-			return err
-		}
-		s.shardDone(j, rec, &jobProgress{ShardsDone: k + 1, Merged: merged}, merged.Devices)
-		return nil
-	}
-	return s.runShards(ctx, j, start, (sc.Devices+shard-1)/shard, run, finish)
+	})
 }
 
-// shardDone makes a completed shard durable, then publishes the new merge
-// and its stream line: a reader that sees the progress finds the shard in
-// the journal. A failed append is counted and retried with the next record;
-// the job runs on.
-func (s *Server) shardDone(j *Job, rec []byte, p *jobProgress, done int) {
-	_ = s.appendJournal(j, rec)
-	mShardsMerged.Inc()
-	j.mu.Lock()
-	j.resume = p
-	j.report, j.torture = p.Merged, p.TortureMerged
-	j.done = done
-	j.lines = append(j.lines, deltaLine(j.ID, j.state, done, j.total))
-	j.wakeLocked()
-	j.mu.Unlock()
-}
-
-// runTortureJob walks the job's campaign through the same pipeline —
-// contiguous program ranges, exactly as runFleetJob walks device ranges —
-// journaling and merging after each shard, so a killed daemon resumes at the
-// first incomplete shard and the final merge is byte-identical to a one-shot
-// run of the whole campaign. Torture cases have no mid-case cut, so an
+// runTortureJob walks the job's campaign through the same pipeline, over
+// contiguous program ranges, so a killed daemon resumes at the first
+// incomplete shard and the final merge is byte-identical to a one-shot run
+// of the whole campaign. Torture cases have no mid-case cut, so an
 // interrupted shard reruns whole.
 func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
 	workers := 0
@@ -562,34 +541,13 @@ func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
 	if shard <= 0 || shard > cfg.Programs {
 		shard = cfg.Programs
 	}
-
-	var merged *torture.Report
-	start := 0
-	j.mu.Lock()
-	if p := j.resume; p != nil {
-		merged, start = p.TortureMerged, p.ShardsDone
-	}
-	j.torture = merged
-	j.mu.Unlock()
-
-	run := func(ctx context.Context, k int, _ *fleet.Cutter) shardOut {
+	return s.runShards(ctx, j, (cfg.Programs+shard-1)/shard, func(ctx context.Context, k int, _ *fleet.Cutter) shardOut {
 		sub := cfg
 		sub.First = cfg.First + k*shard
 		sub.Programs = min(shard, cfg.First+cfg.Programs-sub.First)
 		rep, err := torture.Run(ctx, sub)
 		return shardOut{torture: rep, err: err}
-	}
-	finish := func(k int, out shardOut) error {
-		rec := s.frame(&record{Kind: recShard, Shard: k + 1, Torture: out.torture})
-		if merged == nil {
-			merged = out.torture
-		} else if err := merged.Merge(out.torture); err != nil {
-			return err
-		}
-		s.shardDone(j, rec, &jobProgress{ShardsDone: k + 1, TortureMerged: merged}, merged.Programs)
-		return nil
-	}
-	return s.runShards(ctx, j, start, (cfg.Programs+shard-1)/shard, run, finish)
+	})
 }
 
 // settle moves a job to a terminal state. Its caller is the job's journal
@@ -602,11 +560,11 @@ func (s *Server) settle(j *Job, state, errMsg string) {
 	persisted := s.appendJournal(j, s.frame(&record{Kind: recEnd, State: state, Error: errMsg}))
 	// A report Marshal rejects leaves final nil; /report then replies with
 	// an error instead of bytes.
-	final, _ := encodeFinal(j.report, j.torture)
+	final, _ := j.jr.encodeFinal()
 	mJobsFinished.With(state).Inc()
 	j.mu.Lock()
 	j.state, j.errMsg, j.final = state, errMsg, final
-	j.report, j.torture, j.resume = nil, nil, nil
+	j.jr, j.cut = nil, nil
 	j.wakeLocked()
 	j.mu.Unlock()
 	if s.StateDir == "" {
@@ -661,7 +619,7 @@ func (s *Server) finalOf(j *Job) ([]byte, error) {
 	if jr.state != state {
 		return nil, fmt.Errorf("fleetd: %s journal ends %q, job is %s", j.ID, jr.state, state)
 	}
-	return encodeFinal(jr.merged, jr.torture)
+	return jr.encodeFinal()
 }
 
 // terminalLine is a terminal job's last stream line, in parts to write in

@@ -144,13 +144,25 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	for _, out := range results {
 		rep.fold(out)
 	}
-	for mode, baseTotal := range rep.BaselineCycles {
+	rep.overheads()
+	return rep, nil
+}
+
+// overheads sets OverheadPct from the cycle totals: each isolated mode's
+// cycles over the NoIsolation cycles of the same cases, nil while no cycles
+// are folded in.
+func (r *Report) overheads() {
+	r.OverheadPct = nil
+	if r.ModeCycles == nil {
+		return
+	}
+	r.OverheadPct = make(map[string]float64)
+	for mode, baseTotal := range r.BaselineCycles {
 		if baseTotal > 0 {
-			rep.OverheadPct[mode] = 100 *
-				(float64(rep.ModeCycles[mode]) - float64(baseTotal)) / float64(baseTotal)
+			r.OverheadPct[mode] = 100 *
+				(float64(r.ModeCycles[mode]) - float64(baseTotal)) / float64(baseTotal)
 		}
 	}
-	return rep, nil
 }
 
 // fold accumulates one case outcome.
@@ -168,7 +180,6 @@ func (r *Report) fold(out *Outcome) {
 		if r.ModeCycles == nil {
 			r.ModeCycles = make(map[string]uint64)
 			r.BaselineCycles = make(map[string]uint64)
-			r.OverheadPct = make(map[string]float64)
 		}
 		base := out.ModeCycles["NoIsolation"]
 		for mode, cycles := range out.ModeCycles {
@@ -236,18 +247,9 @@ func (r *Report) Merge(other *Report) error {
 	r.Vacuous += other.Vacuous
 	r.Failures = append(r.Failures, other.Failures...)
 	sort.Slice(r.Failures, func(i, j int) bool { return r.Failures[i].Index < r.Failures[j].Index })
-	// Overheads are ratios of the merged totals, recomputed exactly as Run
+	// Overheads are ratios of the merged totals, computed exactly as Run
 	// computes them for a one-shot campaign.
-	r.OverheadPct = nil
-	if r.ModeCycles != nil {
-		r.OverheadPct = make(map[string]float64)
-		for mode, baseTotal := range r.BaselineCycles {
-			if baseTotal > 0 {
-				r.OverheadPct[mode] = 100 *
-					(float64(r.ModeCycles[mode]) - float64(baseTotal)) / float64(baseTotal)
-			}
-		}
-	}
+	r.overheads()
 	return nil
 }
 
