@@ -247,7 +247,9 @@ func (r *Runner) template(sc *Scenario) (*kernel.BootTemplate, error) {
 // deviceSim is one device mid-wear-window: the kernel plus the wear-loop
 // cursors (injection deadlines, button RNG, delivered-event count). A device
 // can stop at any poll of advance, be serialized (DeviceCheckpoint), and
-// continue on another runner — the substrate for resumable campaigns.
+// continue on another runner — the substrate for resumable campaigns. A run
+// keeps its devices in one slab (RunResumable), so a device's state,
+// power included, costs no allocation of its own.
 type deviceSim struct {
 	sc     *Scenario
 	tmpl   *kernel.BootTemplate
@@ -266,10 +268,12 @@ type deviceSim struct {
 	// window frozen at the last fault survives the power loss.
 	rec *obs.Recorder
 
-	// power is the device's supercapacitor state; nil on a stable bench
-	// supply. While the device is dark after a brownout, k stays parked
-	// holding only its FRAM state until the reboot.
-	power *powerState
+	// power is the device's supercapacitor state, kept only when powered
+	// is set; on a stable bench supply it stays zero. While the device is
+	// dark after a brownout, k stays parked holding only its FRAM state
+	// until the reboot.
+	powered bool
+	power   powerState
 
 	// ledger is the resumable run the device parks snapshots with, nil when
 	// it takes none; answered is the last snapshot request it parked for.
@@ -278,10 +282,11 @@ type deviceSim struct {
 }
 
 // dark reports whether the device is browned out, its kernel parked.
-func (d *deviceSim) dark() bool { return d.power != nil && d.power.off }
+func (d *deviceSim) dark() bool { return d.power.off }
 
-// newDeviceSim boots a fresh device at the start of its wear window.
-func newDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena, device int) *deviceSim {
+// start boots a fresh device into the zero d, at the start of its wear
+// window.
+func (d *deviceSim) start(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena, device int) {
 	seed := DeviceSeed(sc.Seed, device)
 	mDevicesStarted.Inc()
 	k := tmpl.NewKernelArena(seed, arena)
@@ -300,16 +305,16 @@ func newDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena,
 	for _, ev := range sc.Events {
 		k.PostPeriodic(ev.App, ev.Code, ev.Arg, ev.AtMS, ev.PeriodMS)
 	}
-	d := &deviceSim{
+	*d = deviceSim{
 		sc: sc, tmpl: tmpl, k: k, device: device, seed: seed, rec: rec,
 		nextButton: injectStart(sc.ButtonEveryMS),
 		nextFault:  injectStart(sc.FaultEveryMS),
 		buttonRNG:  uint64(seed),
+		powered:    sc.powered(),
 	}
-	if sc.powered() {
+	if d.powered {
 		d.power = newPowerState(sc, seed)
 	}
-	return d
 }
 
 // advance walks the rest of the wear window. It polls between event batches
@@ -330,7 +335,7 @@ func (d *deviceSim) advance(ctx context.Context) error {
 		if d.nextFault < next {
 			next = d.nextFault
 		}
-		if d.power != nil && d.power.next < next {
+		if d.powered && d.power.next < next {
 			next = d.power.next
 		}
 		// A dark device delivers nothing: injection and power cursors still
@@ -363,7 +368,7 @@ func (d *deviceSim) advance(ctx context.Context) error {
 			}
 			d.nextFault += d.sc.FaultEveryMS
 		}
-		if d.power != nil && d.now == d.power.next {
+		if d.powered && d.now == d.power.next {
 			d.powerStep()
 		}
 	}
@@ -388,11 +393,12 @@ func (d *deviceSim) poll(ctx context.Context) error {
 // finished reports whether the device has worn through its whole window.
 func (d *deviceSim) finished() bool { return d.now >= d.sc.DurationMS }
 
-// result assembles the DeviceResult of a finished device. A device that
-// wore out its window dark (browned out, never recovered) reports its parked
-// kernel's FRAM-resident counters. Its fault trace, like any device's, is
-// the window frozen at its last recorded fault.
-func (d *deviceSim) result() DeviceResult {
+// result assembles the DeviceResult of a finished device, its fault lists
+// carved from the run's string chunks. A device that wore out its window
+// dark (browned out, never recovered) reports its parked kernel's
+// FRAM-resident counters. Its fault trace, like any device's, is the window
+// frozen at its last recorded fault.
+func (d *deviceSim) result(st *campaignState) DeviceResult {
 	k := d.k
 	dispatches, syscalls, cycles := k.Totals()
 	res := DeviceResult{
@@ -412,9 +418,9 @@ func (d *deviceSim) result() DeviceResult {
 			res.AppsAlive++
 		}
 	}
-	if len(k.Faults) > 0 {
-		res.FaultReasons = make([]string, 0, len(k.Faults))
-		res.FaultClasses = make([]string, 0, len(k.Faults))
+	if n := len(k.Faults); n > 0 {
+		strs := st.carve(2 * n)
+		res.FaultReasons, res.FaultClasses = strs[:0:n], strs[n:n:2*n]
 	}
 	for _, f := range k.Faults {
 		res.FaultReasons = append(res.FaultReasons, f.Reason)
@@ -425,10 +431,8 @@ func (d *deviceSim) result() DeviceResult {
 	}
 	res.WeeklyBatteryPct = batteryPct(res.Cycles, d.sc.DurationMS)
 	res.ProjectedLifetimeHours = projectedLifetimeHours(res.Cycles, d.sc.DurationMS)
-	if d.power != nil {
-		res.Brownouts = d.power.brownouts
-		res.FirstBrownoutMS = d.power.firstBrownoutMS
-	}
+	res.Brownouts = d.power.brownouts
+	res.FirstBrownoutMS = d.power.firstBrownoutMS
 	mDevicesCompleted.Inc()
 	mInstrSimulated.Add(res.Insns)
 	mWearMS.Add(d.sc.DurationMS)
@@ -437,8 +441,13 @@ func (d *deviceSim) result() DeviceResult {
 
 // close retires the device's kernel: its dirty COW pages, and the kernel
 // itself for the next boot to reuse, go back to the runner's arena. The
-// device must not be used afterwards, so callers defer close once.
-func (d *deviceSim) close() { d.k.Release() }
+// device must not be used afterwards, so callers defer close once. close
+// zeroes d, so the run's slab keeps no finished device's recorder or kernel
+// reachable.
+func (d *deviceSim) close() {
+	d.k.Release()
+	*d = deviceSim{}
+}
 
 // faultTraceWindow is how many flight-recorder events, ending with its last
 // fault, a faulting device's DeviceResult carries when Scenario.FaultTrace

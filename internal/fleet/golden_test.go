@@ -13,18 +13,18 @@ import (
 	"amuletiso/internal/kernel"
 )
 
-// poweredGolden is one powered scenario whose `amuletfleet -json` report is
-// pinned byte for byte in testdata. The scenarios mirror the CLI flags in
-// args, so a golden can be regenerated with
+// fleetGolden is one scenario whose `amuletfleet -json` report is pinned
+// byte for byte in testdata. The scenarios mirror the CLI flags in args, so
+// a golden can be regenerated with
 //
 //	go run ./cmd/amuletfleet <args> > internal/fleet/testdata/<file>
-type poweredGolden struct {
+type fleetGolden struct {
 	file string
 	args string
 	sc   Scenario
 }
 
-func poweredGoldens(t *testing.T) []poweredGolden {
+func poweredGoldens(t *testing.T) []fleetGolden {
 	t.Helper()
 	var list []apps.App
 	for _, name := range []string{"pedometer", "hr", "clock"} {
@@ -35,7 +35,7 @@ func poweredGoldens(t *testing.T) []poweredGolden {
 		list = append(list, app)
 	}
 	policy := &kernel.RestartPolicy{MaxFaults: 3, BackoffMS: 1000}
-	return []poweredGolden{
+	return []fleetGolden{
 		{
 			file: "golden_brownout.json",
 			args: "-name golden-brownout -apps pedometer,hr,clock -devices 8 -ms 3000 -seed 7 -button-every 700 -fault-every 1100 -fault-app 1 -brownout-every 400 -brownout-off 100 -json",
@@ -55,6 +55,76 @@ func poweredGoldens(t *testing.T) []poweredGolden {
 				ButtonEveryMS: 1300, PowerTrace: "solar", Policy: policy,
 			},
 		},
+	}
+}
+
+// suiteGoldens are the nine-app suite on a stable supply, as `amuletfleet`
+// runs it by default (mode MPU, seed 1, restart policy 3 faults / 1 s): the
+// plain button-driven fleet, and a faulting one whose report carries every
+// device's fault lists and flight-recorder window.
+func suiteGoldens() []fleetGolden {
+	policy := &kernel.RestartPolicy{MaxFaults: 3, BackoffMS: 1000}
+	return []fleetGolden{
+		{
+			file: "golden_suite.json",
+			args: "-devices 24 -ms 20000 -button-every 3000 -json",
+			sc: Scenario{
+				Name: "fleet", Apps: apps.Suite(), Mode: cc.ModeMPU,
+				DurationMS: 20_000, Devices: 24, Seed: 1,
+				ButtonEveryMS: 3000, Policy: policy,
+			},
+		},
+		{
+			file: "golden_faulttrace.json",
+			args: "-devices 8 -ms 10000 -button-every 3000 -fault-every 2300 -fault-app 1 -fault-trace -json",
+			sc: Scenario{
+				Name: "fleet", Apps: apps.Suite(), Mode: cc.ModeMPU,
+				DurationMS: 10_000, Devices: 8, Seed: 1,
+				ButtonEveryMS: 3000, FaultEveryMS: 2300, FaultApp: 1,
+				FaultTrace: true, Policy: policy,
+			},
+		},
+	}
+}
+
+// TestSuiteGoldens: both suite scenarios reproduce their recorded CLI
+// reports byte for byte at 1 and 4 workers, and sharded in two halves
+// merged as fleetd merges shards.
+func TestSuiteGoldens(t *testing.T) {
+	for _, g := range suiteGoldens() {
+		t.Run(g.file, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + g.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				rep, err := (&Runner{Workers: workers, Cache: NewBuildCache()}).Run(context.Background(), g.sc)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if got := cliJSON(t, rep); !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d: report differs from the golden (amuletfleet %s)", workers, g.args)
+				}
+			}
+			r := &Runner{Workers: 2, Cache: NewBuildCache()}
+			var merged *Report
+			for _, half := range [][2]int{{0, g.sc.Devices / 2}, {g.sc.Devices / 2, g.sc.Devices}} {
+				sc := g.sc
+				sc.FirstDevice, sc.Devices = half[0], half[1]-half[0]
+				rep, err := r.Run(context.Background(), sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if merged == nil {
+					merged = rep
+				} else if err := merged.Merge(rep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := cliJSON(t, merged); !bytes.Equal(got, want) {
+				t.Fatal("merged halves differ from the golden")
+			}
+		})
 	}
 }
 

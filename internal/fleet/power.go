@@ -61,17 +61,17 @@ type powerState struct {
 
 // newPowerState builds the boot-time power state for a device. The scenario
 // must already be validated (a non-empty PowerTrace parses).
-func newPowerState(sc *Scenario, seed uint32) *powerState {
+func newPowerState(sc *Scenario, seed uint32) powerState {
 	if sc.BrownoutEveryMS > 0 {
 		offMS := sc.BrownoutOffMS
 		if offMS == 0 {
 			offMS = defaultForcedOffMS
 		}
-		return &powerState{next: sc.BrownoutEveryMS, offMS: offMS}
+		return powerState{next: sc.BrownoutEveryMS, offMS: offMS}
 	}
 	prof, _ := power.Parse(sc.PowerTrace)
 	cap := power.DefaultSupercap()
-	return &powerState{
+	return powerState{
 		trace:    prof.Trace(seed),
 		traced:   true,
 		cap:      cap,
@@ -85,7 +85,7 @@ func newPowerState(sc *Scenario, seed uint32) *powerState {
 // forced mode. The kernel is parked between events when this runs — the
 // checkpoint boundary brownouts require.
 func (d *deviceSim) powerStep() {
-	p := d.power
+	p := &d.power
 	t := d.now
 	if !p.traced {
 		if p.off {
@@ -135,7 +135,7 @@ func (d *deviceSim) powerStep() {
 // drops its volatile state (volatile COW pages go straight back to the
 // arena) and stays parked with its FRAM state for the eventual reboot.
 func (d *deviceSim) powerBrownout(t uint64) {
-	p := d.power
+	p := &d.power
 	d.tmpl.Brownout(d.k, t)
 	p.off = true
 	p.brownouts++
@@ -150,7 +150,7 @@ func (d *deviceSim) powerBrownout(t uint64) {
 // re-initializes volatile state in place, surviving apps re-init, and the
 // scenario's event schedule is re-installed relative to the reboot.
 func (d *deviceSim) powerReboot(t uint64) {
-	p := d.power
+	p := &d.power
 	k := d.k
 	d.tmpl.Reboot(k, t)
 	if d.rec != nil {
@@ -200,7 +200,7 @@ func (p *powerState) checkpoint(cut *kernel.Checkpoint) *PowerCheckpoint {
 
 // resumePowerState rebuilds a powerState from its checkpoint for a device of
 // the given scenario and seed.
-func resumePowerState(sc *Scenario, seed uint32, pc *PowerCheckpoint) *powerState {
+func resumePowerState(sc *Scenario, seed uint32, pc *PowerCheckpoint) powerState {
 	p := newPowerState(sc, seed)
 	p.chargePJ = pc.ChargePJ
 	p.lastMS = pc.LastMS

@@ -1,9 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"amuletiso/internal/arp"
 	"amuletiso/internal/energy"
@@ -68,14 +69,13 @@ type Summary struct {
 	Mean float64 `json:"mean"`
 }
 
-// summarize computes nearest-rank percentiles over the values.
-func summarize(vals []float64) Summary {
-	if len(vals) == 0 {
+// summarize computes nearest-rank percentiles over the values, sorting them
+// in place.
+func summarize(s []float64) Summary {
+	if len(s) == 0 {
 		return Summary{}
 	}
-	s := make([]float64, len(vals))
-	copy(s, vals)
-	sort.Float64s(s)
+	slices.Sort(s)
 	rank := func(p float64) float64 {
 		// Nearest-rank wants the ceiling, matching obs.CycleHist.Quantile:
 		// p90 over 7 devices is rank ceil(6.3) = 7 → s[6], not the s[5] the
@@ -158,22 +158,21 @@ type LatencySummary struct {
 	Max   uint64 `json:"max"`
 }
 
+// byDevice orders device results by device index.
+func byDevice(a, b DeviceResult) int { return cmp.Compare(a.Device, b.Device) }
+
 // finalize recomputes every aggregate from PerDevice, which it sorts by
 // device index so serialized reports are independent of completion order.
 func (r *Report) finalize() {
-	sort.Slice(r.PerDevice, func(i, j int) bool {
-		return r.PerDevice[i].Device < r.PerDevice[j].Device
-	})
+	slices.SortFunc(r.PerDevice, byDevice)
 	r.Devices = len(r.PerDevice)
 	r.TotalEvents, r.TotalDispatches, r.TotalSyscalls = 0, 0, 0
 	r.TotalCycles, r.TotalInsns, r.TotalFaults, r.DevicesFaulted = 0, 0, 0, 0
 	r.TotalBrownouts, r.DevicesBrownedOut = 0, 0
 	r.FaultReasons = nil
 	r.FaultClasses = nil
-	cycles := make([]float64, 0, len(r.PerDevice))
-	battery := make([]float64, 0, len(r.PerDevice))
-	lifetime := make([]float64, 0, len(r.PerDevice))
-	for _, d := range r.PerDevice {
+	for i := range r.PerDevice {
+		d := &r.PerDevice[i]
 		r.TotalEvents += d.Events
 		r.TotalDispatches += d.Dispatches
 		r.TotalSyscalls += d.Syscalls
@@ -199,13 +198,18 @@ func (r *Report) finalize() {
 			}
 			r.FaultClasses[class]++
 		}
-		cycles = append(cycles, float64(d.Cycles))
-		battery = append(battery, d.WeeklyBatteryPct)
-		lifetime = append(lifetime, d.ProjectedLifetimeHours)
 	}
-	r.CycleSummary = summarize(cycles)
-	r.BatterySummary = summarize(battery)
-	r.LifetimeSummary = summarize(lifetime)
+	// One scratch buffer serves the three summaries in turn.
+	vals := make([]float64, len(r.PerDevice))
+	summary := func(field func(*DeviceResult) float64) Summary {
+		for i := range r.PerDevice {
+			vals[i] = field(&r.PerDevice[i])
+		}
+		return summarize(vals)
+	}
+	r.CycleSummary = summary(func(d *DeviceResult) float64 { return float64(d.Cycles) })
+	r.BatterySummary = summary(func(d *DeviceResult) float64 { return d.WeeklyBatteryPct })
+	r.LifetimeSummary = summary(func(d *DeviceResult) float64 { return d.ProjectedLifetimeHours })
 	r.Latency = obs.CycleHist{}
 	for i := range r.PerDevice {
 		r.Latency.Merge(&r.PerDevice[i].Latency)
@@ -220,7 +224,8 @@ func (r *Report) finalize() {
 }
 
 // Merge folds another shard of the same scenario into r. The shards must
-// agree on scenario identity (name, mode, seed, duration) and must not
+// agree on scenario identity (name, mode, seed, duration), list their
+// devices in increasing index order, as finalized reports do, and must not
 // overlap in device indices.
 func (r *Report) Merge(other *Report) error {
 	if r.Scenario != other.Scenario || r.Mode != other.Mode ||
@@ -228,13 +233,23 @@ func (r *Report) Merge(other *Report) error {
 		return fmt.Errorf("fleet: cannot merge reports of different scenarios (%s/%s/%d vs %s/%s/%d)",
 			r.Scenario, r.Mode, r.Seed, other.Scenario, other.Mode, other.Seed)
 	}
-	seen := make(map[int]bool, len(r.PerDevice))
-	for _, d := range r.PerDevice {
-		seen[d.Device] = true
+	a, b := r.PerDevice, other.PerDevice
+	for _, l := range [][]DeviceResult{a, b} {
+		for i := 1; i < len(l); i++ {
+			if l[i-1].Device >= l[i].Device {
+				return fmt.Errorf("fleet: merge of devices out of order (%d before %d)", l[i-1].Device, l[i].Device)
+			}
+		}
 	}
-	for _, d := range other.PerDevice {
-		if seen[d.Device] {
-			return fmt.Errorf("fleet: merge overlap at device %d", d.Device)
+	// Walk the two sorted lists for a shared device.
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].Device < b[j].Device:
+			i++
+		case a[i].Device > b[j].Device:
+			j++
+		default:
+			return fmt.Errorf("fleet: merge overlap at device %d", a[i].Device)
 		}
 	}
 	r.PerDevice = append(r.PerDevice, other.PerDevice...)

@@ -103,7 +103,7 @@ func (d *deviceSim) checkpoint() *DeviceCheckpoint {
 		ButtonRNG:  d.buttonRNG,
 	}
 	ck := d.tmpl.Checkpoint(d.k)
-	if d.power != nil {
+	if d.powered {
 		var cut *kernel.Checkpoint
 		if d.dark() {
 			cut, ck = ck, nil
@@ -114,23 +114,23 @@ func (d *deviceSim) checkpoint() *DeviceCheckpoint {
 	return dc
 }
 
-// resumeDeviceSim continues a parked device from its checkpoint.
-func resumeDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena, dc *DeviceCheckpoint) (*deviceSim, error) {
+// resume continues a parked device into the zero d from its checkpoint.
+func (d *deviceSim) resume(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageArena, dc *DeviceCheckpoint) error {
 	seed := DeviceSeed(sc.Seed, dc.Device)
 	// A dark device resumes its parked kernel from the persistent cut.
 	ck := dc.Kernel
 	if ck == nil {
 		if dc.Power == nil || !dc.Power.Off || dc.Power.Cut == nil {
-			return nil, fmt.Errorf("fleet: device %d checkpoint has no kernel and is not parked dark", dc.Device)
+			return fmt.Errorf("fleet: device %d checkpoint has no kernel and is not parked dark", dc.Device)
 		}
 		ck = dc.Power.Cut
 	}
 	k, err := tmpl.Resume(ck, arena)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: device %d: %w", dc.Device, err)
+		return fmt.Errorf("fleet: device %d: %w", dc.Device, err)
 	}
 	mDevicesStarted.Inc()
-	d := &deviceSim{
+	*d = deviceSim{
 		sc: sc, tmpl: tmpl, k: k,
 		device:     dc.Device,
 		seed:       seed,
@@ -141,9 +141,10 @@ func resumeDeviceSim(sc *Scenario, tmpl *kernel.BootTemplate, arena *mem.PageAre
 		buttonRNG:  dc.ButtonRNG,
 	}
 	if dc.Power != nil && sc.powered() {
+		d.powered = true
 		d.power = resumePowerState(sc, seed, dc.Power)
 	}
-	return d, nil
+	return nil
 }
 
 // Cutter takes consistent cuts of a running RunResumable campaign when its
@@ -194,6 +195,26 @@ type campaignState struct {
 	done     []DeviceResult
 	finished []bool
 	inflight []*DeviceCheckpoint
+	// strs is the rest of the chunk finished devices' fault lists are
+	// carved from, chunk the length that chunk was made with.
+	strs  []string
+	chunk int
+}
+
+// carve returns n strings of the run's current chunk, starting a chunk
+// twice the last one's size when it has too few left. The 3-index slice
+// keeps a device's appends off its neighbours' strings. A chunk is never
+// reused: the report, the merges and the journal keep its strings.
+func (st *campaignState) carve(n int) []string {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.strs) < n {
+		st.chunk = max(n, 2*st.chunk, 64)
+		st.strs = make([]string, st.chunk)
+	}
+	s := st.strs[:n:n]
+	st.strs = st.strs[n:]
+	return s
 }
 
 // cut assembles a consistent CampaignCheckpoint from the current ledger;
@@ -296,19 +317,18 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 	cutter.attach(st)
 	defer cutter.attach(nil)
 	arena := r.pageArena()
+	sims := make([]deviceSim, len(work))
 	err = ForEach(ctx, len(work), r.workerCount(), func(i int) error {
-		g := work[i]
-		var d *deviceSim
+		g, d := work[i], &sims[i]
 		st.mu.Lock()
 		dc := st.inflight[g-sc.FirstDevice]
 		st.mu.Unlock()
 		if dc != nil {
-			var rerr error
-			if d, rerr = resumeDeviceSim(&sc, tmpl, arena, dc); rerr != nil {
-				return rerr
+			if err := d.resume(&sc, tmpl, arena, dc); err != nil {
+				return err
 			}
 		} else {
-			d = newDeviceSim(&sc, tmpl, arena, g)
+			d.start(&sc, tmpl, arena, g)
 		}
 		// The deferred close releases the device's kernel and COW pages on
 		// every exit, the cancellation returns inside advance included.
@@ -328,7 +348,7 @@ func (r *Runner) RunResumable(ctx context.Context, sc Scenario, prior *CampaignC
 			}
 			return err
 		}
-		st.finish(g, d.result())
+		st.finish(g, d.result(st))
 		return nil
 	})
 	if err != nil {

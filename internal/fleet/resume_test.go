@@ -9,6 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"amuletiso/internal/apps"
+	"amuletiso/internal/cc"
+	"amuletiso/internal/kernel"
 )
 
 // cancelAfter is a deterministic cancellation source: its Err starts
@@ -367,5 +371,43 @@ func TestPoweredPeriodicCutsParkDark(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d cuts, %d with a dark device", g.file, len(cuts), len(dark))
+	}
+}
+
+// churnScenario is a fleetd churn job's shard: three apps on devices that
+// live 3 s and brown out every 400 ms, dark for 100 ms each time.
+func churnScenario(devices int) Scenario {
+	var list []apps.App
+	for _, name := range []string{"pedometer", "hr", "clock"} {
+		a, _ := apps.ByName(name)
+		list = append(list, a)
+	}
+	return Scenario{
+		Name: "churn", Apps: list, Mode: cc.ModeMPU, DurationMS: 3000,
+		Devices: devices, Seed: 7, BrownoutEveryMS: 400, BrownoutOffMS: 100,
+		Policy: &kernel.RestartPolicy{MaxFaults: 3, BackoffMS: 1000},
+	}
+}
+
+// TestShardAllocsIndependentOfDevices guards the allocation-free device: on
+// a warm runner, a churn shard of 64 devices allocates at most a few objects
+// more than one of 32. Kernels and pages come from the runner's arena, the
+// devices from one slab per run, their fault lists from chunks that grow by
+// doubling, and the report's aggregates from one scratch buffer.
+func TestShardAllocsIndependentOfDevices(t *testing.T) {
+	r := &Runner{Workers: 2, Cache: NewBuildCache()}
+	ctx := context.Background()
+	allocs := func(devices int) float64 {
+		sc := churnScenario(devices)
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := r.RunResumable(ctx, sc, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(32), allocs(64)
+	if large-small > 8 {
+		t.Errorf("a 64-device shard costs %.0f allocations, a 32-device one %.0f: %.0f per extra device, want the difference <= 8",
+			large, small, (large-small)/32)
 	}
 }

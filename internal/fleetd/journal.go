@@ -211,11 +211,21 @@ func (jr *journal) merge(rec *record) error {
 	case rec.Report == nil || rec.Torture != nil:
 		return errors.New("fleet job shard without a fleet report")
 	case jr.merged == nil:
-		jr.merged = rec.Report
+		// The merge starts as a copy of the first shard whose PerDevice has
+		// room for the job's devices, so later shards append in place. The
+		// room is capped: a header can name any device count.
+		first := *rec.Report
+		room := max(len(first.PerDevice), min(jr.spec.total(), maxReserveDevices))
+		first.PerDevice = append(make([]fleet.DeviceResult, 0, room), first.PerDevice...)
+		jr.merged = &first
 		return nil
 	}
 	return jr.merged.Merge(rec.Report)
 }
+
+// maxReserveDevices caps the PerDevice room a fleet job's merge reserves at
+// its first shard; a larger job grows it by appending.
+const maxReserveDevices = 1 << 14
 
 // done counts the devices or programs the replayed shards cover.
 func (jr *journal) done() int {
@@ -384,12 +394,16 @@ func (s *Server) createJournal(j *Job) error {
 
 // appendJournal appends framed records to j's journal and fsyncs. Records a
 // failed append could not land stay pending, in order, and go out ahead of
-// the next append, so the journal never skips a record.
+// the next append, so the journal never skips a record. With nothing
+// pending, data is written as it is, not copied.
 func (s *Server) appendJournal(j *Job, data []byte) error {
 	if s.StateDir == "" {
 		return nil
 	}
-	buf := append(j.pending, data...)
+	buf := data
+	if len(j.pending) > 0 {
+		buf = append(j.pending, data...)
+	}
 	if len(buf) == 0 {
 		return nil
 	}

@@ -372,7 +372,8 @@ var errCrashed = errors.New("crashed")
 // only set just the writes to paths ending in it). A crash loses every later
 // write, as if the process had died there; ENOSPC fails span writes from at
 // on (0: every later write). Every cut write is checked against the shard
-// records the journal holds. It also drives the daemon's flush clock.
+// records the journal holds. It also drives the daemon's flush clock (see
+// clock).
 type faultFS struct {
 	at, mode, span int
 	only           string
@@ -384,50 +385,50 @@ type faultFS struct {
 	landed  int    // shard records wholly appended
 	badCut  string // the first cut written for a shard other than landed+1
 	// cutDue is set by the header and every shard record, and cleared when a
-	// cut write begins; due wakes the clock when it is set.
+	// cut write begins.
 	cutDue bool
-	due    chan struct{}
 }
 
 // markDue asks the clock for a cut. Callers hold f.mu.
-func (f *faultFS) markDue() {
-	f.cutDue = true
-	select {
-	case f.due <- struct{}{}:
-	default:
+func (f *faultFS) markDue() { f.cutDue = true }
+
+// clock returns the flush ticks of a daemon writing through f and the
+// wrapper of its fleet shards' contexts that sends them. After the job's
+// header and after each shard record, until a cut write begins, every poll
+// of a fleet shard's devices hands the daemon one tick and waits until the
+// daemon takes it. Devices poll only once their run has attached the
+// shard's cutter, and a device waiting on a tick keeps its shard from
+// finishing, so a running lowest shard is asked for snapshots by its
+// devices' first poll at the latest and cut, holding the snapshot that poll
+// parked, at the next. However the goroutines are scheduled, a fleet job
+// writes a cut of its first shard after its header, and one after a later
+// shard record whenever the new lowest shard is still running.
+func (f *faultFS) clock() (<-chan time.Time, func(context.Context) context.Context) {
+	tick := make(chan time.Time)
+	return tick, func(ctx context.Context) context.Context {
+		return tickCtx{Context: ctx, f: f, tick: tick}
 	}
 }
 
-// clock returns the flush ticks of a daemon writing through f, until done
-// closes: after the job's header and after each shard record, it ticks until
-// a cut write begins. The lowest shard in flight is asked for snapshots at
-// the first tick that finds it running and cut at the next, so a fleet job
-// writes cuts between its shard records however fast it runs.
-func (f *faultFS) clock(done <-chan struct{}) <-chan time.Time {
-	f.due = make(chan struct{}, 1)
-	tick := make(chan time.Time)
-	isDue := func() bool {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		return f.cutDue
-	}
-	go func() {
-		for {
-			select {
-			case <-f.due:
-			case <-done:
-				return
-			}
-			for isDue() {
-				select {
-				case tick <- time.Time{}:
-				case <-done:
-					return
-				}
-			}
+// tickCtx is a fleet shard's context under faultFS.clock: its Err sends a
+// tick while a cut is due.
+type tickCtx struct {
+	context.Context
+	f    *faultFS
+	tick chan<- time.Time
+}
+
+func (c tickCtx) Err() error {
+	c.f.mu.Lock()
+	due := c.f.cutDue
+	c.f.mu.Unlock()
+	if due {
+		select {
+		case c.tick <- time.Time{}:
+		case <-c.Done():
 		}
-	}()
-	return tick
+	}
+	return c.Context.Err()
 }
 
 func (f *faultFS) fault(path string) (bool, error) {
@@ -522,12 +523,9 @@ type faultCase struct {
 }
 
 func faultCases(t *testing.T) []faultCase {
-	// The fault FS's clock asks the lowest shard and cuts it microseconds
-	// after the header or a shard record, unless the Go scheduler holds the
-	// clock back for a preemption period (about 10 ms) while simulation keeps
-	// every CPU busy. So the runner's firmware is built up front, and the
-	// shards are long enough that a run without a cut is rare: 1 in 3,000 on
-	// a 2-vCPU host.
+	// The runner's firmware is built up front, so every sweep run's shards
+	// start at once, and the long shards poll many times between the fault
+	// FS clock's ask and cut.
 	fleetSpec := testSpec()
 	fleetSpec.DurationMS = 60_000
 	sc, err := fleetSpec.scenario()
@@ -549,7 +547,8 @@ func faultCases(t *testing.T) []faultCase {
 // on its clock.
 func newFaultServer(t *testing.T, dir string, c faultCase, ffs *faultFS) *Server {
 	s := newTestServer(t, dir)
-	s.Runner, s.files, s.tick = c.runner, ffs, ffs.clock(s.ctx.Done())
+	s.Runner, s.files = c.runner, ffs
+	s.tick, s.shardCtx = ffs.clock()
 	return s
 }
 

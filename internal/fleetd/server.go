@@ -107,8 +107,12 @@ type Server struct {
 	// files takes every journal and cut write.
 	files persistFS
 	// tick, when set, replaces the FlushEvery ticker of every job's run, so
-	// a test decides when cuts happen.
-	tick <-chan time.Time
+	// a test decides when cuts happen. shardCtx, when set, wraps the context
+	// each fleet shard runs under. The shard's devices first poll it once
+	// the run has attached the shard's cutter, so a test can tick from their
+	// polls and land its cuts however the goroutines are scheduled.
+	tick     <-chan time.Time
+	shardCtx func(context.Context) context.Context
 
 	// mu guards the registry. order holds every job in submission order,
 	// queue the jobs waiting to run, head first, and jobs indexes order by ID.
@@ -448,8 +452,6 @@ func (s *Server) runShards(ctx context.Context, j *Job, nshards int,
 			launch()
 		}
 		if err == nil {
-			// The record is framed before the fold: the fold's Merge appends
-			// into the first shard's report.
 			rec := &record{Kind: recShard, Shard: r.k + 1, Report: r.out.fleet, Torture: r.out.torture}
 			data := s.frame(rec)
 			err = j.jr.apply(j.ID, rec.Shard, rec)
@@ -514,6 +516,9 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 		var prior *fleet.CampaignCheckpoint
 		if k == start {
 			prior = cut // nil unless resuming mid-shard
+		}
+		if s.shardCtx != nil {
+			ctx = s.shardCtx(ctx)
 		}
 		rep, c, err := runner.RunResumable(ctx, sub, prior, cutter)
 		return shardOut{fleet: rep, cut: c, err: err}

@@ -150,12 +150,7 @@ func (t *BootTemplate) Checkpoint(k *Kernel) *Checkpoint {
 			Alive: a.Alive, Faults: a.Faults, Dispatches: a.Dispatches,
 			Syscalls: a.Syscalls, Cycles: a.Cycles, RestartAt: a.restartAt,
 		}
-		if len(a.Subs) > 0 {
-			ac.Subs = make(map[uint16]uint64, len(a.Subs))
-			for s, p := range a.Subs {
-				ac.Subs[s] = p
-			}
-		}
+		ac.Subs = a.subs.checkpoint()
 		ac.Log = append(ac.Log, a.Log...)
 		ac.LogValues = append(ac.LogValues, a.LogValues...)
 		ck.Apps[i] = ac
@@ -297,11 +292,8 @@ func (t *BootTemplate) Resume(ck *Checkpoint, arena *mem.PageArena) (*Kernel, er
 		app.Syscalls = ac.Syscalls
 		app.Cycles = ac.Cycles
 		app.restartAt = ac.RestartAt
-		if len(ac.Subs) > 0 {
-			app.Subs = make(map[uint16]uint64, len(ac.Subs))
-			for s, p := range ac.Subs {
-				app.Subs[s] = p
-			}
+		for s, p := range ac.Subs {
+			app.subs.add(s, p)
 		}
 		app.Log = append([]byte(nil), ac.Log...)
 		app.LogValues = append([]TaggedValue(nil), ac.LogValues...)

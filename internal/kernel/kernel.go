@@ -170,7 +170,7 @@ type AppState struct {
 	Syscalls   uint64
 	Cycles     uint64 // active cycles consumed by this app's dispatches
 
-	Subs map[uint16]uint64 // sensor -> period ms; nil until the first subscribe
+	subs subscriptions // dropped at power loss
 
 	Log       []byte
 	LogValues []TaggedValue
@@ -467,7 +467,7 @@ func (k *Kernel) Totals() (dispatches, syscalls, cycles uint64) {
 // InjectButton delivers a button event to every app subscribed to buttons.
 func (k *Kernel) InjectButton(button uint16) {
 	for i := range k.Apps {
-		if _, ok := k.Apps[i].Subs[abi.SensorButton]; ok {
+		if _, ok := k.Apps[i].subs.get(abi.SensorButton); ok {
 			k.post(Event{Due: k.NowMS, App: i, Code: abi.EvButton, Arg: button})
 		}
 	}

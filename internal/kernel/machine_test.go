@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"amuletiso/internal/abi"
 	"amuletiso/internal/aft"
 	"amuletiso/internal/apps"
 	"amuletiso/internal/cc"
@@ -44,7 +45,9 @@ var bootFirmwares = []struct {
 // display, sensors, app states and boot-time event queue, bound to the
 // template's shared device layout and the firmware's code watch. The fault
 // log is inline too: a boot followed by the seven brownout and reboot cycles
-// a fleetd churn device goes through stays within the same bound.
+// a fleetd churn device goes through stays within the same bound, and a
+// recycled kernel runs that lifecycle, init handlers included, allocating
+// nothing.
 func TestTemplateBootAllocs(t *testing.T) {
 	const maxAllocs = 1
 	for _, f := range bootFirmwares {
@@ -68,6 +71,38 @@ func TestTemplateBootAllocs(t *testing.T) {
 		if got > maxAllocs {
 			t.Errorf("%s: boot and 7 brownouts cost %.1f allocations, want <= %d", f.name, got, maxAllocs)
 		}
+	}
+
+	// A device's whole lifecycle on a kernel recycled through an arena, as
+	// fleet runners boot them: the apps' init handlers run and subscribe to
+	// sensors (into an inline table), then six brownout and reboot cycles
+	// each re-run init. None of it allocates.
+	tmpl := NewBootTemplate(buildApps(t, "pedometer", "hr", "clock"))
+	arena := mem.NewPageArena()
+	lifecycle := func(seed uint32) *Kernel {
+		k := tmpl.NewKernelArena(seed, arena)
+		k.RunUntil(50)
+		for at := uint64(400); at < 2800; at += 400 {
+			tmpl.Brownout(k, at)
+			tmpl.Reboot(k, at+100)
+			k.RunUntil(at + 150)
+		}
+		return k
+	}
+	k := lifecycle(1)
+	for i, sensor := range []uint16{abi.SensorAccel, abi.SensorHR} {
+		if _, ok := k.Apps[i].subs.get(sensor); !ok {
+			t.Fatalf("app %d did not subscribe to sensor %d after its last reboot", i, sensor)
+		}
+	}
+	k.Release()
+	seed := uint32(1)
+	got := testing.AllocsPerRun(100, func() {
+		seed++
+		lifecycle(seed).Release()
+	})
+	if got != 0 {
+		t.Errorf("a recycled device's init and 6 brownout/reboot cycles cost %.1f allocations, want 0", got)
 	}
 }
 

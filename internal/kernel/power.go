@@ -182,7 +182,7 @@ func (t *BootTemplate) Brownout(k *Kernel, brownoutMS uint64) {
 		// restart's wake-up was in the (lost) queue.
 		app.Alive = app.Faults <= k.Policy.MaxFaults
 		app.restartAt = 0
-		clear(app.Subs)
+		app.subs.reset()
 	}
 	clear(k.Display.Rows)
 	k.Display.Clears, k.Display.Draws, k.Display.Texts = 0, 0, 0

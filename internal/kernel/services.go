@@ -134,11 +134,8 @@ func (k *Kernel) service(id uint16) {
 		if period == 0 {
 			period = 1000
 		}
-		if _, dup := app.Subs[sensor]; !dup {
-			if app.Subs == nil {
-				app.Subs = make(map[uint16]uint64)
-			}
-			app.Subs[sensor] = period
+		if _, dup := app.subs.get(sensor); !dup {
+			app.subs.add(sensor, period)
 			if sensor != abi.SensorButton {
 				k.post(Event{
 					Due: k.timeMS() + period,
@@ -161,4 +158,63 @@ func (k *Kernel) service(id uint16) {
 		k.recordFault(k.curApp, "unknown syscall", FaultOther)
 		k.CPU.Halted = true
 	}
+}
+
+// numSensors counts the sensors the ABI names: ids 0 to abi.SensorButton.
+const numSensors = abi.SensorButton + 1
+
+// subscriptions is an app's sensor subscriptions, each sensor's period in
+// ms. The ABI's sensors sit in an inline table, so subscribing allocates
+// nothing; an id outside the ABI, which only hostile firmware passes, goes
+// to a map made on its first use.
+type subscriptions struct {
+	period [numSensors]uint64
+	on     uint8 // bit s set: subscribed to sensor s
+	other  map[uint16]uint64
+}
+
+// get returns the period of a subscription to sensor, if there is one.
+func (s *subscriptions) get(sensor uint16) (uint64, bool) {
+	if sensor < numSensors {
+		return s.period[sensor], s.on&(1<<sensor) != 0
+	}
+	p, ok := s.other[sensor]
+	return p, ok
+}
+
+// add subscribes to sensor at period.
+func (s *subscriptions) add(sensor uint16, period uint64) {
+	if sensor < numSensors {
+		s.period[sensor] = period
+		s.on |= 1 << sensor
+		return
+	}
+	if s.other == nil {
+		s.other = make(map[uint16]uint64)
+	}
+	s.other[sensor] = period
+}
+
+// reset drops every subscription.
+func (s *subscriptions) reset() {
+	s.period, s.on = [numSensors]uint64{}, 0
+	clear(s.other)
+}
+
+// checkpoint returns the subscriptions as a checkpoint's map: nil when there
+// are none.
+func (s *subscriptions) checkpoint() map[uint16]uint64 {
+	if s.on == 0 && len(s.other) == 0 {
+		return nil
+	}
+	m := make(map[uint16]uint64, numSensors+len(s.other))
+	for i := range uint16(numSensors) {
+		if p, ok := s.get(i); ok {
+			m[i] = p
+		}
+	}
+	for i, p := range s.other {
+		m[i] = p
+	}
+	return m
 }
