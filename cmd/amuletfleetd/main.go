@@ -9,6 +9,11 @@
 //	curl http://127.0.0.1:8470/jobs/job-1/stream        # NDJSON progress
 //	curl http://127.0.0.1:8470/jobs/job-1/report        # == amuletfleet -json
 //
+// A job runs in shards, two at a time, finishing in order. The shard size is
+// part of the job's spec: "shardDevices" (default 25) for a fleet,
+// "shardPrograms" (default 250) for a torture campaign. Submit journals the
+// resolved size, so a job keeps its shards across restarts.
+//
 // Started over a -state directory that holds jobs, the daemon reloads them:
 // finished jobs serve their streams and reports again, and jobs a crash or
 // SIGKILL interrupted continue from their last checkpoint, ahead of new
@@ -34,15 +39,11 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8470", "listen address (host:port, :0 picks a free port)")
 	state := flag.String("state", "", "state directory for job persistence and crash recovery; jobs already in it are reloaded and interrupted ones continue (empty = in-memory only)")
 	parallel := flag.Int("parallel", 0, "simulation worker goroutines (0 = all cores)")
-	shard := flag.Int("shard-devices", 25, "devices per checkpointable shard; two run at a time and finish in order (0 = whole fleet at once)")
-	shardProgs := flag.Int("shard-programs", 250, "torture programs per mergeable shard; two run at a time and finish in order (0 = whole campaign at once)")
 	flush := flag.Duration("flush", 2*time.Second, "period of the flush tick while a job runs: the job's lowest running shard is asked for fresh snapshots at the first tick after it becomes the lowest, and its cuts are written from the next, so a cut is at most one flush plus one event batch stale")
 	flag.Parse()
 
 	s := fleetd.NewServer(*state)
 	s.Runner = &fleet.Runner{Workers: *parallel, Cache: fleet.NewBuildCache()}
-	s.ShardDevices = *shard
-	s.ShardPrograms = *shardProgs
 	s.FlushEvery = *flush
 	if *state != "" {
 		err := os.MkdirAll(*state, 0o755)

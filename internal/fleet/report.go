@@ -223,25 +223,58 @@ func (r *Report) finalize() {
 	}
 }
 
-// Merge folds another shard of the same scenario into r. The shards must
-// agree on scenario identity (name, mode, seed, duration), list their
-// devices in increasing index order, as finalized reports do, and must not
-// overlap in device indices.
-func (r *Report) Merge(other *Report) error {
-	if r.Scenario != other.Scenario || r.Mode != other.Mode ||
-		r.Seed != other.Seed || r.DurationMS != other.DurationMS {
-		return fmt.Errorf("fleet: cannot merge reports of different scenarios (%s/%s/%d vs %s/%s/%d)",
-			r.Scenario, r.Mode, r.Seed, other.Scenario, other.Mode, other.Seed)
+// Merge folds other shards of the same scenario into r and finalizes once.
+// The shards must agree with r on scenario identity (name, mode, seed,
+// duration), list their devices in increasing index order, as finalized
+// reports do, and share no device index with r or each other. A failed
+// merge leaves r untouched.
+func (r *Report) Merge(others ...*Report) error {
+	if err := inOrder(r.PerDevice); err != nil {
+		return err
 	}
-	a, b := r.PerDevice, other.PerDevice
-	for _, l := range [][]DeviceResult{a, b} {
-		for i := 1; i < len(l); i++ {
-			if l[i-1].Device >= l[i].Device {
-				return fmt.Errorf("fleet: merge of devices out of order (%d before %d)", l[i-1].Device, l[i].Device)
+	n := len(r.PerDevice)
+	for i, o := range others {
+		if r.Scenario != o.Scenario || r.Mode != o.Mode ||
+			r.Seed != o.Seed || r.DurationMS != o.DurationMS {
+			return fmt.Errorf("fleet: cannot merge reports of different scenarios (%s/%s/%d vs %s/%s/%d)",
+				r.Scenario, r.Mode, r.Seed, o.Scenario, o.Mode, o.Seed)
+		}
+		if err := inOrder(o.PerDevice); err != nil {
+			return err
+		}
+		if err := disjoint(r.PerDevice, o.PerDevice); err != nil {
+			return err
+		}
+		for _, p := range others[:i] {
+			if err := disjoint(p.PerDevice, o.PerDevice); err != nil {
+				return err
 			}
 		}
+		n += len(o.PerDevice)
 	}
-	// Walk the two sorted lists for a shared device.
+	r.PerDevice = slices.Grow(r.PerDevice, n-len(r.PerDevice))
+	for _, o := range others {
+		r.PerDevice = append(r.PerDevice, o.PerDevice...)
+	}
+	r.finalize()
+	return nil
+}
+
+// inOrder rejects a device list that is not in increasing index order.
+func inOrder(l []DeviceResult) error {
+	for i := 1; i < len(l); i++ {
+		if l[i-1].Device >= l[i].Device {
+			return fmt.Errorf("fleet: merge of devices out of order (%d before %d)", l[i-1].Device, l[i].Device)
+		}
+	}
+	return nil
+}
+
+// disjoint rejects two increasing device lists that share an index.
+func disjoint(a, b []DeviceResult) error {
+	if len(a) == 0 || len(b) == 0 || a[len(a)-1].Device < b[0].Device || b[len(b)-1].Device < a[0].Device {
+		return nil
+	}
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
 		case a[i].Device < b[j].Device:
@@ -252,8 +285,6 @@ func (r *Report) Merge(other *Report) error {
 			return fmt.Errorf("fleet: merge overlap at device %d", a[i].Device)
 		}
 	}
-	r.PerDevice = append(r.PerDevice, other.PerDevice...)
-	r.finalize()
 	return nil
 }
 

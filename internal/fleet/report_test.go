@@ -3,7 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
+	"os"
+	"slices"
 	"testing"
 
 	"amuletiso/internal/obs"
@@ -144,6 +147,91 @@ func TestReportMergeFailurePaths(t *testing.T) {
 	if !bytes.Equal(golden, marshal(t, base)) {
 		t.Error("failed merges mutated the receiver")
 	}
+}
+
+// FuzzReportMerge splits the nine-app suite golden's report into contiguous
+// shards at fuzzed cut points, finalizing each, as fleet runs of the ranges
+// would. Merged in one call, and one shard at a time from a fuzzed first
+// shard, the shards give the golden's bytes. A shard listing two devices out
+// of order, or a shard merged twice, is rejected, and the failed merge
+// leaves its receiver untouched.
+func FuzzReportMerge(f *testing.F) {
+	golden, err := os.ReadFile("testdata/golden_suite.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var whole Report
+	if err := json.Unmarshal(golden, &whole); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{12})
+	f.Add([]byte{3, 1, 1, 5, 16, 23})
+	f.Add([]byte{0, 24, 200})
+	f.Fuzz(func(t *testing.T, cuts []byte) {
+		// shards cuts whole.PerDevice at the fuzzed points; repeated points
+		// make empty shards.
+		bounds := []int{0, len(whole.PerDevice)}
+		for _, c := range cuts {
+			bounds = append(bounds, int(c)%(len(whole.PerDevice)+1))
+		}
+		slices.Sort(bounds)
+		shards := func() []*Report {
+			var out []*Report
+			for i := 1; i < len(bounds); i++ {
+				r := &Report{Scenario: whole.Scenario, Mode: whole.Mode, Seed: whole.Seed,
+					DurationMS: whole.DurationMS, PerDevice: slices.Clone(whole.PerDevice[bounds[i-1]:bounds[i]])}
+				r.finalize()
+				out = append(out, r)
+			}
+			return out
+		}
+
+		all := shards()
+		if err := all[0].Merge(all[1:]...); err != nil {
+			t.Fatalf("one merge of %d shards: %v", len(all), err)
+		}
+		if !bytes.Equal(cliJSON(t, all[0]), golden) {
+			t.Fatalf("one merge of %d shards differs from the golden", len(all))
+		}
+		all = shards()
+		first := 0
+		if len(cuts) > 0 {
+			first = int(cuts[0]) % len(all)
+		}
+		merged := all[first]
+		for i, r := range all {
+			if i != first {
+				if err := merged.Merge(r); err != nil {
+					t.Fatalf("merge of shard %d into shard %d: %v", i, first, err)
+				}
+			}
+		}
+		if !bytes.Equal(cliJSON(t, merged), golden) {
+			t.Fatalf("shard-at-a-time merge from shard %d differs from the golden", first)
+		}
+
+		all = shards()
+		big := slices.IndexFunc(all, func(r *Report) bool { return len(r.PerDevice) >= 2 })
+		if big < 0 {
+			return // cuts only between every device: no shard can go out of order
+		}
+		before := marshal(t, all[0])
+		if err := all[0].Merge(append(all[1:], all[big])...); err == nil {
+			t.Fatalf("merge with shard %d twice succeeded", big)
+		}
+		if !bytes.Equal(marshal(t, all[0]), before) {
+			t.Fatal("a rejected merge changed its receiver")
+		}
+		d := all[big].PerDevice
+		d[0], d[1] = d[1], d[0]
+		before = marshal(t, all[0])
+		if err := all[0].Merge(all[1:]...); err == nil {
+			t.Fatalf("merge with shard %d out of order succeeded", big)
+		}
+		if !bytes.Equal(marshal(t, all[0]), before) {
+			t.Fatal("a rejected merge changed its receiver")
+		}
+	})
 }
 
 // TestSchedulerShardUnionByteIdentity asserts the daemon scheduler's shard

@@ -241,10 +241,10 @@ func TestKilledDaemonResumesByteIdentity(t *testing.T) {
 	if jr.state != "" {
 		t.Fatalf("interrupted job journaled end state %q, want none", jr.state)
 	}
-	if jr.merged == nil {
+	if jr.shards() == 0 {
 		t.Fatal("interrupted job journaled no completed shard")
 	}
-	if jr.merged.Devices >= spec.Devices {
+	if jr.done >= spec.Devices {
 		t.Fatal("job finished before the daemon stopped; interruption not exercised")
 	}
 
@@ -368,10 +368,11 @@ func TestShardedTortureResumesByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	spec := JobSpec{Type: TypeTorture, Kind: torture.KindBrownout, Programs: 16, Seed: 9, ShardPrograms: 2}
 
-	cfg, err := spec.tortureConfig(2) // newTestServer runners use 2 workers
+	cfg, err := spec.tortureConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Workers = 2 // as newTestServer's runners
 	whole, err := torture.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -400,10 +401,10 @@ func TestShardedTortureResumesByteIdentity(t *testing.T) {
 	if jr.state != "" {
 		t.Fatalf("interrupted torture job journaled end state %q, want none", jr.state)
 	}
-	if jr.torture == nil {
+	if jr.shards() == 0 {
 		t.Fatal("interrupted torture job journaled no completed shard")
 	}
-	if jr.torture.Programs >= spec.Programs {
+	if jr.done >= spec.Programs {
 		t.Fatal("job finished before the daemon stopped; interruption not exercised")
 	}
 
@@ -544,10 +545,10 @@ func TestPersistedFilesAreAtomic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("journal mid-run does not replay: %v", err)
 		}
-		if jr.shards < shards {
-			t.Fatalf("journal went from %d to %d shards", shards, jr.shards)
+		if jr.shards() < shards {
+			t.Fatalf("journal went from %d to %d shards", shards, jr.shards())
 		}
-		shards = jr.shards
+		shards = jr.shards()
 		if done && jr.state != StateDone {
 			t.Fatal("job done before its end record")
 		}
@@ -725,8 +726,9 @@ func recordStarts(data []byte) []int {
 // TestLoadStateQuarantinesCorruptFile: a torn tail record is dropped and its
 // job resumes to the byte-identical report; a corrupt record in the middle
 // of a journal quarantines the file as *.corrupt, counted, while a good
-// queued job next to it resumes and IDs stay monotonic. A state file from
-// before journals (one JSON object) is quarantined the same way.
+// queued job next to it resumes and IDs stay monotonic. A shard record that
+// is not its shard of the header's plan, and a state file from before
+// journals (one JSON object), are quarantined the same way.
 func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
 	t.Run("torn tail", func(t *testing.T) {
 		dir := t.TempDir()
@@ -750,7 +752,7 @@ func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
 			t.Fatalf("torn tail counted %d corrupt files", got)
 		}
 		j, ok := r.Job(id)
-		if !ok || j.view().State != StateQueued || j.jr.shards != 2 {
+		if !ok || j.view().State != StateQueued || j.jr.shards() != 2 {
 			t.Fatal("torn-tail job did not come back queued with 2 shards")
 		}
 		r.Start()
@@ -762,8 +764,8 @@ func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
 			t.Fatal("torn-tail job's report differs from amuletfleet -json")
 		}
 		// The next append overwrote the torn bytes.
-		if jr := readJournal(t, dir, id); jr.shards != 3 || jr.state != StateDone {
-			t.Fatalf("rewritten journal: %d shards, end %q", jr.shards, jr.state)
+		if jr := readJournal(t, dir, id); jr.shards() != 3 || jr.state != StateDone {
+			t.Fatalf("rewritten journal: %d shards, end %q", jr.shards(), jr.state)
 		}
 	})
 	t.Run("corrupt middle", func(t *testing.T) {
@@ -811,6 +813,60 @@ func TestLoadStateQuarantinesCorruptFile(t *testing.T) {
 			t.Fatalf("submit after a second restart got %q (%v), want job-4", id, err)
 		}
 	})
+	// A shard record must be the report of its shard in the header's plan:
+	// an 8-device job in shards of 4 whose first record covers devices 0-1
+	// (written by a daemon that cut the job into shards of 2) would resume
+	// at device 4, skip devices 2-3 and settle done at 6 of 8. A record of
+	// the right devices under another seed is another scenario's report.
+	for name, shard := range map[string]func(*fleet.Scenario){
+		"shard off plan":            func(sc *fleet.Scenario) { sc.Devices = 2 },
+		"shard of another scenario": func(sc *fleet.Scenario) { sc.Seed++ },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := testSpec()
+			spec.Devices, spec.ShardDevices = 8, 4
+			sc, err := spec.scenario()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Devices = 4
+			shard(&sc)
+			rep, err := fleet.Run(context.Background(), sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var data []byte
+			for _, rec := range []*record{
+				{Kind: recHeader, V: journalVersion, ID: "job-1", Spec: &spec},
+				{Kind: recShard, Shard: 1, Report: rep},
+			} {
+				line, err := encodeRecord(rec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data = append(data, line...)
+			}
+			path := filepath.Join(dir, "job-1.json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := mCorruptStateFiles.Value()
+			s := newTestServer(t, dir)
+			if err := s.LoadState(); err != nil {
+				t.Fatal(err)
+			}
+			if got := mCorruptStateFiles.Value() - before; got != 1 {
+				t.Fatalf("corrupt-file counter moved by %d, want 1", got)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Fatalf("journal not quarantined: %v", err)
+			}
+			if _, ok := s.Job("job-1"); ok {
+				t.Fatal("job with a shard off its plan registered")
+			}
+		})
+	}
 	t.Run("pre-journal file", func(t *testing.T) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "job-1.json")

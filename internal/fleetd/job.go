@@ -6,6 +6,7 @@
 package fleetd
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -64,8 +65,9 @@ type JobSpec struct {
 	PowerTrace      string `json:"powerTrace,omitempty"`
 	BrownoutEveryMS uint64 `json:"brownoutEveryMS,omitempty"`
 	BrownoutOffMS   uint64 `json:"brownoutOffMS,omitempty"`
-	// ShardDevices overrides the server's scheduling shard size for this job
-	// (devices per checkpointable shard; shards finish in order).
+	// ShardDevices is the job's shard size: devices per checkpointable
+	// shard, two running at a time and finishing in order (0 = 25). Submit
+	// journals the resolved size, so the header alone fixes the job's shards.
 	ShardDevices int `json:"shardDevices,omitempty"`
 
 	// Torture campaigns.
@@ -74,8 +76,8 @@ type JobSpec struct {
 	First           int    `json:"first,omitempty"`
 	RestrictedEvery *int   `json:"restrictedEvery,omitempty"` // (kind default)
 	Shrink          *bool  `json:"shrink,omitempty"`          // (true)
-	// ShardPrograms overrides the server's torture shard size for this job
-	// (programs per mergeable shard; shards finish in order).
+	// ShardPrograms is the torture analogue of ShardDevices: programs per
+	// mergeable shard (0 = 250), resolved and journaled the same way.
 	ShardPrograms int `json:"shardPrograms,omitempty"`
 }
 
@@ -162,7 +164,7 @@ func (s *JobSpec) scenario() (fleet.Scenario, error) {
 }
 
 // tortureConfig resolves a torture spec onto the campaign defaults.
-func (s *JobSpec) tortureConfig(workers int) (torture.Config, error) {
+func (s *JobSpec) tortureConfig() (torture.Config, error) {
 	kind := s.Kind
 	if kind == "" {
 		kind = torture.KindDifferential
@@ -171,7 +173,6 @@ func (s *JobSpec) tortureConfig(workers int) (torture.Config, error) {
 		return torture.Config{}, fmt.Errorf("fleetd: negative program count %d", s.Programs)
 	}
 	cfg := torture.DefaultConfig(kind)
-	cfg.Workers = workers
 	if s.Programs > 0 {
 		cfg.Programs = s.Programs
 	}
@@ -188,48 +189,50 @@ func (s *JobSpec) tortureConfig(workers int) (torture.Config, error) {
 	return cfg, nil
 }
 
-// validate rejects specs the scheduler could not run, without building: a
-// fleet spec must resolve to a scenario the runner's own Validate accepts, a
-// torture spec to a config torture's Validate accepts, and a shard size
-// override may not be negative.
-func (s *JobSpec) validate() error {
-	if s.ShardDevices < 0 || s.ShardPrograms < 0 {
-		return fmt.Errorf("fleetd: negative shard size (shardDevices %d, shardPrograms %d)",
-			s.ShardDevices, s.ShardPrograms)
-	}
-	switch s.kind() {
-	case TypeFleet:
-		sc, err := s.scenario()
-		if err != nil {
-			return err
-		}
-		return sc.Validate()
-	case TypeTorture:
-		cfg, err := s.tortureConfig(0)
-		if err != nil {
-			return err
-		}
-		return cfg.Validate()
-	default:
-		return fmt.Errorf("fleetd: unknown job type %q", s.Type)
-	}
+// Shard sizes of a spec that names none.
+const (
+	defaultShardDevices  = 25
+	defaultShardPrograms = 250
+)
+
+// plan is a job's shard plan, fixed by its spec alone: shard k covers the
+// devices (fleet) or programs (torture) [first+k*size, first+(k+1)*size),
+// clipped to the job's total, of the plan's scenario or campaign.
+type plan struct {
+	sc                 fleet.Scenario // fleet jobs
+	cfg                torture.Config // torture jobs
+	first, total, size int
 }
 
-// total is the number of devices (fleet) or programs (torture) the job
-// covers; 0 for a spec the scheduler would reject.
-func (s *JobSpec) total() int {
-	if s.kind() == TypeTorture {
-		cfg, err := s.tortureConfig(0)
-		if err != nil {
-			return 0
-		}
-		return cfg.Programs
+// plan resolves the spec's shard size into the spec and returns its shard
+// plan. A spec naming an unknown type, app or mode, no device or program,
+// or a negative shard size has none.
+func (s *JobSpec) plan() (p plan, err error) {
+	switch s.kind() {
+	case TypeFleet:
+		s.ShardDevices = cmp.Or(s.ShardDevices, defaultShardDevices)
+		p.sc, err = s.scenario()
+		p.first, p.total, p.size = p.sc.FirstDevice, p.sc.Devices, s.ShardDevices
+	case TypeTorture:
+		s.ShardPrograms = cmp.Or(s.ShardPrograms, defaultShardPrograms)
+		p.cfg, err = s.tortureConfig()
+		p.first, p.total, p.size = p.cfg.First, p.cfg.Programs, s.ShardPrograms
+	default:
+		err = fmt.Errorf("fleetd: unknown job type %q", s.Type)
 	}
-	sc, err := s.scenario()
-	if err != nil {
-		return 0
+	if err == nil && (p.total <= 0 || p.size < 0) {
+		err = fmt.Errorf("fleetd: no shard plan for %d in shards of %d", p.total, p.size)
 	}
-	return sc.Devices
+	return p, err
+}
+
+// shards is the plan's shard count.
+func (p *plan) shards() int { return (p.total + p.size - 1) / p.size }
+
+// shard returns shard k's first index and length.
+func (p *plan) shard(k int) (lo, n int) {
+	lo = p.first + k*p.size
+	return lo, min(p.size, p.first+p.total-lo)
 }
 
 // Job is one scheduled campaign and its live progress. Its journal has one
@@ -290,9 +293,12 @@ type JobView struct {
 // newJob registers a job whose progress is jr: a running line per shard
 // record it holds.
 func newJob(id string, jr *journal) *Job {
-	j := &Job{ID: id, Spec: jr.spec, state: StateQueued, total: jr.spec.total(),
-		done: jr.done(), jr: jr, queued: time.Now(), changed: make(chan struct{})}
-	for _, done := range jr.progress {
+	j := &Job{ID: id, Spec: jr.spec, state: StateQueued, total: jr.plan.total,
+		done: jr.done, jr: jr, queued: time.Now(), changed: make(chan struct{})}
+	done := 0
+	for k := range jr.shards() {
+		_, n := jr.plan.shard(k)
+		done += n
 		j.lines = append(j.lines, deltaLine(id, StateRunning, done, j.total))
 	}
 	return j

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,10 +29,12 @@ import (
 //	{"kind":"end","state":"done"}                 ("error" when failed)
 //
 // The header is created atomically (temp file, fsync, rename, directory
-// fsync) before POST /jobs replies. A shard record holds that shard's own
-// partial report, not the merge so far, so a job writes O(shards) bytes;
-// replay folds the records through Report.Merge, which is order-free. Shard
-// and end records are fsynced before the job's state and stream line move on.
+// fsync) before POST /jobs replies. Its spec carries the job's shard size, so
+// the header alone fixes the job's shard plan. A shard record holds that
+// shard's own partial report, not the merge so far, so a job writes
+// O(shards) bytes; replay checks each against the plan, and the records are
+// merged once, when the job's report is read. Shard and end records are
+// fsynced before the job's state and stream line move on.
 //
 // The interrupted shard's latest consistent cut lives beside the journal in
 // <state>/job-<n>.cut, one record of kind "cut" replaced atomically (temp
@@ -62,7 +65,7 @@ type record struct {
 	ID   string   `json:"id,omitempty"`
 	Spec *JobSpec `json:"spec,omitempty"`
 	// Shard: the 1-based shard number, equal to the completed-shard count
-	// once this record is merged. Cut: the shard the cut was taken in.
+	// once this record is applied. Cut: the shard the cut was taken in.
 	Shard   int                       `json:"shard,omitempty"`
 	Report  *fleet.Report             `json:"report,omitempty"`
 	Torture *torture.Report           `json:"torture,omitempty"`
@@ -113,19 +116,22 @@ var errCorrupt = errors.New("fleetd: corrupt job journal")
 // journal is a job's journal, folded: replayed from disk, or grown by the
 // run one shard record at a time through the same apply.
 type journal struct {
-	spec    JobSpec
-	shards  int // completed shards
-	merged  *fleet.Report
-	torture *torture.Report
+	spec JobSpec
+	plan plan
+	// fleet or torture holds the shard records' reports, of the job's type,
+	// in shard order; done counts the devices or programs they cover.
+	fleet   []*fleet.Report
+	torture []*torture.Report
+	done    int
 	// state and err come from the end record; state is "" without one.
 	state, err string
-	// progress is the done count after each shard record: the job's stream
-	// history.
-	progress []int
 	// size is the length of the valid records on disk; a dropped torn tail
 	// or a failed append lies beyond it and the next append overwrites it.
 	size int64
 }
+
+// shards counts the journal's shard records.
+func (jr *journal) shards() int { return len(jr.fleet) + len(jr.torture) }
 
 // replayJournal folds a journal's records. A bad last record is a torn
 // append and is dropped; a bad record anywhere else, a missing header, or
@@ -162,27 +168,24 @@ func (jr *journal) apply(id string, n int, rec *record) error {
 		if rec.Kind != recHeader || rec.V != journalVersion || rec.ID != id || rec.Spec == nil {
 			return errors.New("not a header for this job")
 		}
-		jr.spec = *rec.Spec
-		return nil
+		p, err := rec.Spec.plan()
+		jr.spec, jr.plan = *rec.Spec, p
+		return err
 	}
 	if jr.state != "" {
 		return errors.New("record after the end record")
 	}
 	switch rec.Kind {
 	case recShard:
-		if rec.Shard != jr.shards+1 {
-			return fmt.Errorf("shard %d after %d", rec.Shard, jr.shards)
+		if rec.Shard != jr.shards()+1 {
+			return fmt.Errorf("shard %d after %d", rec.Shard, jr.shards())
 		}
-		if err := jr.merge(rec); err != nil {
-			return err
-		}
-		jr.shards = rec.Shard
-		jr.progress = append(jr.progress, jr.done())
+		return jr.take(rec)
 	case recEnd:
 		switch rec.State {
 		case StateDone:
-			if jr.merged == nil && jr.torture == nil || jr.done() != jr.spec.total() {
-				return fmt.Errorf("done with %d of %d", jr.done(), jr.spec.total())
+			if jr.shards() != jr.plan.shards() {
+				return fmt.Errorf("done after %d of %d shards", jr.shards(), jr.plan.shards())
 			}
 		case StateFailed, StateCancelled:
 		default:
@@ -195,57 +198,59 @@ func (jr *journal) apply(id string, n int, rec *record) error {
 	return nil
 }
 
-// merge folds a shard record's report of the job's type.
-func (jr *journal) merge(rec *record) error {
+// take appends the next shard record's report, which must be the plan's
+// next shard: a report of the job's type and of the plan's scenario or
+// campaign, covering exactly that shard's range, in order.
+func (jr *journal) take(rec *record) error {
+	k, p := jr.shards(), &jr.plan
+	lo, n := p.shard(k)
+	ok := k < p.shards()
 	if jr.spec.kind() == TypeTorture {
-		switch {
-		case rec.Torture == nil || rec.Report != nil:
-			return errors.New("torture job shard without a torture report")
-		case jr.torture == nil:
-			jr.torture = rec.Torture
-			return nil
+		t := rec.Torture
+		ok = ok && t != nil && rec.Report == nil && t.Kind == p.cfg.Kind && t.Seed == p.cfg.Seed &&
+			t.First == lo && t.Programs == n
+		if ok {
+			jr.torture = append(jr.torture, t)
 		}
-		return jr.torture.Merge(rec.Torture)
+	} else {
+		r := rec.Report
+		ok = ok && r != nil && rec.Torture == nil && r.Scenario == p.sc.Name && r.Mode == p.sc.Mode.String() &&
+			r.Seed == p.sc.Seed && r.DurationMS == p.sc.DurationMS && len(r.PerDevice) == n
+		for i := 0; ok && i < n; i++ {
+			ok = r.PerDevice[i].Device == lo+i
+		}
+		if ok {
+			jr.fleet = append(jr.fleet, r)
+		}
 	}
-	switch {
-	case rec.Report == nil || rec.Torture != nil:
-		return errors.New("fleet job shard without a fleet report")
-	case jr.merged == nil:
-		// The merge starts as a copy of the first shard whose PerDevice has
-		// room for the job's devices, so later shards append in place. The
-		// room is capped: a header can name any device count.
-		first := *rec.Report
-		room := max(len(first.PerDevice), min(jr.spec.total(), maxReserveDevices))
-		first.PerDevice = append(make([]fleet.DeviceResult, 0, room), first.PerDevice...)
-		jr.merged = &first
-		return nil
+	if !ok {
+		return fmt.Errorf("shard %d is not the plan's [%d,%d) of %d shards", k+1, lo, lo+n, p.shards())
 	}
-	return jr.merged.Merge(rec.Report)
+	jr.done += n
+	return nil
 }
 
-// maxReserveDevices caps the PerDevice room a fleet job's merge reserves at
-// its first shard; a larger job grows it by appending.
-const maxReserveDevices = 1 << 14
-
-// done counts the devices or programs the replayed shards cover.
-func (jr *journal) done() int {
-	switch {
-	case jr.merged != nil:
-		return jr.merged.Devices
-	case jr.torture != nil:
-		return jr.torture.Programs
-	}
-	return 0
-}
-
-// encodeFinal encodes the merge compactly (nil when no shard is folded): a
-// terminal job's report, whether its run settles it or a replay reads it.
+// encodeFinal merges the journal's shard reports, once, and encodes the
+// merge compactly (nil when it holds none): a terminal job's report, whether
+// its run settles it or a replay reads it. The shard reports stay as they
+// are.
 func (jr *journal) encodeFinal() ([]byte, error) {
 	switch {
-	case jr.merged != nil:
-		return json.Marshal(jr.merged)
-	case jr.torture != nil:
-		return json.Marshal(jr.torture)
+	case len(jr.fleet) > 0:
+		merged := *jr.fleet[0]
+		merged.PerDevice = slices.Clip(merged.PerDevice)
+		if err := merged.Merge(jr.fleet[1:]...); err != nil {
+			return nil, err
+		}
+		return json.Marshal(&merged)
+	case len(jr.torture) > 0:
+		merged := torture.Report{Kind: jr.plan.cfg.Kind, Seed: jr.plan.cfg.Seed, First: jr.plan.first}
+		for _, t := range jr.torture {
+			if err := merged.Merge(t); err != nil {
+				return nil, err
+			}
+		}
+		return json.Marshal(&merged)
 	}
 	return nil, nil
 }
@@ -452,7 +457,7 @@ func (s *Server) loadJob(id string) (*Job, error) {
 		return j, nil
 	}
 	if j.Spec.kind() == TypeFleet {
-		j.cut = readCut(s.cutPath(id), jr.shards)
+		j.cut = readCut(s.cutPath(id), jr.shards())
 	}
 	return j, nil
 }

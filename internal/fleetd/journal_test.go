@@ -100,7 +100,12 @@ func failingSpec() JobSpec {
 // returns the job's ID.
 func enqueueFailing(t *testing.T, s *Server) string {
 	t.Helper()
-	id, err := s.enqueue(failingSpec())
+	spec := failingSpec()
+	p, err := spec.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.enqueue(spec, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +116,11 @@ func enqueueFailing(t *testing.T, s *Server) string {
 // spec on newTestServer's two workers.
 func tortureBytes(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
-	cfg, err := spec.tortureConfig(2)
+	cfg, err := spec.tortureConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Workers = 2
 	rep, err := torture.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +233,8 @@ func TestRestoredJobCancelledWhileQueued(t *testing.T) {
 	<-g.entered
 	stopHeld(t, s1, g)
 	jr := readJournal(t, dir, id)
-	if jr.shards == 0 || jr.state != "" {
-		t.Fatalf("stopped job journaled %d shards, end %q; want some and none", jr.shards, jr.state)
+	if jr.shards() == 0 || jr.state != "" {
+		t.Fatalf("stopped job journaled %d shards, end %q; want some and none", jr.shards(), jr.state)
 	}
 	wantReport, err := jr.encodeFinal()
 	if err != nil {
@@ -257,7 +263,7 @@ func TestRestoredJobCancelledWhileQueued(t *testing.T) {
 			t.Fatalf("restart %d: stream does not end with a cancelled line", restart+1)
 		}
 		if !bytes.Equal(last.Report, wantReport) {
-			t.Fatalf("restart %d: terminal line carries report %s, want the merge of %d journaled shards", restart+1, last.Report, jr.shards)
+			t.Fatalf("restart %d: terminal line carries report %s, want the merge of %d journaled shards", restart+1, last.Report, jr.shards())
 		}
 		streams = append(streams, lines)
 	}
@@ -691,23 +697,18 @@ func TestENOSPCAtEveryWrite(t *testing.T) {
 func prefixMerges(data []byte) [][]byte {
 	out := [][]byte{[]byte("null")}
 	jr := &journal{}
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
+	for n, line := range bytes.Split(data, []byte{'\n'}) {
 		var rec record
 		if !decodeRecord(line, &rec) {
 			break
 		}
-		if rec.Kind == recHeader && rec.Spec != nil {
-			jr.spec = *rec.Spec
+		if n == 0 && jr.apply("job-1", 0, &rec) != nil {
+			break
 		}
-		if rec.Kind != recShard || jr.merge(&rec) != nil {
+		if rec.Kind != recShard || rec.Shard != jr.shards()+1 || jr.take(&rec) != nil {
 			continue
 		}
-		var m []byte
-		if jr.merged != nil {
-			m, _ = json.Marshal(jr.merged)
-		} else {
-			m, _ = json.Marshal(jr.torture)
-		}
+		m, _ := jr.encodeFinal()
 		out = append(out, m)
 	}
 	return out

@@ -201,8 +201,8 @@ func TestShardPipeline(t *testing.T) {
 			}
 		}
 		stopHeld(t, s, g)
-		if jr := readJournal(t, dir, id); jr.shards != 0 || jr.state != "" {
-			t.Fatalf("stopped job journaled %d shards, end %q; want 0 and none", jr.shards, jr.state)
+		if jr := readJournal(t, dir, id); jr.shards() != 0 || jr.state != "" {
+			t.Fatalf("stopped job journaled %d shards, end %q; want 0 and none", jr.shards(), jr.state)
 		}
 		if readCut(filepath.Join(dir, id+".cut"), 0) == nil {
 			t.Fatal("stopped job left no cut of shard 1")
@@ -249,8 +249,8 @@ func TestShardPipeline(t *testing.T) {
 			waitFor(t, "a snapshot the tick asked for", func() bool { return snapshots.Value() > n })
 		}
 		s.Stop()
-		if jr := readJournal(t, dir, id); jr.shards != 0 || jr.state != "" {
-			t.Fatalf("stopped job journaled %d shards, end %q; want 0 and none", jr.shards, jr.state)
+		if jr := readJournal(t, dir, id); jr.shards() != 0 || jr.state != "" {
+			t.Fatalf("stopped job journaled %d shards, end %q; want 0 and none", jr.shards(), jr.state)
 		}
 		if bad := g.outOfOrderCut(); bad != "" {
 			t.Fatal(bad)
@@ -282,8 +282,8 @@ func TestShardPipeline(t *testing.T) {
 		stopHeld(t, s, g)
 		// Shard 2 is cancelled, or journaled if its run had already
 		// finished: a stop drops no finished shard that is next in order.
-		if jr := readJournal(t, dir, id); jr.shards < 1 || jr.shards > 2 || jr.state != "" {
-			t.Fatalf("stopped job journaled %d shards, end %q; want 1 or 2 and none", jr.shards, jr.state)
+		if jr := readJournal(t, dir, id); jr.shards() < 1 || jr.shards() > 2 || jr.state != "" {
+			t.Fatalf("stopped job journaled %d shards, end %q; want 1 or 2 and none", jr.shards(), jr.state)
 		}
 		if _, err := os.Stat(filepath.Join(dir, id+".cut")); err == nil {
 			t.Fatal("torture job wrote a cut")

@@ -68,13 +68,15 @@ var (
 // ahead of new ones, and new jobs take IDs past every file on disk instead of
 // overwriting job-1's.
 //
-// Jobs run one at a time in submission order. Within a job, shards overlap:
-// a shard's last devices leave workers idle, and its merge and fsync'd
-// journal append run on the scheduler goroutine, so a serial walk kept only
-// 1.39 of 2 cores busy on the fleetd_churn benchmark (2-vCPU host). Two
-// shards are in flight at once (runShards); they finish in shard order. A
-// flush tick checkpoints the lower one: it is asked for snapshots at the first
-// tick after it becomes the lowest, and its cuts are written from the next.
+// Jobs run one at a time in submission order, each in the shards of its
+// spec's plan (JobSpec.ShardDevices or ShardPrograms); the server has no
+// shard size of its own. Within a job, shards overlap: a shard's last
+// devices leave workers idle, and its fsync'd journal append runs on the
+// scheduler goroutine, so a serial walk kept only 1.39 of 2 cores busy on
+// the fleetd_churn benchmark (2-vCPU host). Two shards are in flight at once
+// (runShards); they finish in shard order. A flush tick checkpoints the
+// lower one: it is asked for snapshots at the first tick after it becomes
+// the lowest, and its cuts are written from the next.
 type Server struct {
 	// Runner executes fleet shards; nil gets a private runner. Share one
 	// across the daemon's lifetime so the build cache and page arena persist
@@ -82,14 +84,6 @@ type Server struct {
 	Runner *fleet.Runner
 	// StateDir persists job state for crash recovery ("" = memory only).
 	StateDir string
-	// ShardDevices is the default scheduling shard size: each job's fleet is
-	// cut into shards of this many devices, two running at a time, merged
-	// and persisted in shard order. <= 0 runs each fleet as a single shard.
-	ShardDevices int
-	// ShardPrograms is the torture analogue of ShardDevices: programs per
-	// mergeable campaign shard, scheduled the same way. <= 0 runs each
-	// campaign as a single shard.
-	ShardPrograms int
 	// FlushEvery is the period of the flush tick that writes mid-shard
 	// checkpoints (0 = 500ms). A job's run starts the ticker, and each tick
 	// serves the lowest shard in flight, the one a resume starts at: the
@@ -179,19 +173,28 @@ func (s *Server) Stop() {
 	s.wg.Wait()
 }
 
-// Submit validates and enqueues a job, returning its ID. With a state
-// directory the job's journal header is on disk before Submit returns. An
-// invalid spec is refused, as are a full queue (errQueueFull) and a header
-// that cannot be written (errUnpersisted); a refused job is not registered.
+// Submit validates and enqueues a job, returning its ID. The spec it
+// journals carries the resolved shard size. With a state directory the
+// job's journal header is on disk before Submit returns. A spec without a
+// shard plan, or whose scenario or campaign the runner's own Validate
+// rejects, is refused, as are a full queue (errQueueFull) and a header that
+// cannot be written (errUnpersisted); a refused job is not registered.
 func (s *Server) Submit(spec JobSpec) (string, error) {
-	if err := spec.validate(); err != nil {
+	p, err := spec.plan()
+	if err == nil && spec.kind() == TypeTorture {
+		err = p.cfg.Validate()
+	} else if err == nil {
+		err = p.sc.Validate()
+	}
+	if err != nil {
 		return "", err
 	}
-	return s.enqueue(spec)
+	return s.enqueue(spec, p)
 }
 
-// enqueue registers and journals a job whose spec Submit has validated.
-func (s *Server) enqueue(spec JobSpec) (string, error) {
+// enqueue registers and journals a job of spec and its plan p, which
+// Submit has validated.
+func (s *Server) enqueue(spec JobSpec, p plan) (string, error) {
 	s.mu.Lock()
 	if len(s.queue)+s.submitting >= maxQueued {
 		s.mu.Unlock()
@@ -202,7 +205,7 @@ func (s *Server) enqueue(spec JobSpec) (string, error) {
 	s.submitting++
 	s.mu.Unlock()
 
-	j := newJob(id, &journal{spec: spec})
+	j := newJob(id, &journal{spec: spec, plan: p})
 	var err error
 	if s.StateDir != "" {
 		err = s.createJournal(j)
@@ -300,7 +303,7 @@ func (s *Server) claim() (*Job, context.Context) {
 	j.mu.Lock()
 	j.state, j.cancel = StateRunning, cancel
 	mQueueWait.Observe(uint64(time.Since(j.queued).Microseconds()))
-	if j.jr.shards > 0 || j.cut != nil {
+	if j.jr.shards() > 0 || j.cut != nil {
 		mResumes.Inc()
 	}
 	j.mu.Unlock()
@@ -404,7 +407,7 @@ type shardRun struct {
 // is cancelled and waited for, and only the lowest unfinished shard's final
 // cut is written. The shards above it rerun from boot on resume, to the same
 // bytes.
-func (s *Server) runShards(ctx context.Context, j *Job, nshards int,
+func (s *Server) runShards(ctx context.Context, j *Job,
 	run func(ctx context.Context, k int, cutter *fleet.Cutter) shardOut) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -415,7 +418,7 @@ func (s *Server) runShards(ctx context.Context, j *Job, nshards int,
 		tick = ticker.C
 	}
 	var inflight []*shardRun
-	next := j.jr.shards
+	next, nshards := j.jr.shards(), j.jr.plan.shards()
 	launch := func() {
 		r := &shardRun{k: next, start: time.Now(), done: make(chan struct{})}
 		next++
@@ -445,7 +448,7 @@ func (s *Server) runShards(ctx context.Context, j *Job, nshards int,
 			}
 		}
 		err := r.out.err
-		// The next shard takes r's workers while r merges and persists. A
+		// The next shard takes r's workers while r is journaled. A
 		// cancelled job launches nothing more: the shard in flight finishes
 		// or stops, and the cancellation is returned below.
 		if err == nil && next < nshards && ctx.Err() == nil {
@@ -462,7 +465,7 @@ func (s *Server) runShards(ctx context.Context, j *Job, nshards int,
 				_ = s.appendJournal(j, data)
 				mShardsMerged.Inc()
 				j.mu.Lock()
-				j.done = j.jr.done()
+				j.done = j.jr.done
 				j.lines = append(j.lines, deltaLine(j.ID, j.state, j.done, j.total))
 				j.wakeLocked()
 				j.mu.Unlock()
@@ -486,33 +489,20 @@ func (s *Server) runShards(ctx context.Context, j *Job, nshards int,
 	return nil
 }
 
-// runFleetJob walks the job's fleet through the shard pipeline. Shards are
-// contiguous FirstDevice ranges, so the running merge is always a valid
-// partial campaign and the final merge is byte-identical to a one-shot run
-// of the whole scenario. The first shard run resumes from the cut LoadState
-// found, if any.
+// runFleetJob walks the job's fleet through the shard pipeline, shard k
+// over the plan's k-th FirstDevice range, so the final merge is
+// byte-identical to a one-shot run of the whole scenario. The first shard
+// run resumes from the cut LoadState found, if any.
 func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
-	sc, err := j.Spec.scenario()
-	if err != nil {
-		return err
-	}
-	shard := j.Spec.ShardDevices
-	if shard <= 0 {
-		shard = s.ShardDevices
-	}
-	if shard <= 0 || shard > sc.Devices {
-		shard = sc.Devices
-	}
 	runner := s.Runner
 	if runner == nil {
 		runner = &fleet.Runner{Cache: fleet.NewBuildCache()}
 		s.Runner = runner
 	}
-	start, cut := j.jr.shards, j.cut
-	return s.runShards(ctx, j, (sc.Devices+shard-1)/shard, func(ctx context.Context, k int, cutter *fleet.Cutter) shardOut {
-		sub := sc
-		sub.FirstDevice = sc.FirstDevice + k*shard
-		sub.Devices = min(shard, sc.FirstDevice+sc.Devices-sub.FirstDevice)
+	p, start, cut := &j.jr.plan, j.jr.shards(), j.cut
+	return s.runShards(ctx, j, func(ctx context.Context, k int, cutter *fleet.Cutter) shardOut {
+		sub := p.sc
+		sub.FirstDevice, sub.Devices = p.shard(k)
 		var prior *fleet.CampaignCheckpoint
 		if k == start {
 			prior = cut // nil unless resuming mid-shard
@@ -526,30 +516,18 @@ func (s *Server) runFleetJob(ctx context.Context, j *Job) error {
 }
 
 // runTortureJob walks the job's campaign through the same pipeline, over
-// contiguous program ranges, so a killed daemon resumes at the first
+// the plan's program ranges, so a killed daemon resumes at the first
 // incomplete shard and the final merge is byte-identical to a one-shot run
 // of the whole campaign. Torture cases have no mid-case cut, so an
 // interrupted shard reruns whole.
 func (s *Server) runTortureJob(ctx context.Context, j *Job) error {
-	workers := 0
+	p, cfg := &j.jr.plan, j.jr.plan.cfg
 	if s.Runner != nil {
-		workers = s.Runner.Workers
+		cfg.Workers = s.Runner.Workers
 	}
-	cfg, err := j.Spec.tortureConfig(workers)
-	if err != nil {
-		return err
-	}
-	shard := j.Spec.ShardPrograms
-	if shard <= 0 {
-		shard = s.ShardPrograms
-	}
-	if shard <= 0 || shard > cfg.Programs {
-		shard = cfg.Programs
-	}
-	return s.runShards(ctx, j, (cfg.Programs+shard-1)/shard, func(ctx context.Context, k int, _ *fleet.Cutter) shardOut {
+	return s.runShards(ctx, j, func(ctx context.Context, k int, _ *fleet.Cutter) shardOut {
 		sub := cfg
-		sub.First = cfg.First + k*shard
-		sub.Programs = min(shard, cfg.First+cfg.Programs-sub.First)
+		sub.First, sub.Programs = p.shard(k)
 		rep, err := torture.Run(ctx, sub)
 		return shardOut{torture: rep, err: err}
 	})
